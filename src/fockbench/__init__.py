@@ -32,6 +32,7 @@ from .backends import (
     MeasurementReport,
     TruncationWarning,
     compare_backends,
+    compare_reports,
     evolve_numeric,
     evolve_symbolic,
     heisenberg_residual,

@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
@@ -42,7 +43,7 @@ from .fock import (
     creation_op,
     identity_op,
 )
-from .modes import BOSON, ModeSystem
+from .modes import ModeSystem
 
 #: Refuse to build explicit representations larger than this many basis states.
 DEFAULT_BASIS_CAP = 1_000_000
@@ -102,39 +103,71 @@ def polynomial_matrix(poly: LadderPolynomial, system: ModeSystem) -> SparseOpera
     return total
 
 
+#: Returned by :func:`_monomial_image` when a bosonic creation meets the cutoff.
+_CUT_AT_CUTOFF = "cut at cutoff"
+
+
+def _monomial_image(system: ModeSystem, factors, occ: tuple[int, ...]):
+    """Truncated image of one occupation basis vector under a ladder monomial.
+
+    Applies ``factors`` right to left with the rules of
+    :func:`~fockbench.fock.creation_op` and
+    :func:`~fockbench.fock.annihilation_op`: bosonic weights sqrt(n+1) up
+    and sqrt(n) down, the transition out of ``n == cutoff`` dropped, and
+    Jordan-Wigner signs over the fermionic modes.  Returns
+    ``(occupation, weight)``, ``None`` when the ladder rules annihilate the
+    vector, or :data:`_CUT_AT_CUTOFF` when only the truncation does.
+    """
+    occ = list(occ)
+    weight = 1.0
+    for symbol in reversed(factors):
+        m = symbol.mode
+        if m < system.boson_modes:
+            if symbol.dagger:
+                if occ[m] == system.cutoff:
+                    return _CUT_AT_CUTOFF
+                occ[m] += 1
+                weight *= math.sqrt(occ[m])
+            else:
+                if occ[m] == 0:
+                    return None
+                weight *= math.sqrt(occ[m])
+                occ[m] -= 1
+        else:
+            if occ[m] == int(symbol.dagger):
+                return None
+            if sum(occ[system.boson_modes : m]) % 2 == 1:
+                weight = -weight
+            occ[m] = int(symbol.dagger)
+    return tuple(occ), weight
+
+
+def _ket_amplitudes(ket: KetExpression) -> tuple[dict, bool]:
+    """Amplitudes of a creation-monomial ket, and whether any monomial was
+    dropped for exceeding the cutoff.
+    """
+    vacuum = ket.system.vacuum_occupation()
+    amps: dict[tuple[int, ...], complex] = {}
+    cut = False
+    for factors, coeff in ket.poly.terms.items():
+        image = _monomial_image(ket.system, factors, vacuum)
+        if image is _CUT_AT_CUTOFF:
+            cut = True
+        elif image is not None:
+            occ, weight = image
+            amps[occ] = amps.get(occ, 0.0 + 0.0j) + complex(coeff) * weight
+    return amps, cut
+
+
 def ket_to_fock(ket: KetExpression, prune: float = PRUNE_THRESHOLD) -> FockVector:
     """Evaluate a creation-monomial ket in the explicit representation.
 
-    Applies each monomial's creation symbols right to left with the bosonic
-    sqrt(n+1) weights and Jordan-Wigner signs.  Monomials that push a
-    bosonic mode past the cutoff have no truncated image and are dropped.
+    Applies each monomial's creation symbols with the same truncated
+    ladder rules as the numeric evolution.  Monomials that push a bosonic
+    mode past the cutoff have no truncated image and are dropped.
     """
-    system = ket.system
-    amps: dict[tuple[int, ...], complex] = {}
-    for factors, coeff in ket.poly.terms.items():
-        occ = [0] * system.total_modes
-        amp = complex(coeff)
-        alive = True
-        for symbol in reversed(factors):
-            m = symbol.mode
-            if system.is_boson(m):
-                if occ[m] >= system.cutoff:
-                    alive = False
-                    break
-                amp *= math.sqrt(occ[m] + 1.0)
-                occ[m] += 1
-            else:
-                if occ[m] == 1:
-                    alive = False
-                    break
-                parity = sum(occ[system.boson_modes : m])
-                if parity % 2 == 1:
-                    amp = -amp
-                occ[m] = 1
-        if alive:
-            key = tuple(occ)
-            amps[key] = amps.get(key, 0.0 + 0.0j) + amp
-    return FockVector.from_amplitudes(system, amps, prune)
+    amps, _ = _ket_amplitudes(ket)
+    return FockVector.from_amplitudes(ket.system, amps, prune)
 
 
 # ---------------------------------------------------------------------------
@@ -142,24 +175,45 @@ def ket_to_fock(ket: KetExpression, prune: float = PRUNE_THRESHOLD) -> FockVecto
 # ---------------------------------------------------------------------------
 
 
-def _max_input_photons(circuit: Circuit) -> int:
-    worst = 0
-    for factors in circuit.input_state.poly.terms:
-        worst = max(worst, sum(1 for s in factors if s.species == BOSON))
-    return worst
+def _reachable_generators(circuit: Circuit, support) -> tuple[list, dict, bool]:
+    """Occupations reachable from ``support`` and the generators on them.
 
-
-def _diagonal_phase_vector(element, system: ModeSystem) -> np.ndarray:
-    idx = np.arange(system.basis_size, dtype=np.int64)
-    if isinstance(element, PhaseShifter):
-        angle = element.phase * system.occupation_digits(idx, element.mode)
-    else:
-        angle = (
-            element.strength
-            * system.occupation_digits(idx, element.mode_a)
-            * system.occupation_digits(idx, element.mode_b)
-        )
-    return np.exp(1j * angle)
+    Breadth-first search inside the cutoff box: every monomial of every
+    generator shifts occupations by a fixed vector, so the span of the
+    states found is invariant under each truncated generator.  The same
+    pass records, per element position, the generator's matrix entries as
+    (rows, columns, values) lists indexed in discovery order, and whether a
+    bosonic creation was dropped at the cutoff from a reachable state.
+    Phase shifters and Kerr media are number-diagonal: they reach nothing
+    new and get no entries.
+    """
+    system = circuit.system
+    generators = {
+        k: list(element_generator(element, system).terms.items())
+        for k, element in enumerate(circuit.elements)
+        if not isinstance(element, (PhaseShifter, KerrMedium))
+    }
+    entries = {k: ([], [], []) for k in generators}
+    states = list(support)
+    index = {occ: i for i, occ in enumerate(states)}
+    cut = False
+    # ``states`` grows while it is walked: it is the search queue.
+    for col, occ in enumerate(states):
+        for k, terms in generators.items():
+            rows, cols, values = entries[k]
+            for factors, coeff in terms:
+                image = _monomial_image(system, factors, occ)
+                if image is _CUT_AT_CUTOFF:
+                    cut = True
+                elif image is not None:
+                    target, weight = image
+                    row = index.setdefault(target, len(states))
+                    if row == len(states):
+                        states.append(target)
+                    rows.append(row)
+                    cols.append(col)
+                    values.append(coeff * weight)
+    return states, entries, cut
 
 
 def evolve_numeric(
@@ -167,11 +221,22 @@ def evolve_numeric(
 ) -> FockVector:
     """Evolve through each element's matrix exponential.
 
-    Kerr media and phase shifters have number-diagonal generators, so
-    their exponentials are applied as exact elementwise phases; all other
-    elements go through the scaled-Taylor exponential action on the sparse
-    generator matrix.  The resulting norm stays within 1e-10 of the input
-    norm because every generator is anti-Hermitian.
+    The evolution runs on the occupations reachable from the input's
+    support inside the cutoff box, found by breadth-first search over the
+    generators' ladder monomials.  Each truncated generator maps that set
+    into itself, so the result equals the full-box evolution amplitude by
+    amplitude.  Kerr media and phase shifters have number-diagonal
+    generators, so their exponentials are applied as exact phases read
+    from the set's occupations; all other elements go through the
+    scaled-Taylor exponential action on the generator restricted to the
+    set.  The resulting norm stays within 1e-10 of the input norm because
+    every generator is anti-Hermitian.
+
+    ``max_basis_size`` caps the full box, ``system.basis_size``, not the
+    reachable set.  A :class:`TruncationWarning` is raised when an input
+    monomial exceeds the cutoff, or when the search meets a bosonic
+    creation dropped at the cutoff from a reachable state: the truncated
+    evolution is then not the physical one.
     """
     system = circuit.system
     if system.basis_size > max_basis_size:
@@ -179,21 +244,45 @@ def evolve_numeric(
             f"basis size {system.basis_size} exceeds the memory cap "
             f"{max_basis_size}; lower the cutoff or raise max_basis_size"
         )
-    if not circuit.has_vertex() and _max_input_photons(circuit) > system.cutoff:
+    amps, input_cut = _ket_amplitudes(circuit.input_state)
+    start = FockVector.from_amplitudes(system, amps).amplitudes
+    states, entries, search_cut = _reachable_generators(circuit, start)
+    if input_cut or search_cut:
         warnings.warn(
-            "input photon number exceeds the cutoff; the truncated evolution "
-            "is not exact",
+            "the input or the circuit needs a bosonic occupation above the "
+            "cutoff; the truncated evolution is not exact",
             TruncationWarning,
             stacklevel=2,
         )
-    vec = ket_to_fock(circuit.input_state).to_dense()
-    for element in circuit.elements:
-        if isinstance(element, (PhaseShifter, KerrMedium)):
-            vec = vec * _diagonal_phase_vector(element, system)
+    if not states:
+        return FockVector(system, {})
+    # Basis order keeps the restricted matrices principal submatrices of the
+    # full-box ones, entry for entry.
+    order = sorted(range(len(states)), key=states.__getitem__)
+    rank = np.empty(len(states), dtype=np.int64)
+    rank[order] = np.arange(len(states))
+    occupations = [states[i] for i in order]
+    occ_array = np.array(occupations, dtype=np.int64)
+    vec = np.array([start.get(occ, 0.0) for occ in occupations], dtype=complex)
+    for k, element in enumerate(circuit.elements):
+        if isinstance(element, PhaseShifter):
+            vec = vec * np.exp(1j * (element.phase * occ_array[:, element.mode]))
+        elif isinstance(element, KerrMedium):
+            angle = (
+                element.strength
+                * occ_array[:, element.mode_a]
+                * occ_array[:, element.mode_b]
+            )
+            vec = vec * np.exp(1j * angle)
         else:
-            gen = polynomial_matrix(element_generator(element, system), system)
-            vec = expm_multiply(gen.matrix, vec)
-    return FockVector.from_dense(system, vec)
+            rows, cols, values = entries[k]
+            gen = sparse.csr_matrix(
+                (np.array(values, dtype=complex), (rank[rows], rank[cols])),
+                shape=(len(states), len(states)),
+            )
+            vec = expm_multiply(gen, vec)
+    (hits,) = np.nonzero(np.abs(vec) >= PRUNE_THRESHOLD)
+    return FockVector(system, {occupations[i]: complex(vec[i]) for i in hits})
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +365,10 @@ def measure(state, modes) -> MeasurementReport:
     return _measure_ket(state, modes)
 
 
-def compare_backends(circuit: Circuit, tol: float = 1e-9) -> ComparisonReport:
-    """Run both backends and compare every reported quantity.
+def compare_reports(
+    numeric: MeasurementReport, symbolic: MeasurementReport, tol: float = 1e-9
+) -> ComparisonReport:
+    """Compare every quantity of two measurement reports.
 
     Deviations are absolute differences of detector expectations and of
     every joint-outcome probability (all bounded by 1); the verdict is
@@ -285,11 +376,8 @@ def compare_backends(circuit: Circuit, tol: float = 1e-9) -> ComparisonReport:
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    numeric = measure(evolve_numeric(circuit), circuit.measured_modes)
-    symbolic = measure(evolve_symbolic(circuit), circuit.measured_modes)
-
     deviations: dict[str, float] = {}
-    for m in circuit.measured_modes:
+    for m in numeric.measured_modes:
         deviations[f"N{m + 1}"] = abs(
             numeric.expectations[m] - symbolic.expectations[m]
         )
@@ -303,6 +391,13 @@ def compare_backends(circuit: Circuit, tol: float = 1e-9) -> ComparisonReport:
     max_deviation = max(deviations.values(), default=0.0)
     verdict = "pass" if max_deviation < tol else "fail"
     return ComparisonReport(deviations, max_deviation, tol, verdict)
+
+
+def compare_backends(circuit: Circuit, tol: float = 1e-9) -> ComparisonReport:
+    """Run both backends on ``circuit`` and compare their reports."""
+    numeric = measure(evolve_numeric(circuit), circuit.measured_modes)
+    symbolic = measure(evolve_symbolic(circuit), circuit.measured_modes)
+    return compare_reports(numeric, symbolic, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -288,9 +288,6 @@ class Circuit:
         for m in measured:
             self.system.validate_mode(m)
 
-    def has_vertex(self) -> bool:
-        return any(isinstance(e, AnnihilationVertex) for e in self.elements)
-
 
 def with_cutoff(circuit: Circuit, cutoff: int) -> Circuit:
     """Same circuit on a system with a different bosonic cutoff."""

@@ -16,7 +16,7 @@ import click
 from .backends import (
     ComparisonReport,
     MeasurementReport,
-    compare_backends,
+    compare_reports,
     evolve_numeric,
     evolve_symbolic,
     measure,
@@ -111,13 +111,13 @@ def _load_circuit_file(path: str, cutoff: int | None) -> Circuit:
 
 def _evaluate(circuit: Circuit, backend: str, tol: float):
     """Returns (report to display, comparison or None)."""
-    if backend == "numeric":
-        return measure(evolve_numeric(circuit), circuit.measured_modes), None
     if backend == "symbolic":
         return measure(evolve_symbolic(circuit), circuit.measured_modes), None
-    comparison = compare_backends(circuit, tol)
     report = measure(evolve_numeric(circuit), circuit.measured_modes)
-    return report, comparison
+    if backend == "numeric":
+        return report, None
+    symbolic = measure(evolve_symbolic(circuit), circuit.measured_modes)
+    return report, compare_reports(report, symbolic, tol)
 
 
 def _report_json(

@@ -1,9 +1,11 @@
 """Backends: numeric and symbolic evolution, measurement, comparison."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.stats import unitary_group
 
 from fockbench.algebra import (
@@ -18,6 +20,7 @@ from fockbench.backends import (
     ComparisonReport,
     TruncationWarning,
     compare_backends,
+    compare_reports,
     evolve_numeric,
     evolve_symbolic,
     heisenberg_residual,
@@ -27,7 +30,9 @@ from fockbench.backends import (
 )
 from fockbench.checks import random_circuit
 from fockbench.circuit import (
+    ANGLE,
     ANTISYMMETRIC,
+    AnnihilationVertex,
     BeamSplitter,
     Circuit,
     KerrMedium,
@@ -36,9 +41,11 @@ from fockbench.circuit import (
     SYMMETRIC,
     build_experiment,
     cnot_expected_output,
+    element_generator,
     generator_from_unitary,
     with_cutoff,
 )
+from fockbench.dsl import parse_circuit
 from fockbench.fock import (
     FockVector,
     annihilation_op,
@@ -154,6 +161,146 @@ def test_numeric_truncation_warning():
     )
     with pytest.warns(TruncationWarning):
         evolve_numeric(circuit)
+
+
+def test_numeric_truncation_warning_for_input_above_cutoff():
+    system = ModeSystem(1, 0, 2)
+    ket = KetExpression(system, basis_ket(ModeSystem(1, 0, 4), (3,)).poly)
+    circuit = Circuit(system, (PhaseShifter(0, 0.3),), ket, (0,))
+    with pytest.warns(TruncationWarning):
+        assert evolve_numeric(circuit).amplitudes == {}
+
+
+def test_numeric_truncation_warning_from_vertex():
+    # the vertex would lift the photon above cutoff 1: the exact route moves
+    # weight sin^2(theta sqrt 2) into |2,0,0>, the truncated one keeps |1,1,1>
+    circuit = parse_circuit(
+        "system bosons=1 fermions=2 cutoff=1\n"
+        "input create 1 2 3\n"
+        "vertex 1 2 3 theta=0.7\n"
+    )
+    with pytest.warns(TruncationWarning, match="cutoff"):
+        report = compare_backends(circuit, 1e-9)
+    assert not report.passed
+    want = math.sin(0.7 * math.sqrt(2)) ** 2
+    assert report.max_deviation == pytest.approx(want, abs=1e-9)
+
+
+def test_numeric_no_truncation_warning_when_cutoff_suffices():
+    # three photons at cutoff 3 through a mesh, and two photons at cutoff 1
+    # with nothing to bunch them: the truncated evolution is exact
+    system = ModeSystem(4, 0, 3)
+    mesh = Circuit(
+        system,
+        (
+            BeamSplitter(0, 1, SYMMETRIC),
+            BeamSplitter(1, 2, ANGLE, 0.4),
+            KerrMedium(0, 2, 0.7),
+            BeamSplitter(2, 3, ANTISYMMETRIC),
+        ),
+        basis_ket(system, (1, 1, 1, 0)),
+        (0, 1, 2, 3),
+    )
+    narrow = ModeSystem(2, 0, 1)
+    idle = Circuit(narrow, (PhaseShifter(0, 0.2),), basis_ket(narrow, (1, 1)), (0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        evolve_numeric(mesh)
+        evolve_numeric(idle)
+
+
+def _full_box_reference(circuit: Circuit) -> FockVector:
+    """Dense evolution on the whole cutoff box, one expm per element."""
+    system = circuit.system
+    vec = (
+        polynomial_matrix(circuit.input_state.poly, system).matrix
+        @ vacuum_state(system).to_dense()
+    )
+    for element in circuit.elements:
+        gen = polynomial_matrix(element_generator(element, system), system)
+        vec = expm(gen.matrix.toarray()) @ vec
+    return FockVector.from_dense(system, vec)
+
+
+def _mixed_species_circuit() -> Circuit:
+    # the fermionic hops 3<->5 pass over fermion 4, so Jordan-Wigner signs matter
+    system = ModeSystem(2, 3, 3)
+    c_boson = generator_from_unitary(unitary_group.rvs(2, random_state=5))
+    c_fermion = generator_from_unitary(unitary_group.rvs(2, random_state=6))
+    poly = (
+        basis_ket(system, (2, 0, 1, 1, 0)).poly * (0.6 - 0.2j)
+        + basis_ket(system, (1, 1, 0, 1, 1)).poly * 0.5
+        + basis_ket(system, (0, 1, 1, 0, 1)).poly * 0.4j
+    )
+    return Circuit(
+        system,
+        (
+            BeamSplitter(0, 1, ANGLE, 0.37),
+            BeamSplitter(2, 4, SYMMETRIC),
+            KerrMedium(0, 2, 1.1),
+            PhaseShifter(3, -0.8),
+            QuadraticCustom.from_matrix((2, 4), c_fermion),
+            BeamSplitter(3, 4, ANGLE, 1.2),
+            QuadraticCustom.from_matrix((0, 1), c_boson),
+            KerrMedium(2, 3, 0.5),
+        ),
+        KetExpression(system, poly).normalized(),
+        (0, 1, 2, 3, 4),
+    )
+
+
+def _vertex_circuit() -> Circuit:
+    system = ModeSystem(2, 2, 3)
+    poly = (
+        basis_ket(system, (0, 1, 1, 1)).poly
+        + basis_ket(system, (2, 0, 0, 0)).poly * (0.3 + 0.5j)
+    )
+    return Circuit(
+        system,
+        (
+            AnnihilationVertex(0, 2, 3, 0.9),
+            BeamSplitter(0, 1, ANTISYMMETRIC),
+            PhaseShifter(1, 0.4),
+            AnnihilationVertex(1, 2, 3, -1.3),
+            KerrMedium(0, 1, 2.0),
+        ),
+        KetExpression(system, poly).normalized(),
+        (0, 1, 2, 3),
+    )
+
+
+def _two_photon_splitter_at_cutoff_1() -> Circuit:
+    system = ModeSystem(2, 0, 1)
+    return Circuit(
+        system, (BeamSplitter(0, 1, SYMMETRIC),), basis_ket(system, (1, 1)), (0, 1)
+    )
+
+
+def _random_bosonic(seed: int, cutoff: int):
+    def build():
+        rng = np.random.default_rng(seed)
+        return random_circuit(rng, max_modes=4, max_elements=8, cutoff=cutoff)
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *(
+            pytest.param(_random_bosonic(seed, cutoff), id=f"random{seed}-cutoff{cutoff}")
+            for seed, cutoff in ((1, 3), (2, 3), (3, 3), (4, 3), (5, 3), (6, 2), (7, 2))
+        ),
+        _mixed_species_circuit,
+        _vertex_circuit,
+        _two_photon_splitter_at_cutoff_1,
+    ],
+)
+@pytest.mark.filterwarnings("ignore::fockbench.backends.TruncationWarning")
+def test_numeric_matches_full_box_reference(build):
+    circuit = build()
+    reference = _full_box_reference(circuit)
+    assert evolve_numeric(circuit).allclose(reference, 1e-12)
 
 
 def test_numeric_norm_preserved_through_elements():
@@ -330,6 +477,17 @@ def test_compare_detects_truncation_mismatch():
 def test_compare_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         compare_backends(build_experiment("single_photon_bs_sym"), 0.0)
+
+
+def test_compare_reports_takes_measured_reports():
+    circuit = build_experiment("single_photon_bs_asym")
+    numeric = measure(evolve_numeric(circuit), circuit.measured_modes)
+    symbolic = measure(evolve_symbolic(circuit), circuit.measured_modes)
+    report = compare_reports(numeric, symbolic, 1e-10)
+    assert report == compare_backends(circuit, 1e-10)
+    assert report.passed
+    with pytest.raises(ValueError, match="tolerance"):
+        compare_reports(numeric, symbolic, 0.0)
 
 
 # ---------------------------------------------------------------------------

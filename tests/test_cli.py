@@ -2,11 +2,17 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import fockbench.backends
+import fockbench.cli
 from fockbench.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+CIRCUIT_FILES = sorted((ROOT / "circuits").glob("*.fck"))
 
 OK_PROGRAM = "system bosons=2 cutoff=4\ninput create 1\nbs 1 2 sym\nmeasure all\n"
 
@@ -137,6 +143,41 @@ def test_comparison_failure_exit_code(runner, tmp_path):
     result = invoke(runner, ["run", str(path), "--backend", "both"])
     assert result.exit_code == 3
     assert "fail" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, circuits",
+    [
+        (["--experiment", "single_photon_bs_sym"], 1),
+        (["--experiment", "hardy_vertex:0.3"], 1),
+        (["--experiment", "cnot_dualrail", "--all-inputs"], 4),
+        ([str(ROOT / "circuits" / "cnot_dualrail.fck")], 1),
+    ],
+)
+def test_both_backends_evolve_numeric_once_per_circuit(runner, monkeypatch, args, circuits):
+    calls = []
+    original = fockbench.backends.evolve_numeric
+
+    def counting(circuit, **kwargs):
+        calls.append(circuit)
+        return original(circuit, **kwargs)
+
+    monkeypatch.setattr(fockbench.backends, "evolve_numeric", counting)
+    monkeypatch.setattr(fockbench.cli, "evolve_numeric", counting)
+    result = invoke(runner, ["run", *args, "--backend", "both", "--format", "json"])
+    assert result.exit_code == 0
+    assert len(calls) == circuits
+    assert result.output.count('"verdict": "pass"') == circuits
+
+
+@pytest.mark.parametrize("backend", ["numeric", "both"])
+@pytest.mark.parametrize("path", CIRCUIT_FILES, ids=lambda p: p.stem)
+def test_example_circuits_match_golden_bytes(runner, path, backend):
+    # the example circuits' JSON reports are frozen byte for byte
+    golden = ROOT / "tests" / "golden" / f"{path.stem}.{backend}.json"
+    result = invoke(runner, ["run", str(path), "--backend", backend, "--format", "json"])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == golden.read_bytes()
 
 
 # ---------------------------------------------------------------------------
