@@ -15,6 +15,7 @@ from .algebra import (
     annihilation,
     apply_exponential_series,
     apply_number_diagonal,
+    apply_vertex_exponential,
     basis_ket,
     commutator,
     creation,

@@ -530,6 +530,70 @@ def apply_number_diagonal(phases: Mapping, ket: KetExpression) -> KetExpression:
     return KetExpression(ket.system, LadderPolynomial(out))
 
 
+def apply_vertex_exponential(
+    generator: LadderPolynomial,
+    ket: KetExpression,
+    photon: int,
+    electron: int,
+    positron: int,
+) -> KetExpression:
+    """Apply ``exp(generator)`` for a pair-annihilation vertex in closed form.
+
+    ``generator`` must be ``K = theta (adag b d + a bdag ddag)`` with real,
+    finite ``theta``, ``a`` on the bosonic ``photon`` mode and ``b``, ``d``
+    on the fermionic ``electron`` and ``positron`` modes.  With every other
+    mode fixed, K pairs creation monomials one to one, ``|n, 1, 1> <->
+    |n + 1, 0, 0>``, and the commutation rules give ``K^2 = -theta^2 m`` on
+    each pair, where ``m`` is the photon count plus 1 on the member with
+    both fermion modes occupied and the photon count on the member with
+    neither.  Hence, exactly,
+
+        exp(K) = cos(theta sqrt m) + K sin(theta sqrt m) / (theta sqrt m)
+
+    pair by pair.  One reduction of ``K|ket>`` supplies the second term;
+    monomials with exactly one of ``b``, ``d`` occupied, and those with
+    neither and no photon, are annihilated by K and stay fixed.  Monomials
+    whose basis amplitude falls below :data:`KET_PRUNE_THRESHOLD` are
+    dropped, as at the end of :func:`apply_exponential_series`.
+    """
+    forward = (
+        LadderSymbol(photon, BOSON, True),
+        LadderSymbol(electron, FERMION, False),
+        LadderSymbol(positron, FERMION, False),
+    )
+    backward = tuple(s.adjoint() for s in forward)
+    theta = complex(generator._terms.get(forward, 0.0))
+    if (
+        theta.imag
+        or not math.isfinite(theta.real)
+        or generator._terms != ({forward: theta, backward: theta} if theta else {})
+    ):
+        raise ValueError(
+            "generator is not theta (adag b d + a bdag ddag) with real, finite "
+            "theta on the given vertex modes"
+        )
+    theta = theta.real
+    system = ket.system
+
+    def pair_angle(factors) -> float:
+        occ = monomial_occupations(factors, system.total_modes)
+        if occ[electron] != occ[positron]:
+            return 0.0
+        return theta * math.sqrt(occ[photon] + occ[electron])
+
+    out: dict[tuple[LadderSymbol, ...], complex] = {}
+    for factors, coeff in ket.poly._terms.items():
+        out[factors] = coeff * math.cos(pair_angle(factors))
+    image = reduce_to_ket(multiply(generator, ket.poly), system)
+    for factors, coeff in image.poly._terms.items():
+        x = pair_angle(factors)
+        sinc = math.sin(x) / x if x else 1.0
+        out[factors] = out.get(factors, 0.0 + 0.0j) + coeff * sinc
+    return KetExpression(
+        system, _prune_ket_poly(LadderPolynomial(out), KET_PRUNE_THRESHOLD)
+    )
+
+
 def apply_exponential_series(
     generator: LadderPolynomial,
     state: KetExpression,
@@ -537,6 +601,12 @@ def apply_exponential_series(
     max_terms: int = SERIES_MAX_TERMS,
 ) -> KetExpression:
     """Apply ``exp(generator)`` through its power series.
+
+    No evolution uses this any more; it stays as the general reference that
+    the closed forms are tested against at small angles.  Terms of size
+    ``|generator|^m / m!`` are summed in double precision, so cancellation
+    spoils the sum once the generator is large (a vertex angle of about 17
+    on one pair).
 
     Each term ``generator^m / m! |state>`` is reduced exactly by the
     commutation rules and vacuum annihilation before the next power is
@@ -630,10 +700,17 @@ def joint_number_distribution(
 ) -> dict[tuple[int, ...], float]:
     """Joint occupation distribution over ``modes``.
 
-    For each candidate pattern the probability is the vacuum expectation
-    of the adjoint ket times the product of per-mode number projectors
-    times the ket, evaluated through :func:`_projector_weight`.  Patterns
-    outside the ket's support carry probability zero and are omitted.
+    The probability of a pattern is the vacuum expectation of the adjoint
+    ket times the product of per-mode number projectors times the ket.
+    Canonical monomials are orthogonal, so only the diagonal contractions
+    survive: monomial ``M`` with weight ``|c|^2 <0|M^dag M|0>`` contributes
+    that weight times the product of :func:`_projector_weight` over the
+    measured modes.  That product is exactly 1.0 for the pattern ``M``
+    itself occupies (``_projector_weight(nu, nu)`` is ``nu!/nu!``) and
+    exactly 0.0 for every other pattern (an alternating sum of integers),
+    so each weight is added into its own pattern in one pass, which gives
+    the same sums bit for bit.  Patterns outside the ket's support carry
+    probability zero and are omitted.
     """
     modes = tuple(sorted(set(int(m) for m in modes)))
     for m in modes:
@@ -641,24 +718,11 @@ def joint_number_distribution(
     if not modes:
         raise ValueError("at least one mode must be measured")
 
-    per_monomial = []
-    patterns = set()
+    sums: dict[tuple[int, ...], float] = {}
     for factors, coeff in ket.poly._terms.items():
         occ = monomial_occupations(factors, ket.system.total_modes)
         restricted = tuple(occ[m] for m in modes)
-        per_monomial.append((restricted, abs(coeff) ** 2 * _gram_weight(factors)))
-        patterns.add(restricted)
-
-    distribution: dict[tuple[int, ...], float] = {}
-    for pattern in sorted(patterns):
-        prob = 0.0
-        for restricted, weight in per_monomial:
-            factor = 1.0
-            for wanted, nu in zip(pattern, restricted):
-                factor *= _projector_weight(wanted, nu)
-                if factor == 0.0:
-                    break
-            prob += weight * factor
-        if prob != 0.0:
-            distribution[pattern] = prob
-    return distribution
+        sums[restricted] = (
+            sums.get(restricted, 0.0) + abs(coeff) ** 2 * _gram_weight(factors)
+        )
+    return {pattern: sums[pattern] for pattern in sorted(sums) if sums[pattern] != 0.0}

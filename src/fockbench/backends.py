@@ -4,7 +4,8 @@
 element's generator becomes a sparse matrix and the state vector is pushed
 through its exponential.  ``evolve_symbolic`` never touches a basis: linear
 elements act by substitution on creation symbols, number-diagonal elements
-by exact phases, and the annihilation vertex by the reduced power series.
+by exact phases, and the annihilation vertex by its closed-form
+exponential.
 ``compare_backends`` turns the physical claim that both routes agree into
 an executable check.
 """
@@ -291,7 +292,13 @@ def evolve_numeric(
 
 
 def evolve_symbolic(circuit: Circuit) -> KetExpression:
-    """Evolve by pure operator algebra; no cutoff is involved anywhere."""
+    """Evolve by pure operator algebra; no cutoff is involved anywhere.
+
+    Linear elements substitute creation symbols, phase shifters and Kerr
+    media multiply monomials by exact phases, and the annihilation vertex
+    goes through :func:`~fockbench.algebra.apply_vertex_exponential`, which
+    is exact at any angle.  No element uses the power series.
+    """
     ket = circuit.input_state
     system = circuit.system
     for element in circuit.elements:
@@ -306,8 +313,12 @@ def evolve_symbolic(circuit: Circuit) -> KetExpression:
                 {(element.mode_a, element.mode_b): element.strength}, ket
             )
         elif isinstance(element, AnnihilationVertex):
-            ket = algebra.apply_exponential_series(
-                element_generator(element, system), ket
+            ket = algebra.apply_vertex_exponential(
+                element_generator(element, system),
+                ket,
+                element.photon_mode,
+                element.electron_mode,
+                element.positron_mode,
             )
         else:
             raise TypeError(f"unknown circuit element {element!r}")

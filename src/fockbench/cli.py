@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 evaluation error, 2 parse error, 3 backend
 comparison failure.  The default cutoff can be overridden by the
 FOCKBENCH_CUTOFF environment variable; an explicit --cutoff flag wins.
+
+Every ``click.echo`` names its stream: without ``file=``, click caches a
+wrapper keyed by the current ``sys.stdout``/``sys.stderr`` that refers
+back to its key, so each in-process invocation (``CliRunner``) would keep
+its output buffers alive for the life of the process.
 """
 
 from __future__ import annotations
@@ -91,6 +96,10 @@ def _parse_experiment_spec(spec: str, cutoff: int | None, all_inputs: bool):
                 theta = float(params)
             except ValueError:
                 raise click.ClickException("hardy_vertex parameter must be a number")
+            if not math.isfinite(theta):
+                raise click.ClickException(
+                    f"hardy_vertex parameter must be finite, got {params!r}"
+                )
         return [(None, build_experiment(name, theta=theta, **kwargs))]
     if params:
         raise click.ClickException(f"experiment {name!r} takes no parameters")
@@ -193,7 +202,10 @@ def main():
 def cmd_run(circuit_file, experiment, backend, cutoff, tol, fmt, all_inputs):
     """Run a circuit file or a built-in experiment."""
     if (circuit_file is None) == (experiment is None):
-        click.echo("error: provide exactly one of CIRCUIT_FILE or --experiment", err=True)
+        click.echo(
+            "error: provide exactly one of CIRCUIT_FILE or --experiment",
+            file=sys.stderr,
+        )
         sys.exit(EXIT_EVALUATION)
     try:
         cutoff = _resolve_cutoff(cutoff)
@@ -204,13 +216,13 @@ def cmd_run(circuit_file, experiment, backend, cutoff, tol, fmt, all_inputs):
                 raise click.ClickException("--all-inputs applies only to --experiment cnot_dualrail")
             runs = [(None, _load_circuit_file(circuit_file, cutoff))]
     except CircuitParseError as exc:
-        click.echo(f"parse error: {exc}", err=True)
+        click.echo(f"parse error: {exc}", file=sys.stderr)
         sys.exit(EXIT_PARSE)
     except click.ClickException as exc:
-        click.echo(f"error: {exc.message}", err=True)
+        click.echo(f"error: {exc.message}", file=sys.stderr)
         sys.exit(EXIT_EVALUATION)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_EVALUATION)
 
     outputs = []
@@ -225,13 +237,16 @@ def cmd_run(circuit_file, experiment, backend, cutoff, tol, fmt, all_inputs):
             else:
                 outputs.append(_report_table(report, comparison, label))
     except (ValueError, RuntimeError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_EVALUATION)
 
     if fmt == "json":
-        click.echo("[" + ", ".join(outputs) + "]" if len(outputs) > 1 else outputs[0])
+        click.echo(
+            "[" + ", ".join(outputs) + "]" if len(outputs) > 1 else outputs[0],
+            file=sys.stdout,
+        )
     else:
-        click.echo("\n\n".join(outputs))
+        click.echo("\n\n".join(outputs), file=sys.stdout)
     sys.exit(EXIT_COMPARISON if comparison_failed else EXIT_OK)
 
 
@@ -240,7 +255,7 @@ def cmd_list_experiments():
     """List built-in experiments in a stable order."""
     width = max(len(name) for name in EXPERIMENTS)
     for name, description in EXPERIMENTS.items():
-        click.echo(f"{name:<{width}}  {description}")
+        click.echo(f"{name:<{width}}  {description}", file=sys.stdout)
 
 
 @main.command("check")
@@ -249,7 +264,10 @@ def cmd_check():
     failed = False
     for name, passed, worst, bound in run_all_checks():
         status = "ok" if passed else "FAIL"
-        click.echo(f"[{status:>4}] {name}: worst {worst:.3e} (bound {bound:.0e})")
+        click.echo(
+            f"[{status:>4}] {name}: worst {worst:.3e} (bound {bound:.0e})",
+            file=sys.stdout,
+        )
         failed = failed or not passed
     sys.exit(EXIT_EVALUATION if failed else EXIT_OK)
 

@@ -21,6 +21,7 @@ modes.  Input states are normalized after parsing.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 
@@ -67,9 +68,12 @@ def _parse_int(text: str, what: str, lineno: int, col: int) -> int:
 
 def _parse_float(text: str, what: str, lineno: int, col: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise CircuitParseError(f"expected number {what}, got {text!r}", lineno, col)
+    if not math.isfinite(value):
+        raise CircuitParseError(f"{what} must be finite, got {text!r}", lineno, col)
+    return value
 
 
 def _parse_mode(text: str, system: ModeSystem, lineno: int, col: int) -> int:
@@ -220,6 +224,10 @@ class _Parser:
             except ValueError:
                 raise CircuitParseError(
                     f"invalid complex amplitude {amp_text.strip()!r}", lineno, col
+                )
+            if not cmath.isfinite(amp):
+                raise CircuitParseError(
+                    f"amplitude must be finite, got {amp_text.strip()!r}", lineno, col
                 )
             mode_items = [m.strip() for m in mode_text.split(",")]
             if not any(mode_items):

@@ -8,18 +8,22 @@ from hypothesis import given, settings, strategies as st
 
 from fockbench.algebra import (
     KetExpression,
+    _gram_weight,
     LadderPolynomial,
     LadderSymbol,
     SeriesConvergenceError,
     annihilation,
+    _projector_weight,
     apply_exponential_series,
     apply_number_diagonal,
+    apply_vertex_exponential,
     basis_ket,
     creation,
     joint_number_distribution,
     ket_from_creations,
     ket_inner,
     commutator,
+    monomial_occupations,
     multiply,
     normal_order,
     number_expectation,
@@ -480,6 +484,75 @@ def test_series_rejects_bad_tolerance():
 
 
 # ---------------------------------------------------------------------------
+# Annihilation vertex in closed form
+# ---------------------------------------------------------------------------
+
+# photon 0 beside a spectator boson 1; positron 2 and electron 4 with a
+# spectator fermion 3 between them, so reordering the pair costs signs
+VERTEX_SYSTEM = ModeSystem(2, 3, 8)
+VERTEX_MODES = (0, 4, 2)
+
+
+def vertex_generator(theta):
+    return element_generator(AnnihilationVertex(*VERTEX_MODES, theta), VERTEX_SYSTEM)
+
+
+def vertex_monomial(photons, electron, positron):
+    # occupations of modes 0..4, spectators occupied
+    occ = (photons, 1, positron, 1, electron)
+    return basis_ket(VERTEX_SYSTEM, occ).poly
+
+
+@pytest.mark.parametrize("photons", range(4))
+@pytest.mark.parametrize("electron,positron", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_vertex_generator_squares_to_minus_pair_count(photons, electron, positron):
+    theta = 0.7
+    k = vertex_generator(theta)
+    if electron and positron:
+        m = photons + 1
+    elif not electron and not positron:
+        m = photons
+    else:
+        m = 0
+    monomial = vertex_monomial(photons, electron, positron)
+    squared = reduce_to_ket(multiply(k, multiply(k, monomial)), VERTEX_SYSTEM)
+    expected = KetExpression(VERTEX_SYSTEM, monomial * (-(theta**2) * m))
+    assert squared.allclose(expected, 1e-12)
+
+
+@pytest.mark.parametrize("seed,theta", enumerate([0.0, 0.3, -0.9, 1.4, 2.0, -2.0]))
+def test_vertex_exponential_matches_series_for_small_theta(seed, theta):
+    rng = np.random.default_rng(seed)
+    poly = LadderPolynomial.zero()
+    for _ in range(8):
+        monomial = vertex_monomial(
+            int(rng.integers(0, 4)), int(rng.integers(0, 2)), int(rng.integers(0, 2))
+        )
+        poly = poly + monomial * complex(*rng.normal(size=2))
+    ket = KetExpression(VERTEX_SYSTEM, poly).normalized()
+    k = vertex_generator(theta)
+    closed = apply_vertex_exponential(k, ket, *VERTEX_MODES)
+    assert closed.allclose(apply_exponential_series(k, ket), 1e-12)
+    assert closed.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [
+        creation(0) * creation(0),
+        vertex_generator(0.5) * 1j,
+        vertex_generator(0.5) + creation(1),
+        vertex_generator(math.inf),
+        element_generator(AnnihilationVertex(0, 2, 4, 0.5), VERTEX_SYSTEM),
+    ],
+)
+def test_vertex_exponential_rejects_other_generators(generator):
+    ket = KetExpression(VERTEX_SYSTEM, vertex_monomial(0, 1, 1))
+    with pytest.raises(ValueError, match="theta"):
+        apply_vertex_exponential(generator, ket, *VERTEX_MODES)
+
+
+# ---------------------------------------------------------------------------
 # Detection statistics from the vacuum functional
 # ---------------------------------------------------------------------------
 
@@ -510,3 +583,47 @@ def test_joint_distribution_marginalizes():
     ket = KetExpression(system, poly)
     dist = joint_number_distribution(ket, (0,))
     assert dist == {(1,): pytest.approx(1.0)}
+
+
+def _joint_distribution_by_projectors(ket, modes):
+    # the pattern-by-pattern projector sum that the one-pass code replaces
+    per_monomial = []
+    patterns = set()
+    for factors, coeff in ket.poly.terms.items():
+        occ = monomial_occupations(factors, ket.system.total_modes)
+        restricted = tuple(occ[m] for m in modes)
+        per_monomial.append((restricted, abs(coeff) ** 2 * _gram_weight(factors)))
+        patterns.add(restricted)
+    distribution = {}
+    for pattern in sorted(patterns):
+        prob = 0.0
+        for restricted, weight in per_monomial:
+            factor = 1.0
+            for wanted, nu in zip(pattern, restricted):
+                factor *= _projector_weight(wanted, nu)
+                if factor == 0.0:
+                    break
+            prob += weight * factor
+        if prob != 0.0:
+            distribution[pattern] = prob
+    return distribution
+
+
+def test_joint_distribution_bitwise_equals_projector_sums():
+    rng = np.random.default_rng(2024)
+    system = ModeSystem(3, 2, 6)
+    for _ in range(200):
+        poly = LadderPolynomial.zero()
+        for _ in range(int(rng.integers(1, 16))):
+            occ = (*rng.integers(0, 5, size=3), *rng.integers(0, 2, size=2))
+            coeff = complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-6, 1)
+            poly = poly + basis_ket(system, occ).poly * coeff
+        ket = KetExpression(system, poly)
+        modes = tuple(
+            sorted(rng.choice(5, size=int(rng.integers(1, 6)), replace=False))
+        )
+        new = joint_number_distribution(ket, modes)
+        old = _joint_distribution_by_projectors(ket, modes)
+        assert [(k, v.hex()) for k, v in new.items()] == [
+            (k, v.hex()) for k, v in old.items()
+        ]

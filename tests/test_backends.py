@@ -346,6 +346,43 @@ def test_symbolic_hardy_certain():
     assert set(amps) == {(1, 0, 0)}
 
 
+@pytest.mark.parametrize(
+    "theta", [0.0, 0.5, math.pi / 2, 12.0, 17.2, 20.0, 30.0, 40.0, 100.0, 1e3, 1e6]
+)
+def test_symbolic_vertex_exact_at_any_angle(theta):
+    circuit = build_experiment("hardy_vertex", theta=theta)
+    report = measure(evolve_symbolic(circuit), circuit.measured_modes)
+    assert report.distribution.get((1, 0, 0), 0.0) == pytest.approx(
+        math.sin(theta) ** 2, abs=1e-12
+    )
+
+
+def _two_vertex_pairs(theta: float) -> Circuit:
+    # pairs with m = 1 and m = 2, the second with both members present
+    system = ModeSystem(1, 2, 6)
+    poly = (
+        basis_ket(system, (0, 1, 1)).poly
+        + basis_ket(system, (1, 1, 1)).poly * 0.5j
+        + basis_ket(system, (2, 0, 0)).poly * (0.3 - 0.2j)
+    )
+    return Circuit(
+        system,
+        (AnnihilationVertex(0, 1, 2, theta),),
+        KetExpression(system, poly).normalized(),
+        (0, 1, 2),
+    )
+
+
+@pytest.mark.parametrize("theta", [*np.linspace(0.0, 100.0, 21).tolist(), 17.2])
+@pytest.mark.parametrize(
+    "build",
+    [lambda theta: build_experiment("hardy_vertex", theta=theta), _two_vertex_pairs],
+    ids=["hardy", "two_pairs"],
+)
+def test_vertex_backends_agree_over_angle_range(build, theta):
+    assert compare_backends(build(theta), tol=1e-9).passed
+
+
 def test_symbolic_custom_quadratic_matches_numeric():
     u = unitary_group.rvs(2, random_state=11)
     element = QuadraticCustom.from_matrix((0, 1), generator_from_unitary(u))

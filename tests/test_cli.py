@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, output schema, determinism."""
 
+import gc
 import json
 import math
 from pathlib import Path
 
+import click.testing
 import pytest
 from click.testing import CliRunner
 
@@ -80,6 +82,14 @@ def test_run_bad_experiment_parameter(runner):
     result = invoke(runner, ["run", "--experiment", "cnot_dualrail:2,0"])
     assert result.exit_code == 1
     assert "control and target" in result.output
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_run_rejects_non_finite_vertex_angle(runner, value):
+    result = invoke(runner, ["run", "--experiment", f"hardy_vertex:{value}"])
+    assert result.exit_code == 1
+    expected = f"error: hardy_vertex parameter must be finite, got {value!r}\n"
+    assert result.output == expected
 
 
 def test_run_requires_exactly_one_source(runner):
@@ -170,7 +180,7 @@ def test_both_backends_evolve_numeric_once_per_circuit(runner, monkeypatch, args
     assert result.output.count('"verdict": "pass"') == circuits
 
 
-@pytest.mark.parametrize("backend", ["numeric", "both"])
+@pytest.mark.parametrize("backend", ["numeric", "both", "symbolic"])
 @pytest.mark.parametrize("path", CIRCUIT_FILES, ids=lambda p: p.stem)
 def test_example_circuits_match_golden_bytes(runner, path, backend):
     # the example circuits' JSON reports are frozen byte for byte
@@ -262,3 +272,24 @@ def test_check_passes(runner):
     assert result.exit_code == 0
     assert "FAIL" not in result.output
     assert result.output.count("ok") >= 10
+
+
+def test_invocations_keep_no_output_streams_alive(runner):
+    # click.echo without file= caches a wrapper that keeps the runner's
+    # stream, and with it the whole output buffer, alive for good
+    def live_streams():
+        gc.collect()
+        return sum(
+            isinstance(obj, click.testing._NamedTextIOWrapper)
+            for obj in gc.get_objects()
+        )
+
+    commands = [
+        ["run", "--experiment", "single_photon_bs_sym"],
+        ["run", "--experiment", "warp_drive"],
+        ["list-experiments"],
+    ]
+    before = live_streams()
+    for args in commands * 7:
+        invoke(runner, args)
+    assert live_streams() == before

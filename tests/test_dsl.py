@@ -185,6 +185,11 @@ MALFORMED = [
     ("system bosons=2 cutoff=3\ninput create 1\ninput create 2\n", 3, "duplicate input"),
     ("system bosons=0 fermions=1 cutoff=3\ninput create 1 1\n", 2, "vanishes"),
     ("system bosons=1 fermions=1 cutoff=3\nbs 1 2 sym\n", 2, "species"),
+    ("system bosons=2 cutoff=3\nbs 1 2 angle=inf\n", 2, "finite"),
+    ("system bosons=2 cutoff=3\nphase 1 nan\n", 2, "finite"),
+    ("system bosons=2 cutoff=3\nkerr 1 2 strength=-inf\n", 2, "finite"),
+    ("system bosons=1 fermions=2 cutoff=3\nvertex 1 2 3 theta=nan\n", 2, "finite"),
+    ("system bosons=2 cutoff=3\ninput superpose 1:1 ; infj:2\n", 2, "finite"),
 ]
 
 
