@@ -341,10 +341,25 @@ class KetExpression:
         return abs(self.norm() - 1.0) < 1e-12
 
     def normalized(self) -> "KetExpression":
-        n = self.norm()
-        if n == 0.0:
+        """The ket divided by its norm.
+
+        The coefficients are first scaled by the power of two that puts the
+        largest real or imaginary part in [0.5, 1), so squaring them for the
+        norm neither overflows nor underflows.  The scaling is exact: in the
+        normal range the result is bit for bit that of the plain division.
+        """
+        parts = [abs(x) for c in self.poly._terms.values() for x in (c.real, c.imag)]
+        if not any(parts):
             raise ValueError("cannot normalize the zero ket")
-        return KetExpression(self.system, self.poly * (1.0 / n))
+        shift = -math.frexp(max(parts))[1]
+        scaled = LadderPolynomial(
+            {
+                factors: complex(math.ldexp(c.real, shift), math.ldexp(c.imag, shift))
+                for factors, c in self.poly._terms.items()
+            }
+        )
+        norm = KetExpression(self.system, scaled).norm()
+        return KetExpression(self.system, scaled * (1.0 / norm))
 
     def occupation_amplitudes(self) -> dict[tuple[int, ...], complex]:
         """Coefficient of each occupation pattern, weighted to unit kets.

@@ -24,16 +24,9 @@ from scipy.sparse.linalg import expm_multiply
 from . import algebra
 from .algebra import KetExpression, LadderPolynomial
 from .circuit import (
-    AnnihilationVertex,
-    BeamSplitter,
     Circuit,
     CircuitElement,
-    KerrMedium,
-    LINEAR_ELEMENTS,
-    PhaseShifter,
-    QuadraticCustom,
     element_generator,
-    element_modes,
     mode_matrix,
 )
 from .fock import (
@@ -185,14 +178,14 @@ def _reachable_generators(circuit: Circuit, support) -> tuple[list, dict, bool]:
     pass records, per element position, the generator's matrix entries as
     (rows, columns, values) lists indexed in discovery order, and whether a
     bosonic creation was dropped at the cutoff from a reachable state.
-    Phase shifters and Kerr media are number-diagonal: they reach nothing
+    Elements with ``number_phases`` are number-diagonal: they reach nothing
     new and get no entries.
     """
     system = circuit.system
     generators = {
         k: list(element_generator(element, system).terms.items())
         for k, element in enumerate(circuit.elements)
-        if not isinstance(element, (PhaseShifter, KerrMedium))
+        if element.number_phases is None
     }
     entries = {k: ([], [], []) for k in generators}
     states = list(support)
@@ -226,7 +219,7 @@ def evolve_numeric(
     support inside the cutoff box, found by breadth-first search over the
     generators' ladder monomials.  Each truncated generator maps that set
     into itself, so the result equals the full-box evolution amplitude by
-    amplitude.  Kerr media and phase shifters have number-diagonal
+    amplitude.  Elements with ``number_phases`` have number-diagonal
     generators, so their exponentials are applied as exact phases read
     from the set's occupations; all other elements go through the
     scaled-Taylor exponential action on the generator restricted to the
@@ -266,15 +259,12 @@ def evolve_numeric(
     occ_array = np.array(occupations, dtype=np.int64)
     vec = np.array([start.get(occ, 0.0) for occ in occupations], dtype=complex)
     for k, element in enumerate(circuit.elements):
-        if isinstance(element, PhaseShifter):
-            vec = vec * np.exp(1j * (element.phase * occ_array[:, element.mode]))
-        elif isinstance(element, KerrMedium):
-            angle = (
-                element.strength
-                * occ_array[:, element.mode_a]
-                * occ_array[:, element.mode_b]
-            )
-            vec = vec * np.exp(1j * angle)
+        if element.number_phases is not None:
+            for key, value in element.number_phases.items():
+                angle = value
+                for m in key if isinstance(key, tuple) else (key,):
+                    angle = angle * occ_array[:, m]
+                vec = vec * np.exp(1j * angle)
         else:
             rows, cols, values = entries[k]
             gen = sparse.csr_matrix(
@@ -294,34 +284,23 @@ def evolve_numeric(
 def evolve_symbolic(circuit: Circuit) -> KetExpression:
     """Evolve by pure operator algebra; no cutoff is involved anywhere.
 
-    Linear elements substitute creation symbols, phase shifters and Kerr
-    media multiply monomials by exact phases, and the annihilation vertex
-    goes through :func:`~fockbench.algebra.apply_vertex_exponential`, which
-    is exact at any angle.  No element uses the power series.
+    Elements with ``number_phases`` multiply monomials by exact phases,
+    other linear elements substitute creation symbols through their mode
+    matrix, and the rest go through
+    :func:`~fockbench.algebra.apply_vertex_exponential`, which is exact at
+    any angle and rejects any generator but the annihilation vertex's.  No
+    element uses the power series.
     """
     ket = circuit.input_state
-    system = circuit.system
     for element in circuit.elements:
-        if isinstance(element, BeamSplitter):
-            ket = algebra.substitute_modes(ket, mode_matrix(element), element_modes(element))
-        elif isinstance(element, QuadraticCustom):
-            ket = algebra.substitute_modes(ket, expm(element.matrix), element.modes)
-        elif isinstance(element, PhaseShifter):
-            ket = algebra.apply_number_diagonal({element.mode: element.phase}, ket)
-        elif isinstance(element, KerrMedium):
-            ket = algebra.apply_number_diagonal(
-                {(element.mode_a, element.mode_b): element.strength}, ket
-            )
-        elif isinstance(element, AnnihilationVertex):
-            ket = algebra.apply_vertex_exponential(
-                element_generator(element, system),
-                ket,
-                element.photon_mode,
-                element.electron_mode,
-                element.positron_mode,
-            )
+        if element.number_phases is not None:
+            ket = algebra.apply_number_diagonal(element.number_phases, ket)
+        elif element.linear:
+            ket = algebra.substitute_modes(ket, mode_matrix(element), element.modes)
         else:
-            raise TypeError(f"unknown circuit element {element!r}")
+            ket = algebra.apply_vertex_exponential(
+                element_generator(element, circuit.system), ket, *element.modes
+            )
     return ket
 
 
@@ -425,12 +404,12 @@ def heisenberg_residual(element: CircuitElement, system: ModeSystem) -> float:
     can reach the truncation level are exempt because the cut basis cannot
     represent them faithfully.
     """
-    if not isinstance(element, LINEAR_ELEMENTS):
+    if not element.linear:
         raise ValueError("the Heisenberg relation applies to linear elements only")
     if system.basis_size > 20_000:
         raise ValueError("system too large for a dense Heisenberg check")
     b = mode_matrix(element)
-    modes = element_modes(element)
+    modes = element.modes
     gen = polynomial_matrix(element_generator(element, system), system)
     s = expm(gen.matrix.toarray())
 

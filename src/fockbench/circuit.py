@@ -1,8 +1,17 @@
 """Circuit intermediate representation and the built-in experiments.
 
-Elements carry their physical parameters; their quadratic (or, for the
-Kerr medium and the annihilation vertex, quartic/cubic) generators are
-produced on demand as ladder polynomials.  Conventions frozen here:
+Each element's behaviour lives in its own class: a frozen dataclass of its
+physical parameters derived from :class:`CircuitElement`.  A new element
+defines ``modes`` and ``generator(system)``, the ladder polynomial K with
+exp(K) its evolution; a number-diagonal one defines ``number_phases``
+instead, from which the generator follows; a linear one sets ``linear``
+and defines ``mode_matrix()``; species rules beyond the shared ones go in
+``validate(system)``.  Both routes in :mod:`fockbench.backends` read only
+these (the symbolic route takes any other element to be the annihilation
+vertex), and a row of :data:`fockbench.dsl.ELEMENT_SYNTAX` gives an
+element its text form.
+
+Conventions frozen here:
 
 * symmetric beam splitter ``B1 = (1/sqrt 2) [[1, i], [i, 1]]`` with
   generator coefficient matrix ``(i pi/4) [[0, 1], [1, 0]]``;
@@ -17,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy.linalg import expm, logm
@@ -38,14 +46,51 @@ ANGLE = "angle"
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
+class CircuitElement:
+    """Behaviour shared by every element; see the module docstring."""
+
+    #: Whether the element maps creation operators by :meth:`mode_matrix`.
+    linear = False
+    #: ``{mode: phi}`` / ``{(a, b): s}`` of a generator ``i (phi n_mode + s n_a n_b)``
+    #: for a number-diagonal element.
+    number_phases = None
+
+    def validate(self, system: ModeSystem) -> None:
+        for m in self.modes:
+            system.validate_mode(m)
+        if self.linear and len({system.species(m) for m in self.modes}) > 1:
+            raise ValueError(
+                "species mismatch: a linear mode mixer cannot couple a bosonic "
+                "mode to a fermionic one"
+            )
+
+    def mode_matrix(self) -> np.ndarray:
+        raise ValueError(
+            f"{type(self).__name__} is nonlinear in the number basis and has no mode matrix"
+        )
+
+    def generator(self, system: ModeSystem) -> LadderPolynomial:
+        """``i`` times the number polynomial of :attr:`number_phases`."""
+        terms = {}
+        for key, value in self.number_phases.items():
+            factors = []
+            for m in key if isinstance(key, tuple) else (key,):
+                factors.append(LadderSymbol(m, system.species(m), True))
+                factors.append(LadderSymbol(m, system.species(m), False))
+            terms[tuple(factors)] = 1j * value
+        return LadderPolynomial(terms)
+
+
 @dataclass(frozen=True)
-class BeamSplitter:
+class BeamSplitter(CircuitElement):
     """Two-mode linear element, symmetric/antisymmetric/angle variant."""
 
     mode_a: int
     mode_b: int
     variant: str = SYMMETRIC
     theta: float | None = None
+
+    linear = True
 
     def __post_init__(self):
         if self.mode_a == self.mode_b:
@@ -57,15 +102,48 @@ class BeamSplitter:
         if self.variant != ANGLE and self.theta is not None:
             raise ValueError("theta is only meaningful for the angle variant")
 
+    @property
+    def modes(self) -> tuple[int, int]:
+        return (self.mode_a, self.mode_b)
+
+    def mode_matrix(self) -> np.ndarray:
+        if self.variant == SYMMETRIC:
+            return np.array([[1.0, 1.0j], [1.0j, 1.0]]) * _INV_SQRT2
+        if self.variant == ANTISYMMETRIC:
+            return np.array([[1.0, -1.0], [1.0, 1.0]]) * _INV_SQRT2
+        c, s = math.cos(self.theta), math.sin(self.theta)
+        return np.array([[c, -s], [s, c]], dtype=complex)
+
+    def generator(self, system: ModeSystem) -> LadderPolynomial:
+        if self.variant == SYMMETRIC:
+            c = 0.25j * math.pi * np.array([[0.0, 1.0], [1.0, 0.0]])
+        else:
+            theta = 0.25 * math.pi if self.variant == ANTISYMMETRIC else self.theta
+            c = theta * np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+        return quadratic_generator(c, self.modes, system.species)
+
 
 @dataclass(frozen=True)
-class PhaseShifter:
+class PhaseShifter(CircuitElement):
     mode: int
     phase: float
 
+    linear = True
+
+    @property
+    def modes(self) -> tuple[int]:
+        return (self.mode,)
+
+    @property
+    def number_phases(self) -> dict:
+        return {self.mode: self.phase}
+
+    def mode_matrix(self) -> np.ndarray:
+        return np.array([[np.exp(1j * self.phase)]])
+
 
 @dataclass(frozen=True)
-class KerrMedium:
+class KerrMedium(CircuitElement):
     """Cross-Kerr coupler: phase exp(i * strength * n_a * n_b)."""
 
     mode_a: int
@@ -76,9 +154,17 @@ class KerrMedium:
         if self.mode_a == self.mode_b:
             raise ValueError("Kerr medium modes must be distinct")
 
+    @property
+    def modes(self) -> tuple[int, int]:
+        return (self.mode_a, self.mode_b)
+
+    @property
+    def number_phases(self) -> dict:
+        return {(self.mode_a, self.mode_b): self.strength}
+
 
 @dataclass(frozen=True)
-class AnnihilationVertex:
+class AnnihilationVertex(CircuitElement):
     """Pair-annihilation point: exp(theta (adag b d + a bdag ddag)).
 
     ``photon_mode`` is bosonic; ``electron_mode`` and ``positron_mode``
@@ -92,13 +178,36 @@ class AnnihilationVertex:
     theta: float
 
     def __post_init__(self):
-        modes = (self.photon_mode, self.electron_mode, self.positron_mode)
-        if len(set(modes)) != 3:
+        if len(set(self.modes)) != 3:
             raise ValueError("vertex modes must be distinct")
+
+    @property
+    def modes(self) -> tuple[int, int, int]:
+        return (self.photon_mode, self.electron_mode, self.positron_mode)
+
+    def validate(self, system: ModeSystem) -> None:
+        super().validate(system)
+        if system.species(self.photon_mode) != BOSON:
+            raise ValueError("species mismatch: vertex photon mode must be bosonic")
+        for m in (self.electron_mode, self.positron_mode):
+            if system.species(m) != FERMION:
+                raise ValueError(
+                    "species mismatch: vertex electron/positron modes must be fermionic"
+                )
+
+    def generator(self, system: ModeSystem) -> LadderPolynomial:
+        a = LadderSymbol(self.photon_mode, BOSON, False)
+        b = LadderSymbol(self.electron_mode, FERMION, False)
+        d = LadderSymbol(self.positron_mode, FERMION, False)
+        forward = (a.adjoint(), b, d)
+        backward = (a, b.adjoint(), d.adjoint())
+        return LadderPolynomial(
+            {forward: complex(self.theta), backward: complex(self.theta)}
+        )
 
 
 @dataclass(frozen=True)
-class QuadraticCustom:
+class QuadraticCustom(CircuitElement):
     """Element generated by K = sum c[p, q] adag_modes[p] a_modes[q].
 
     The coefficient matrix must be anti-Hermitian so exp(K) is unitary.
@@ -107,6 +216,8 @@ class QuadraticCustom:
 
     modes: tuple[int, ...]
     coefficients: tuple[tuple[complex, ...], ...]
+
+    linear = True
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(int(m) for m in self.modes))
@@ -130,47 +241,15 @@ class QuadraticCustom:
         c = np.asarray(coefficients, dtype=complex)
         return cls(tuple(modes), tuple(tuple(row) for row in c))
 
+    def mode_matrix(self) -> np.ndarray:
+        return expm(self.matrix)
 
-CircuitElement = Union[
-    BeamSplitter, PhaseShifter, KerrMedium, AnnihilationVertex, QuadraticCustom
-]
-
-#: Elements whose action on creation operators is a linear mode map.
-LINEAR_ELEMENTS = (BeamSplitter, PhaseShifter, QuadraticCustom)
+    def generator(self, system: ModeSystem) -> LadderPolynomial:
+        return quadratic_generator(self.matrix, self.modes, system.species)
 
 
 def element_modes(element: CircuitElement) -> tuple[int, ...]:
-    if isinstance(element, BeamSplitter):
-        return (element.mode_a, element.mode_b)
-    if isinstance(element, PhaseShifter):
-        return (element.mode,)
-    if isinstance(element, KerrMedium):
-        return (element.mode_a, element.mode_b)
-    if isinstance(element, AnnihilationVertex):
-        return (element.photon_mode, element.electron_mode, element.positron_mode)
-    if isinstance(element, QuadraticCustom):
-        return element.modes
-    raise TypeError(f"unknown circuit element {element!r}")
-
-
-def _validate_element(element: CircuitElement, system: ModeSystem) -> None:
-    for m in element_modes(element):
-        system.validate_mode(m)
-    if isinstance(element, (BeamSplitter, QuadraticCustom)):
-        species = {system.species(m) for m in element_modes(element)}
-        if len(species) > 1:
-            raise ValueError(
-                "species mismatch: a linear mode mixer cannot couple a bosonic "
-                "mode to a fermionic one"
-            )
-    if isinstance(element, AnnihilationVertex):
-        if system.species(element.photon_mode) != BOSON:
-            raise ValueError("species mismatch: vertex photon mode must be bosonic")
-        for m in (element.electron_mode, element.positron_mode):
-            if system.species(m) != FERMION:
-                raise ValueError(
-                    "species mismatch: vertex electron/positron modes must be fermionic"
-                )
+    return element.modes
 
 
 def mode_matrix(element: CircuitElement) -> np.ndarray:
@@ -179,67 +258,18 @@ def mode_matrix(element: CircuitElement) -> np.ndarray:
     Raises on the Kerr medium and the annihilation vertex, whose action in
     the number basis is nonlinear and admits no mode matrix.
     """
-    if isinstance(element, BeamSplitter):
-        if element.variant == SYMMETRIC:
-            return np.array([[1.0, 1.0j], [1.0j, 1.0]]) * _INV_SQRT2
-        if element.variant == ANTISYMMETRIC:
-            return np.array([[1.0, -1.0], [1.0, 1.0]]) * _INV_SQRT2
-        c, s = math.cos(element.theta), math.sin(element.theta)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if isinstance(element, PhaseShifter):
-        return np.array([[np.exp(1j * element.phase)]])
-    if isinstance(element, QuadraticCustom):
-        return expm(element.matrix)
-    raise ValueError(
-        f"{type(element).__name__} is nonlinear in the number basis and has no mode matrix"
-    )
-
-
-def _beam_splitter_coefficients(element: BeamSplitter) -> np.ndarray:
-    if element.variant == SYMMETRIC:
-        return 0.25j * math.pi * np.array([[0.0, 1.0], [1.0, 0.0]])
-    if element.variant == ANTISYMMETRIC:
-        theta = 0.25 * math.pi
-    else:
-        theta = element.theta
-    return theta * np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+    return element.mode_matrix()
 
 
 def element_generator(element: CircuitElement, system: ModeSystem) -> LadderPolynomial:
     """Generator K with exp(K) the element's evolution operator.
 
     All built-in generators are anti-Hermitian, so the evolution is
-    unitary on the untruncated space.
+    unitary on the untruncated space.  The element is validated on
+    ``system`` first.
     """
-    _validate_element(element, system)
-    if isinstance(element, BeamSplitter):
-        return quadratic_generator(
-            _beam_splitter_coefficients(element),
-            element_modes(element),
-            system.species,
-        )
-    if isinstance(element, PhaseShifter):
-        return quadratic_generator(
-            np.array([[1j * element.phase]]), (element.mode,), system.species
-        )
-    if isinstance(element, KerrMedium):
-        factors = []
-        for m in (element.mode_a, element.mode_b):
-            factors.append(LadderSymbol(m, system.species(m), True))
-            factors.append(LadderSymbol(m, system.species(m), False))
-        return LadderPolynomial.monomial(1j * element.strength, factors)
-    if isinstance(element, AnnihilationVertex):
-        a = LadderSymbol(element.photon_mode, BOSON, False)
-        b = LadderSymbol(element.electron_mode, FERMION, False)
-        d = LadderSymbol(element.positron_mode, FERMION, False)
-        forward = (a.adjoint(), b, d)
-        backward = (a, b.adjoint(), d.adjoint())
-        return LadderPolynomial(
-            {forward: complex(element.theta), backward: complex(element.theta)}
-        )
-    if isinstance(element, QuadraticCustom):
-        return quadratic_generator(element.matrix, element.modes, system.species)
-    raise TypeError(f"unknown circuit element {element!r}")
+    element.validate(system)
+    return element.generator(system)
 
 
 def generator_from_unitary(b, *, atol: float = 1e-12) -> np.ndarray:
@@ -278,7 +308,7 @@ class Circuit:
         measured = tuple(sorted(set(int(m) for m in self.measured_modes)))
         object.__setattr__(self, "measured_modes", measured)
         for element in self.elements:
-            _validate_element(element, self.system)
+            element.validate(self.system)
         if self.input_state.system != self.system:
             raise ValueError("input state belongs to a different mode system")
         if abs(self.input_state.norm() - 1.0) > 1e-8:

@@ -3,6 +3,8 @@
 Exit codes: 0 success, 1 evaluation error, 2 parse error, 3 backend
 comparison failure.  The default cutoff can be overridden by the
 FOCKBENCH_CUTOFF environment variable; an explicit --cutoff flag wins.
+A warning raised while ``run`` evaluates, such as the numeric route's
+``TruncationWarning``, prints as one ``warning: <message>`` line on stderr.
 
 Every ``click.echo`` names its stream: without ``file=``, click caches a
 wrapper keyed by the current ``sys.stdout``/``sys.stderr`` that refers
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+import warnings
 
 import click
 
@@ -227,18 +230,22 @@ def cmd_run(circuit_file, experiment, backend, cutoff, tol, fmt, all_inputs):
 
     outputs = []
     comparison_failed = False
-    try:
-        for label, circuit in runs:
-            report, comparison = _evaluate(circuit, backend, tol)
-            if comparison is not None and not comparison.passed:
-                comparison_failed = True
-            if fmt == "json":
-                outputs.append(_report_json(report, comparison, label))
-            else:
-                outputs.append(_report_table(report, comparison, label))
-    except (ValueError, RuntimeError) as exc:
-        click.echo(f"error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_EVALUATION)
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: click.echo(
+            f"warning: {message}", file=sys.stderr
+        )
+        try:
+            for label, circuit in runs:
+                report, comparison = _evaluate(circuit, backend, tol)
+                if comparison is not None and not comparison.passed:
+                    comparison_failed = True
+                if fmt == "json":
+                    outputs.append(_report_json(report, comparison, label))
+                else:
+                    outputs.append(_report_table(report, comparison, label))
+        except (ValueError, RuntimeError) as exc:
+            click.echo(f"error: {exc}", file=sys.stderr)
+            sys.exit(EXIT_EVALUATION)
 
     if fmt == "json":
         click.echo(

@@ -17,6 +17,10 @@ amplitudes use Python literal syntax without spaces, e.g. ``0.5``, ``1j``,
 particle in each of modes 1 and 2.  The system line must come first; a
 missing ``input`` means the vacuum and a missing ``measure`` means all
 modes.  Input states are normalized after parsing.
+
+Each element keyword is one row of :data:`ELEMENT_SYNTAX`: its class, its
+usage string (the grammar lines above) and its argument spec.  The parser
+and the renderer both read that table.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+from dataclasses import dataclass
 
 from .algebra import LadderPolynomial, creation, multiply, reduce_to_ket
 from .circuit import (
@@ -34,7 +39,6 @@ from .circuit import (
     Circuit,
     KerrMedium,
     PhaseShifter,
-    QuadraticCustom,
     SYMMETRIC,
 )
 from .modes import ModeSystem
@@ -87,19 +91,84 @@ def _parse_mode(text: str, system: ModeSystem, lineno: int, col: int) -> int:
     return raw - 1
 
 
-def _require(tokens, count: int, usage: str, lineno: int, line: str) -> None:
-    if len(tokens) < count:
-        raise CircuitParseError(f"too few arguments; usage: {usage}", lineno, len(line) + 1)
-    if len(tokens) > count:
-        text, col = tokens[count]
-        raise CircuitParseError(f"unexpected token {text!r}; usage: {usage}", lineno, col)
+# ---------------------------------------------------------------------------
+# Element syntax table
+# ---------------------------------------------------------------------------
 
 
-def _keyvalue(token: str, key: str, what: str, lineno: int, col: int) -> str:
-    prefix = key + "="
-    if not token.startswith(prefix):
-        raise CircuitParseError(f"expected {key}=<{what}>, got {token!r}", lineno, col)
-    return token[len(prefix):]
+@dataclass(frozen=True)
+class _Number:
+    """Finite number for the element field ``field``, bare or ``field=<radians>``."""
+
+    field: str
+    keyed: bool = True
+    optional: bool = False  # when omitted, the element's default applies
+
+    def parse(self, token: str, lineno: int, col: int) -> dict:
+        prefix = self.field + "="
+        if self.keyed and not token.startswith(prefix):
+            raise CircuitParseError(
+                f"expected {prefix}<radians>, got {token!r}", lineno, col
+            )
+        text = token[len(prefix):] if self.keyed else token
+        return {self.field: _parse_float(text, self.field, lineno, col)}
+
+    def render(self, element) -> str:
+        value = repr(getattr(element, self.field))
+        return f"{self.field}={value}" if self.keyed else value
+
+
+class _Variant:
+    """Beam splitter ``sym`` or ``asym`` (the variant names) or ``angle=<radians>``."""
+
+    optional = False
+
+    def parse(self, token: str, lineno: int, col: int) -> dict:
+        if token in (SYMMETRIC, ANTISYMMETRIC):
+            return {"variant": token}
+        if token.startswith("angle="):
+            theta = _parse_float(token[len("angle="):], "angle", lineno, col)
+            return {"variant": ANGLE, "theta": theta}
+        raise CircuitParseError(
+            f"expected sym, asym or angle=<radians>, got {token!r}", lineno, col
+        )
+
+    def render(self, element) -> str:
+        return f"angle={element.theta!r}" if element.variant == ANGLE else element.variant
+
+
+@dataclass(frozen=True)
+class ElementSyntax:
+    """``keyword``, then ``modes`` 1-based modes, then ``args``.
+
+    Parsing builds ``element(*modes, **parsed args)``.  With ``noun`` set, a
+    repeated mode is reported as "duplicate mode in <noun>"; otherwise the
+    element's constructor reports it.
+    """
+
+    keyword: str
+    element: type
+    usage: str
+    modes: int
+    args: tuple
+    noun: str | None = None
+
+
+#: Every element with a text form, in grammar order.
+ELEMENT_SYNTAX = (
+    ElementSyntax("bs", BeamSplitter, "bs <m1> <m2> (sym|asym|angle=<radians>)",
+                  2, (_Variant(),), "beam splitter"),
+    ElementSyntax("phase", PhaseShifter, "phase <mode> <radians>",
+                  1, (_Number("phase", keyed=False),)),
+    ElementSyntax("kerr", KerrMedium, "kerr <m1> <m2> [strength=<radians>]",
+                  2, (_Number("strength", optional=True),), "Kerr medium"),
+    ElementSyntax("vertex", AnnihilationVertex,
+                  "vertex <photon-mode> <e-mode> <p-mode> theta=<radians>",
+                  3, (_Number("theta"),)),
+)
+
+_BY_KEYWORD = {syntax.keyword: syntax for syntax in ELEMENT_SYNTAX}
+_BY_CLASS = {syntax.element: syntax for syntax in ELEMENT_SYNTAX}
 
 
 class _Parser:
@@ -112,33 +181,27 @@ class _Parser:
         self.measured: list[int] | None = None
 
     def parse(self) -> Circuit:
+        statements = {
+            "system": self._parse_system,
+            "input": self._parse_input,
+            "measure": self._parse_measure,
+        }
         for lineno, raw in enumerate(self.lines, 1):
             line = raw.split("#", 1)[0]
             tokens = _tokenize(line)
             if not tokens:
                 continue
             keyword, col = tokens[0]
-            if keyword == "system":
-                self._parse_system(tokens, lineno, line)
-                continue
-            if self.system is None:
+            if self.system is None and keyword != "system":
                 raise CircuitParseError(
                     "the system must be declared before any other statement",
                     lineno,
                     col,
                 )
-            if keyword == "input":
-                self._parse_input(tokens, lineno, line)
-            elif keyword == "bs":
-                self._parse_bs(tokens, lineno, line)
-            elif keyword == "phase":
-                self._parse_phase(tokens, lineno, line)
-            elif keyword == "kerr":
-                self._parse_kerr(tokens, lineno, line)
-            elif keyword == "vertex":
-                self._parse_vertex(tokens, lineno, line)
-            elif keyword == "measure":
-                self._parse_measure(tokens, lineno, line)
+            if keyword in _BY_KEYWORD:
+                self._parse_element(_BY_KEYWORD[keyword], tokens, lineno, line)
+            elif keyword in statements:
+                statements[keyword](tokens, lineno, line)
             else:
                 raise CircuitParseError(f"unknown element {keyword!r}", lineno, col)
         return self._finish()
@@ -241,65 +304,29 @@ class _Parser:
             poly = poly + branch
         return poly
 
-    def _parse_bs(self, tokens, lineno, line):
-        usage = "bs <m1> <m2> (sym|asym|angle=<radians>)"
-        _require(tokens, 4, usage, lineno, line)
-        m1 = _parse_mode(tokens[1][0], self.system, lineno, tokens[1][1])
-        m2 = _parse_mode(tokens[2][0], self.system, lineno, tokens[2][1])
-        if m1 == m2:
-            raise CircuitParseError("duplicate mode in beam splitter", lineno, tokens[2][1])
-        spec, col = tokens[3]
-        if spec == "sym":
-            element = BeamSplitter(m1, m2, SYMMETRIC)
-        elif spec == "asym":
-            element = BeamSplitter(m1, m2, ANTISYMMETRIC)
-        elif spec.startswith("angle="):
-            theta = _parse_float(spec[len("angle="):], "angle", lineno, col)
-            element = BeamSplitter(m1, m2, ANGLE, theta)
-        else:
+    def _parse_element(self, syntax: ElementSyntax, tokens, lineno, line):
+        fewest = 1 + syntax.modes + sum(not arg.optional for arg in syntax.args)
+        most = 1 + syntax.modes + len(syntax.args)
+        if len(tokens) < fewest:
             raise CircuitParseError(
-                f"expected sym, asym or angle=<radians>, got {spec!r}", lineno, col
+                f"too few arguments; usage: {syntax.usage}", lineno, len(line) + 1
             )
-        self._add_element(element, lineno, tokens[0][1])
-
-    def _parse_phase(self, tokens, lineno, line):
-        usage = "phase <mode> <radians>"
-        _require(tokens, 3, usage, lineno, line)
-        mode = _parse_mode(tokens[1][0], self.system, lineno, tokens[1][1])
-        phi = _parse_float(tokens[2][0], "phase", lineno, tokens[2][1])
-        self._add_element(PhaseShifter(mode, phi), lineno, tokens[0][1])
-
-    def _parse_kerr(self, tokens, lineno, line):
-        usage = "kerr <m1> <m2> [strength=<radians>]"
-        if len(tokens) not in (3, 4):
-            _require(tokens, 3 if len(tokens) < 3 else 4, usage, lineno, line)
-        m1 = _parse_mode(tokens[1][0], self.system, lineno, tokens[1][1])
-        m2 = _parse_mode(tokens[2][0], self.system, lineno, tokens[2][1])
-        if m1 == m2:
-            raise CircuitParseError("duplicate mode in Kerr medium", lineno, tokens[2][1])
-        strength = math.pi
-        if len(tokens) == 4:
-            text, col = tokens[3]
-            strength = _parse_float(
-                _keyvalue(text, "strength", "radians", lineno, col),
-                "strength",
-                lineno,
-                col,
+        if len(tokens) > most:
+            text, col = tokens[most]
+            raise CircuitParseError(
+                f"unexpected token {text!r}; usage: {syntax.usage}", lineno, col
             )
-        self._add_element(KerrMedium(m1, m2, strength), lineno, tokens[0][1])
-
-    def _parse_vertex(self, tokens, lineno, line):
-        usage = "vertex <photon-mode> <e-mode> <p-mode> theta=<radians>"
-        _require(tokens, 5, usage, lineno, line)
-        photon = _parse_mode(tokens[1][0], self.system, lineno, tokens[1][1])
-        electron = _parse_mode(tokens[2][0], self.system, lineno, tokens[2][1])
-        positron = _parse_mode(tokens[3][0], self.system, lineno, tokens[3][1])
-        text, col = tokens[4]
-        theta = _parse_float(
-            _keyvalue(text, "theta", "radians", lineno, col), "theta", lineno, col
-        )
+        modes = []
+        for text, col in tokens[1 : 1 + syntax.modes]:
+            mode = _parse_mode(text, self.system, lineno, col)
+            if syntax.noun is not None and mode in modes:
+                raise CircuitParseError(f"duplicate mode in {syntax.noun}", lineno, col)
+            modes.append(mode)
+        params = {}
+        for arg, (text, col) in zip(syntax.args, tokens[1 + syntax.modes :]):
+            params.update(arg.parse(text, lineno, col))
         try:
-            element = AnnihilationVertex(photon, electron, positron, theta)
+            element = syntax.element(*modes, **params)
         except ValueError as exc:
             raise CircuitParseError(str(exc), lineno, tokens[1][1])
         self._add_element(element, lineno, tokens[0][1])
@@ -320,10 +347,8 @@ class _Parser:
         self.measured = sorted(set(modes))
 
     def _add_element(self, element, lineno, col):
-        from .circuit import _validate_element
-
         try:
-            _validate_element(element, self.system)
+            element.validate(self.system)
         except (ValueError, IndexError) as exc:
             raise CircuitParseError(str(exc), lineno, col)
         self.elements.append(element)
@@ -337,7 +362,7 @@ class _Parser:
             ket = reduce_to_ket(LadderPolynomial.constant(1.0), self.system)
         else:
             ket = reduce_to_ket(self.input_poly, self.system)
-            if ket.norm() == 0.0:
+            if ket.poly.is_zero:
                 raise CircuitParseError(
                     "input state vanishes (Pauli exclusion or cancelling terms)",
                     self.input_line,
@@ -363,22 +388,18 @@ def parse_circuit(text: str) -> Circuit:
 
 
 def _render_input(circuit: Circuit) -> str | None:
-    terms = circuit.input_state.poly.terms
-    if not terms:
-        return None
-    if len(terms) == 1:
-        ((factors, coeff),) = terms.items()
-        if not factors:
+    amplitudes = circuit.input_state.occupation_amplitudes()
+    if len(amplitudes) == 1:
+        ((occ, amplitude),) = amplitudes.items()
+        if not any(occ):
             return None  # vacuum input is the default
-        from .algebra import _gram_weight
-
-        unit = 1.0 / math.sqrt(_gram_weight(factors))
-        if abs(coeff - unit) < 1e-12:
-            modes = " ".join(str(s.mode + 1) for s in factors)
+        if abs(amplitude - 1.0) < 1e-12:
+            modes = " ".join(str(m + 1) for m, n in enumerate(occ) for _ in range(n))
             return f"input create {modes}"
     parts = []
     for factors, coeff in sorted(
-        terms.items(), key=lambda item: tuple(s.mode for s in item[0])
+        circuit.input_state.poly.terms.items(),
+        key=lambda item: tuple(s.mode for s in item[0]),
     ):
         modes = ",".join(str(s.mode + 1) for s in factors)
         parts.append(f"{coeff!r}:{modes}")
@@ -386,28 +407,12 @@ def _render_input(circuit: Circuit) -> str | None:
 
 
 def _render_element(element) -> str:
-    if isinstance(element, BeamSplitter):
-        a, b = element.mode_a + 1, element.mode_b + 1
-        if element.variant == SYMMETRIC:
-            return f"bs {a} {b} sym"
-        if element.variant == ANTISYMMETRIC:
-            return f"bs {a} {b} asym"
-        return f"bs {a} {b} angle={element.theta!r}"
-    if isinstance(element, PhaseShifter):
-        return f"phase {element.mode + 1} {element.phase!r}"
-    if isinstance(element, KerrMedium):
-        return (
-            f"kerr {element.mode_a + 1} {element.mode_b + 1} "
-            f"strength={element.strength!r}"
-        )
-    if isinstance(element, AnnihilationVertex):
-        return (
-            f"vertex {element.photon_mode + 1} {element.electron_mode + 1} "
-            f"{element.positron_mode + 1} theta={element.theta!r}"
-        )
-    if isinstance(element, QuadraticCustom):
+    syntax = _BY_CLASS.get(type(element))
+    if syntax is None:
         raise ValueError("custom quadratic elements have no text form")
-    raise TypeError(f"unknown circuit element {element!r}")
+    words = [syntax.keyword, *(str(m + 1) for m in element.modes)]
+    words.extend(arg.render(element) for arg in syntax.args)
+    return " ".join(words)
 
 
 def render_circuit(circuit: Circuit) -> str:

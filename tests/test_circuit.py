@@ -1,19 +1,29 @@
 """Circuit elements, generators, unitary logarithms, experiment wiring."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.stats import unitary_group
 
-from fockbench.algebra import LadderSymbol, basis_ket, normal_order
+from fockbench.algebra import (
+    LadderPolynomial,
+    LadderSymbol,
+    annihilation,
+    basis_ket,
+    creation,
+    multiply,
+    normal_order,
+)
 from fockbench.circuit import (
     ANGLE,
     ANTISYMMETRIC,
     AnnihilationVertex,
     BeamSplitter,
     Circuit,
+    CircuitElement,
     EXPERIMENTS,
     KerrMedium,
     PhaseShifter,
@@ -171,6 +181,85 @@ def test_generator_exponentiates_to_mode_matrix(element):
     for factors, coeff in k.terms.items():
         c[pos[factors[0].mode], pos[factors[1].mode]] = coeff
     assert np.abs(expm(c) - mode_matrix(element)).max() < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Shared element description
+# ---------------------------------------------------------------------------
+
+#: bosons 0, 1 and fermions 2, 3, 4
+MIXED = ModeSystem(2, 3, 3)
+
+_FERMION_MIXER = generator_from_unitary(unitary_group.rvs(3, random_state=3))
+
+#: One instance of every element class on MIXED, the same element with the
+#: species of its modes swapped, and whether the swapped one is still valid
+#: (phase shifters and Kerr media act on either species).
+DESCRIBED = [
+    (BeamSplitter(0, 1, SYMMETRIC), BeamSplitter(0, 2, SYMMETRIC), False),
+    (PhaseShifter(3, 0.7), PhaseShifter(0, 0.7), True),
+    (KerrMedium(1, 4, 0.9), KerrMedium(4, 1, 0.9), True),
+    (AnnihilationVertex(0, 2, 4, 0.8), AnnihilationVertex(2, 0, 4, 0.8), False),
+    (
+        QuadraticCustom.from_matrix((2, 3, 4), _FERMION_MIXER),
+        QuadraticCustom.from_matrix((2, 0, 4), _FERMION_MIXER),
+        False,
+    ),
+]
+
+_IDS = [type(element).__name__ for element, _, _ in DESCRIBED]
+
+
+def test_described_covers_every_element_class():
+    assert {type(e) for e, _, _ in DESCRIBED} == set(CircuitElement.__subclasses__())
+
+
+@pytest.mark.parametrize("element,swapped,swapped_valid", DESCRIBED, ids=_IDS)
+def test_validate_applies_species_rules(element, swapped, swapped_valid):
+    element.validate(MIXED)
+    if swapped_valid:
+        swapped.validate(MIXED)
+    else:
+        with pytest.raises(ValueError, match="species mismatch"):
+            swapped.validate(MIXED)
+
+
+def _is_number_diagonal(poly) -> bool:
+    return all(
+        Counter(s.mode for s in factors if s.dagger)
+        == Counter(s.mode for s in factors if not s.dagger)
+        for factors in poly.terms
+    )
+
+
+@pytest.mark.parametrize("element", [e for e, _, _ in DESCRIBED], ids=_IDS)
+def test_number_phases_are_the_generator_over_i(element):
+    k = element_generator(element, MIXED)
+    if element.number_phases is None:
+        assert not _is_number_diagonal(k)
+        return
+    numbers = LadderPolynomial.zero()
+    for key, value in element.number_phases.items():
+        term = LadderPolynomial.constant(value)
+        for m in key if isinstance(key, tuple) else (key,):
+            species = MIXED.species(m)
+            term = multiply(term, multiply(creation(m, species), annihilation(m, species)))
+        numbers = numbers + term
+    assert normal_order(k * -1j) == normal_order(numbers)
+
+
+@pytest.mark.parametrize("element", [e for e, _, _ in DESCRIBED], ids=_IDS)
+def test_mode_matrix_exactly_for_linear_elements(element):
+    if not element.linear:
+        with pytest.raises(ValueError, match="no mode matrix"):
+            mode_matrix(element)
+        return
+    k = element_generator(element, MIXED)
+    pos = {m: p for p, m in enumerate(element_modes(element))}
+    c = np.zeros((len(pos), len(pos)), dtype=complex)
+    for factors, coeff in k.terms.items():
+        c[pos[factors[0].mode], pos[factors[1].mode]] = coeff
+    assert np.abs(expm(c) - mode_matrix(element)).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

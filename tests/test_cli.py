@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import warnings
 from pathlib import Path
 
 import click.testing
@@ -153,6 +154,24 @@ def test_comparison_failure_exit_code(runner, tmp_path):
     result = invoke(runner, ["run", str(path), "--backend", "both"])
     assert result.exit_code == 3
     assert "fail" in result.output
+
+
+def test_truncation_warning_is_one_stderr_line(runner, tmp_path):
+    path = tmp_path / "trunc.fck"
+    path.write_text("system bosons=2 cutoff=1\ninput create 1 2\nbs 1 2 sym\nmeasure all\n")
+    args = ["run", str(path), "--backend", "numeric", "--format", "json"]
+    result = invoke(runner, args)
+    assert result.exit_code == 0
+    assert result.stderr == (
+        "warning: the input or the circuit needs a bosonic occupation above the "
+        "cutoff; the truncated evolution is not exact\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        quiet = invoke(runner, args)
+    assert quiet.exit_code == 0
+    assert quiet.stderr == ""
+    assert result.stdout_bytes == quiet.stdout_bytes
 
 
 @pytest.mark.parametrize(

@@ -5,21 +5,26 @@ from pathlib import Path
 
 import pytest
 
+import fockbench.dsl
+from fockbench.algebra import basis_ket
 from fockbench.backends import ket_to_fock
 from fockbench.checks import builtin_equivalence_cases
 from fockbench.circuit import (
     ANGLE,
     ANTISYMMETRIC,
+    AnnihilationVertex,
     BeamSplitter,
+    Circuit,
     KerrMedium,
     PhaseShifter,
     SYMMETRIC,
     build_experiment,
 )
-from fockbench.dsl import CircuitParseError, parse_circuit, render_circuit
+from fockbench.dsl import ELEMENT_SYNTAX, CircuitParseError, parse_circuit, render_circuit
 from fockbench.modes import ModeSystem
 
-CIRCUITS_DIR = Path(__file__).resolve().parent.parent / "circuits"
+ROOT = Path(__file__).resolve().parent.parent
+CIRCUITS_DIR = ROOT / "circuits"
 
 
 def circuits_equivalent(a, b, atol=1e-12):
@@ -79,6 +84,16 @@ def test_superpose_parses_complex_amplitudes():
     assert amps[(1, 0)] == pytest.approx(0.5 / norm)
     assert amps[(0, 1)] == pytest.approx(0.5j / norm)
     assert amps[(1, 1)] == pytest.approx((-0.5 + 0.5j) / norm)
+
+
+@pytest.mark.parametrize("amplitude", ["1e308", "1e-200"])
+def test_superpose_extreme_amplitudes_normalize(amplitude):
+    # squaring 1e308 overflows and squaring 1e-200 underflows the norm
+    reference = parse_circuit("system bosons=2 cutoff=3\ninput superpose 1:1 ; 1:2\n")
+    circuit = parse_circuit(
+        f"system bosons=2 cutoff=3\ninput superpose {amplitude}:1 ; {amplitude}:2\n"
+    )
+    assert circuit == reference
 
 
 def test_kerr_defaults_to_pi():
@@ -146,6 +161,54 @@ def test_round_trip_superposition_input():
     circuit = parse_circuit(text)
     again = parse_circuit(render_circuit(circuit))
     assert circuits_equivalent(circuit, again)
+
+
+# ---------------------------------------------------------------------------
+# Element syntax table
+# ---------------------------------------------------------------------------
+
+#: bosons 1, 2 and fermions 3, 4, 5 in the text's 1-based numbering
+TABLE_SYSTEM = ModeSystem(2, 3, 3)
+
+#: Elements written through each row of the syntax table.
+TABLE_ELEMENTS = {
+    "bs": [
+        BeamSplitter(0, 1, SYMMETRIC),
+        BeamSplitter(1, 0, ANTISYMMETRIC),
+        BeamSplitter(2, 4, ANGLE, -0.3),
+    ],
+    "phase": [PhaseShifter(3, -1.25)],
+    "kerr": [KerrMedium(0, 3, 0.75)],
+    "vertex": [AnnihilationVertex(1, 2, 4, 0.6)],
+}
+
+
+def test_table_elements_cover_every_row():
+    assert set(TABLE_ELEMENTS) == {syntax.keyword for syntax in ELEMENT_SYNTAX}
+
+
+@pytest.mark.parametrize("syntax", ELEMENT_SYNTAX, ids=lambda s: s.keyword)
+def test_table_rows_round_trip(syntax):
+    for element in TABLE_ELEMENTS[syntax.keyword]:
+        circuit = Circuit(
+            TABLE_SYSTEM, (element,), basis_ket(TABLE_SYSTEM, (0,) * 5), (0,)
+        )
+        text = render_circuit(circuit)
+        assert f"\n{syntax.keyword} " in text
+        assert parse_circuit(text).elements == (element,)
+
+
+def test_kerr_without_strength_round_trips_to_default():
+    circuit = parse_circuit("system bosons=2 fermions=3 cutoff=3\nkerr 1 4\n")
+    assert circuit.elements == (KerrMedium(0, 3),)
+    assert circuit.elements[0].strength == math.pi
+    assert parse_circuit(render_circuit(circuit)).elements == circuit.elements
+
+
+@pytest.mark.parametrize("syntax", ELEMENT_SYNTAX, ids=lambda s: s.keyword)
+def test_usage_strings_are_the_documented_grammar(syntax):
+    assert syntax.usage in fockbench.dsl.__doc__
+    assert syntax.usage in (ROOT / "README.md").read_text()
 
 
 # ---------------------------------------------------------------------------
