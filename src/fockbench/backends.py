@@ -1,11 +1,12 @@
 """Two independent circuit evaluators and their comparator.
 
 ``evolve_numeric`` works in the explicit truncated representation: each
-element's generator becomes a sparse matrix and the state vector is pushed
-through its exponential.  ``evolve_symbolic`` never touches a basis: linear
-elements act by substitution on creation symbols, number-diagonal elements
-by exact phases, and the annihilation vertex by its closed-form
-exponential.
+element's generator becomes a matrix on the occupations reachable from the
+input, and the state vector is pushed through its exponential, computed
+densely on the blocks the generator leaves invariant (:func:`expm_multiply`).
+``evolve_symbolic`` never touches a basis: linear elements act by
+substitution on creation symbols, number-diagonal elements by exact
+phases, and the annihilation vertex by its closed-form exponential.
 ``compare_backends`` turns the physical claim that both routes agree into
 an executable check.
 """
@@ -17,9 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
 
 from . import algebra
 from .algebra import KetExpression, LadderPolynomial
@@ -210,6 +209,59 @@ def _reachable_generators(circuit: Circuit, support) -> tuple[list, dict, bool]:
     return states, entries, cut
 
 
+def expm_multiply(entries, occupations, modes, vec) -> np.ndarray:
+    """exp(K) @ ``vec`` for a generator K that changes occupations only on
+    ``modes``.
+
+    ``entries`` holds K's (rows, columns, values) as arrays indexing the
+    rows of ``occupations``, one state each.  States that agree on every
+    mode outside ``modes`` form a block that K maps into itself, so exp(K)
+    is block diagonal.  Each distinct block is exponentiated once by
+    scaling and squaring (:func:`scipy.linalg.expm`, all blocks of one
+    size in one batched call), whose cost grows with log ||K|| where a
+    Taylor series grows with ||K||, and applied to its states' amplitudes.
+    The function keeps the name of the scipy action it replaced because
+    the benchmark tracer (``perfbench/tracer.py``) times the numeric
+    exponential under ``backends.expm_multiply``.
+    """
+    rows, cols, values = entries
+    n = len(occupations)
+    outside = occupations[:, [m for m in range(occupations.shape[1]) if m not in modes]]
+    # The index key keeps each block's states in basis order, and is the
+    # only key when the element acts on every mode.
+    order = np.lexsort((np.arange(n), *outside.T))
+    first = np.ones(n, dtype=bool)
+    first[1:] = (outside[order[1:]] != outside[order[:-1]]).any(axis=1)
+    bounds = np.flatnonzero(np.append(first, True))
+    starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
+    grouped = np.cumsum(first) - 1
+    block = np.empty(n, dtype=np.int64)
+    block[order] = grouped
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n) - starts[grouped]
+    slot = np.empty(len(starts), dtype=np.int64)
+    entry_sizes = sizes[block[rows]]
+    out = np.empty_like(vec)
+    for size in sorted(set(sizes.tolist())):
+        (members,) = np.nonzero(sizes == size)
+        slot[members] = np.arange(len(members))
+        mats = np.zeros((len(members), size, size), dtype=complex)
+        mine = entry_sizes == size
+        np.add.at(
+            mats,
+            (slot[block[rows[mine]]], position[rows[mine]], position[cols[mine]]),
+            values[mine],
+        )
+        # Each block's index, or that of the first block equal to it.
+        firsts: dict[bytes, int] = {}
+        same = [firsts.setdefault(mat.tobytes(), i) for i, mat in enumerate(mats)]
+        distinct = list(firsts.values())
+        mats[distinct] = expm(mats[distinct])
+        states = order[starts[members][:, np.newaxis] + np.arange(size)]
+        out[states] = np.matmul(mats[same], vec[states][..., np.newaxis])[..., 0]
+    return out
+
+
 def evolve_numeric(
     circuit: Circuit, *, max_basis_size: int = DEFAULT_BASIS_CAP
 ) -> FockVector:
@@ -221,10 +273,11 @@ def evolve_numeric(
     into itself, so the result equals the full-box evolution amplitude by
     amplitude.  Elements with ``number_phases`` have number-diagonal
     generators, so their exponentials are applied as exact phases read
-    from the set's occupations; all other elements go through the
-    scaled-Taylor exponential action on the generator restricted to the
-    set.  The resulting norm stays within 1e-10 of the input norm because
-    every generator is anti-Hermitian.
+    from the set's occupations; all other elements go through
+    :func:`expm_multiply`, dense scaling-and-squaring exponentials of the
+    generator's invariant blocks on the set.  The resulting norm stays
+    within 1e-10 of the input norm because every generator is
+    anti-Hermitian.
 
     ``max_basis_size`` caps the full box, ``system.basis_size``, not the
     reachable set.  A :class:`TruncationWarning` is raised when an input
@@ -267,11 +320,8 @@ def evolve_numeric(
                 vec = vec * np.exp(1j * angle)
         else:
             rows, cols, values = entries[k]
-            gen = sparse.csr_matrix(
-                (np.array(values, dtype=complex), (rank[rows], rank[cols])),
-                shape=(len(states), len(states)),
-            )
-            vec = expm_multiply(gen, vec)
+            restricted = (rank[rows], rank[cols], np.array(values, dtype=complex))
+            vec = expm_multiply(restricted, occ_array, element.modes, vec)
     (hits,) = np.nonzero(np.abs(vec) >= PRUNE_THRESHOLD)
     return FockVector(system, {occupations[i]: complex(vec[i]) for i in hits})
 

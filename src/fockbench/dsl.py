@@ -164,7 +164,7 @@ ELEMENT_SYNTAX = (
                   2, (_Number("strength", optional=True),), "Kerr medium"),
     ElementSyntax("vertex", AnnihilationVertex,
                   "vertex <photon-mode> <e-mode> <p-mode> theta=<radians>",
-                  3, (_Number("theta"),)),
+                  3, (_Number("theta"),), "vertex"),
 )
 
 _BY_KEYWORD = {syntax.keyword: syntax for syntax in ELEMENT_SYNTAX}

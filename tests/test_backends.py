@@ -1,6 +1,7 @@
 """Backends: numeric and symbolic evolution, measurement, comparison."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.stats import unitary_group
 
+import fockbench.backends
 from fockbench.algebra import (
     KetExpression,
     annihilation,
@@ -276,6 +278,51 @@ def _two_photon_splitter_at_cutoff_1() -> Circuit:
     )
 
 
+def _three_mode_custom_two_photons() -> Circuit:
+    # the custom element's blocks, keyed by mode 3, hold two photons
+    # (6 states), one (3) or none (1); its diagonal terms are non-zero
+    system = ModeSystem(4, 0, 2)
+    c = generator_from_unitary(unitary_group.rvs(3, random_state=9))
+    assert np.abs(np.diag(c)).min() > 1e-3
+    poly = (
+        basis_ket(system, (1, 1, 0, 0)).poly * (0.5 + 0.1j)
+        + basis_ket(system, (0, 1, 0, 1)).poly * 0.7
+        + basis_ket(system, (0, 0, 2, 0)).poly * -0.3j
+    )
+    return Circuit(
+        system,
+        (
+            QuadraticCustom.from_matrix((0, 1, 2), c),
+            BeamSplitter(2, 3, ANGLE, 0.7),
+            QuadraticCustom.from_matrix((0, 1, 2), c.conj()),
+        ),
+        KetExpression(system, poly).normalized(),
+        (0, 1, 2, 3),
+    )
+
+
+def _identical_blocks() -> Circuit:
+    # one photon on modes 0 and 1 next to each occupation of modes 2 and 3:
+    # the splitters' blocks are all the same 2x2 matrix
+    system = ModeSystem(4, 0, 2)
+    poly = (
+        basis_ket(system, (1, 0, 0, 0)).poly * 0.6
+        + basis_ket(system, (0, 1, 1, 0)).poly * 0.4j
+        + basis_ket(system, (1, 0, 2, 0)).poly * (0.3 - 0.3j)
+        + basis_ket(system, (0, 1, 1, 1)).poly * -0.5
+    )
+    return Circuit(
+        system,
+        (
+            BeamSplitter(0, 1, ANGLE, 0.3),
+            PhaseShifter(0, 0.8),
+            BeamSplitter(0, 1, SYMMETRIC),
+        ),
+        KetExpression(system, poly).normalized(),
+        (0, 1, 2, 3),
+    )
+
+
 def _random_bosonic(seed: int, cutoff: int):
     def build():
         rng = np.random.default_rng(seed)
@@ -294,6 +341,8 @@ def _random_bosonic(seed: int, cutoff: int):
         _mixed_species_circuit,
         _vertex_circuit,
         _two_photon_splitter_at_cutoff_1,
+        _three_mode_custom_two_photons,
+        _identical_blocks,
     ],
 )
 @pytest.mark.filterwarnings("ignore::fockbench.backends.TruncationWarning")
@@ -301,6 +350,32 @@ def test_numeric_matches_full_box_reference(build):
     circuit = build()
     reference = _full_box_reference(circuit)
     assert evolve_numeric(circuit).allclose(reference, 1e-12)
+
+
+def test_identical_blocks_exponentiated_once(monkeypatch):
+    exponentiated = []
+    original = fockbench.backends.expm
+
+    def recording(mats):
+        exponentiated.append(mats.shape)
+        return original(mats)
+
+    monkeypatch.setattr(fockbench.backends, "expm", recording)
+    evolve_numeric(_identical_blocks())
+    assert exponentiated == [(1, 2, 2), (1, 2, 2)]
+
+
+@pytest.mark.parametrize(
+    "theta", [0.0, 5.0, 17.2, 20.0, 30.0, 40.0, 100.0, 1e3, 1e4, 1e5, 1e6]
+)
+def test_numeric_vertex_exact_at_any_angle(theta):
+    # scaling and squaring costs log(theta), so even 1e6 takes about a millisecond
+    circuit = build_experiment("hardy_vertex", theta=theta)
+    start = time.perf_counter()
+    report = measure(evolve_numeric(circuit), circuit.measured_modes)
+    assert time.perf_counter() - start < 1.0
+    assert report.expectations[0] == pytest.approx(math.sin(theta) ** 2, abs=1e-9)
+    assert compare_backends(circuit, 1e-9).passed
 
 
 def test_numeric_norm_preserved_through_elements():

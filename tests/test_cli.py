@@ -209,6 +209,49 @@ def test_example_circuits_match_golden_bytes(runner, path, backend):
     assert result.stdout_bytes == golden.read_bytes()
 
 
+@pytest.mark.parametrize("path", CIRCUIT_FILES, ids=lambda p: p.stem)
+def test_both_golden_is_numeric_golden_plus_comparison(path):
+    # the two-route report adds the comparison and changes nothing else
+    golden = ROOT / "tests" / "golden"
+    numeric = (golden / f"{path.stem}.numeric.json").read_text()
+    both = (golden / f"{path.stem}.both.json").read_text()
+    assert both.startswith(numeric[: -len("}\n")] + ', "comparison": ')
+    numeric_report, both_report = json.loads(numeric), json.loads(both)
+    assert list(both_report) == [*numeric_report, "comparison"]
+    del both_report["comparison"]
+    assert both_report == numeric_report
+
+
+def _mesh_program(modes: int, photons: int, cutoff: int) -> str:
+    # a brick of angle splitters, each followed by a phase, ``modes`` layers deep
+    lines = [f"system bosons={modes} cutoff={cutoff}"]
+    lines.append("input create " + " ".join(str(m + 1) for m in range(photons)))
+    for layer in range(modes):
+        for m in range(layer % 2, modes - 1, 2):
+            lines.append(f"bs {m + 1} {m + 2} angle={0.3 + 0.11 * m + 0.07 * layer}")
+            lines.append(f"phase {m + 1} {0.5 - 0.13 * m + 0.05 * layer}")
+    lines.append("measure all")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "name", [*(p.stem for p in CIRCUIT_FILES), "mesh6"], ids=lambda name: name
+)
+def test_both_backends_write_nothing_to_stderr(runner, tmp_path, name):
+    # any warning raised while evaluating would print as a "warning:" line
+    if name == "mesh6":
+        path = tmp_path / "mesh6.fck"
+        path.write_text(_mesh_program(6, 3, 3))
+    else:
+        path = ROOT / "circuits" / f"{name}.fck"
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        result = invoke(runner, ["run", str(path), "--backend", "both", "--format", "json"])
+    assert result.exit_code == 0
+    assert '"verdict": "pass"' in result.stdout
+    assert result.stderr == ""
+
+
 # ---------------------------------------------------------------------------
 # cutoff resolution
 # ---------------------------------------------------------------------------

@@ -237,6 +237,8 @@ MALFORMED = [
     ("system bosons=1 fermions=2 cutoff=3\nvertex 2 1 3 theta=1.0\n", 2, "species"),
     ("system bosons=1 fermions=2 cutoff=3\nvertex 1 2 3\n", 2, "too few"),
     ("system bosons=1 fermions=2 cutoff=3\nvertex 1 2 3 theta\n", 2, "theta"),
+    ("system bosons=1 fermions=2 cutoff=3\nvertex 1 1 3 theta=1\n", 2, "duplicate mode"),
+    ("system bosons=1 fermions=2 cutoff=3\nvertex 1 1 3 theta=x\n", 2, "duplicate mode"),
     ("system bosons=2 cutoff=3\ninput create\n", 2, "at least one mode"),
     ("system bosons=2 cutoff=3\ninput make 1\n", 2, "create"),
     ("system bosons=2 cutoff=3\ninput superpose\n", 2, "empty"),
@@ -274,3 +276,20 @@ def test_error_column_points_at_token():
         parse_circuit("system bosons=2 cutoff=3\nbs 1 9 sym\n")
     # column of the "9" token
     assert (err.value.line, err.value.column) == (2, 6)
+
+
+@pytest.mark.parametrize(
+    "element, noun, column",
+    [
+        ("bs 1 1 sym", "beam splitter", 6),
+        ("vertex 1 1 3 theta=1", "vertex", 10),
+        ("vertex 1 1 3 theta=x", "vertex", 10),
+    ],
+)
+def test_repeated_mode_reported_at_the_repeat(element, noun, column):
+    # every element names itself and points at the repeated mode, before
+    # any argument after the modes is read
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit(f"system bosons=1 fermions=2 cutoff=3\n{element}\n")
+    assert (err.value.line, err.value.column) == (2, column)
+    assert err.value.message == f"duplicate mode in {noun}"
