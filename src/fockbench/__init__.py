@@ -51,9 +51,7 @@ from .circuit import (
     QuadraticCustom,
     build_experiment,
     element_generator,
-    element_modes,
     generator_from_unitary,
-    mode_matrix,
     with_cutoff,
 )
 from .dsl import CircuitParseError, parse_circuit, render_circuit

@@ -147,11 +147,6 @@ class LadderPolynomial:
             }
         )
 
-    def pruned(self, atol: float) -> "LadderPolynomial":
-        return LadderPolynomial(
-            {f: c for f, c in self._terms.items() if abs(c) > atol}
-        )
-
     def allclose(self, other: "LadderPolynomial", atol: float = 1e-12) -> bool:
         keys = set(self._terms) | set(other._terms)
         return all(
@@ -334,7 +329,7 @@ class KetExpression:
                     )
 
     def norm(self) -> float:
-        return math.sqrt(max(0.0, ket_inner(self, self).real))
+        return math.sqrt(ket_inner(self, self).real)
 
     @property
     def is_normalized(self) -> bool:
@@ -458,9 +453,7 @@ def _prune_ket_poly(poly: LadderPolynomial, atol: float) -> LadderPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def substitute_modes(
-    ket: KetExpression, matrix, modes, *, atol: float = 1e-12
-) -> KetExpression:
+def substitute_modes(ket: KetExpression, matrix, modes) -> KetExpression:
     """Transform creation symbols by a unitary acting on a mode subset.
 
     The creation operator of ``modes[p]`` is replaced by
@@ -478,7 +471,7 @@ def substitute_modes(
     species = {ket.system.species(m) for m in modes}
     if len(species) > 1:
         raise ValueError("substitution cannot mix bosonic and fermionic modes")
-    if np.abs(b.conj().T @ b - np.eye(len(modes))).max() > atol:
+    if np.abs(b.conj().T @ b - np.eye(len(modes))).max() > 1e-12:
         raise ValueError("substitution matrix is not unitary")
 
     col_of = {mode: p for p, mode in enumerate(modes)}
@@ -514,31 +507,29 @@ def substitute_modes(
 def apply_number_diagonal(phases: Mapping, ket: KetExpression) -> KetExpression:
     """Apply ``exp(i * sum of number-diagonal terms)`` exactly.
 
-    ``phases`` maps a single mode ``m`` to the coefficient of ``n_m``, or a
-    mode pair ``(i, j)`` to the coefficient of ``n_i * n_j``.  A creation
-    monomial has definite occupations (``N adag = adag (N + 1)``), so the
-    exponential multiplies each monomial by a phase; no series is needed.
+    ``phases`` has the format of ``CircuitElement.number_phases``: it maps a
+    one-mode tuple ``(m,)`` to the coefficient of ``n_m`` and a mode pair
+    ``(i, j)`` to the coefficient of ``n_i * n_j``; any other key raises
+    ``ValueError``.  A creation monomial has definite occupations
+    (``N adag = adag (N + 1)``), so the exponential multiplies each monomial
+    by a phase; no series is needed.
     """
-    normalized: list[tuple[tuple[int, ...], float]] = []
-    for key, value in phases.items():
-        if isinstance(key, (tuple, list)):
-            pair = tuple(int(m) for m in key)
-            if len(pair) != 2:
-                raise ValueError("phase keys must be a mode or a mode pair")
-            normalized.append((pair, float(value)))
-        else:
-            normalized.append(((int(key),), float(value)))
-    for grp, _ in normalized:
-        for m in grp:
-            ket.system.validate_mode(m)
+    for key in phases:
+        match key:
+            case (_,) | (_, _):
+                for m in key:
+                    ket.system.validate_mode(m)
+            case _:
+                raise ValueError(f"phase key {key!r} is not a tuple of one or two modes")
+    terms = [(key, float(value)) for key, value in phases.items()]
 
     out = {}
     for factors, coeff in ket.poly._terms.items():
         occ = monomial_occupations(factors, ket.system.total_modes)
         angle = 0.0
-        for grp, value in normalized:
+        for key, value in terms:
             contribution = value
-            for m in grp:
+            for m in key:
                 contribution *= occ[m]
             angle += contribution
         out[factors] = coeff * cmath.exp(1j * angle)

@@ -13,6 +13,7 @@ an executable check.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -22,12 +23,7 @@ from scipy.linalg import expm
 
 from . import algebra
 from .algebra import KetExpression, LadderPolynomial
-from .circuit import (
-    Circuit,
-    CircuitElement,
-    element_generator,
-    mode_matrix,
-)
+from .circuit import Circuit, CircuitElement, element_generator
 from .fock import (
     FockVector,
     PRUNE_THRESHOLD,
@@ -152,7 +148,7 @@ def _ket_amplitudes(ket: KetExpression) -> tuple[dict, bool]:
     return amps, cut
 
 
-def ket_to_fock(ket: KetExpression, prune: float = PRUNE_THRESHOLD) -> FockVector:
+def ket_to_fock(ket: KetExpression) -> FockVector:
     """Evaluate a creation-monomial ket in the explicit representation.
 
     Applies each monomial's creation symbols with the same truncated
@@ -160,7 +156,7 @@ def ket_to_fock(ket: KetExpression, prune: float = PRUNE_THRESHOLD) -> FockVecto
     mode past the cutoff have no truncated image and are dropped.
     """
     amps, _ = _ket_amplitudes(ket)
-    return FockVector.from_amplitudes(ket.system, amps, prune)
+    return FockVector.from_amplitudes(ket.system, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +258,13 @@ def expm_multiply(entries, occupations, modes, vec) -> np.ndarray:
     return out
 
 
+def _require_finite(finite: bool, k: int, element: CircuitElement) -> None:
+    """Fail at the element that first makes an amplitude inf or nan."""
+    if not finite:
+        name = type(element).__name__
+        raise ValueError(f"element {k + 1} ({name}) makes an amplitude non-finite")
+
+
 def evolve_numeric(
     circuit: Circuit, *, max_basis_size: int = DEFAULT_BASIS_CAP
 ) -> FockVector:
@@ -277,7 +280,8 @@ def evolve_numeric(
     :func:`expm_multiply`, dense scaling-and-squaring exponentials of the
     generator's invariant blocks on the set.  The resulting norm stays
     within 1e-10 of the input norm because every generator is
-    anti-Hermitian.
+    anti-Hermitian; a ``ValueError`` names the first element, if any, that
+    makes an amplitude inf or nan.
 
     ``max_basis_size`` caps the full box, ``system.basis_size``, not the
     reachable set.  A :class:`TruncationWarning` is raised when an input
@@ -311,17 +315,20 @@ def evolve_numeric(
     occupations = [states[i] for i in order]
     occ_array = np.array(occupations, dtype=np.int64)
     vec = np.array([start.get(occ, 0.0) for occ in occupations], dtype=complex)
-    for k, element in enumerate(circuit.elements):
-        if element.number_phases is not None:
-            for key, value in element.number_phases.items():
-                angle = value
-                for m in key if isinstance(key, tuple) else (key,):
-                    angle = angle * occ_array[:, m]
-                vec = vec * np.exp(1j * angle)
-        else:
-            rows, cols, values = entries[k]
-            restricted = (rank[rows], rank[cols], np.array(values, dtype=complex))
-            vec = expm_multiply(restricted, occ_array, element.modes, vec)
+    # An overflow shows as a non-finite amplitude, reported by _require_finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, element in enumerate(circuit.elements):
+            if element.number_phases is not None:
+                for key, value in element.number_phases.items():
+                    angle = value
+                    for m in key:
+                        angle = angle * occ_array[:, m]
+                    vec = vec * np.exp(1j * angle)
+            else:
+                rows, cols, values = entries[k]
+                restricted = (rank[rows], rank[cols], np.array(values, dtype=complex))
+                vec = expm_multiply(restricted, occ_array, element.modes, vec)
+            _require_finite(np.isfinite(vec).all(), k, element)
     (hits,) = np.nonzero(np.abs(vec) >= PRUNE_THRESHOLD)
     return FockVector(system, {occupations[i]: complex(vec[i]) for i in hits})
 
@@ -339,18 +346,22 @@ def evolve_symbolic(circuit: Circuit) -> KetExpression:
     matrix, and the rest go through
     :func:`~fockbench.algebra.apply_vertex_exponential`, which is exact at
     any angle and rejects any generator but the annihilation vertex's.  No
-    element uses the power series.
+    element uses the power series.  A ``ValueError`` names the first
+    element, if any, that makes a coefficient inf or nan.
     """
     ket = circuit.input_state
-    for element in circuit.elements:
+    for k, element in enumerate(circuit.elements):
         if element.number_phases is not None:
             ket = algebra.apply_number_diagonal(element.number_phases, ket)
         elif element.linear:
-            ket = algebra.substitute_modes(ket, mode_matrix(element), element.modes)
+            ket = algebra.substitute_modes(ket, element.mode_matrix(), element.modes)
         else:
             ket = algebra.apply_vertex_exponential(
                 element_generator(element, circuit.system), ket, *element.modes
             )
+        # The coefficients of a normalized ket are at most 1 in modulus, so
+        # their sum is finite exactly when each of them is.
+        _require_finite(cmath.isfinite(sum(ket.poly.terms.values())), k, element)
     return ket
 
 
@@ -359,8 +370,9 @@ def evolve_symbolic(circuit: Circuit) -> KetExpression:
 # ---------------------------------------------------------------------------
 
 
-def _measure_fock(state: FockVector, modes: tuple[int, ...]) -> MeasurementReport:
-    norm_sq = sum(abs(a) ** 2 for a in state.amplitudes.values())
+def _measure_fock(
+    state: FockVector, modes: tuple[int, ...], norm: float
+) -> MeasurementReport:
     expectations = {m: 0.0 for m in modes}
     distribution: dict[tuple[int, ...], float] = {}
     for occ, amp in state.amplitudes.items():
@@ -369,13 +381,15 @@ def _measure_fock(state: FockVector, modes: tuple[int, ...]) -> MeasurementRepor
             expectations[m] += p * occ[m]
         key = tuple(occ[m] for m in modes)
         distribution[key] = distribution.get(key, 0.0) + p
-    return MeasurementReport(modes, expectations, distribution, math.sqrt(norm_sq))
+    return MeasurementReport(modes, expectations, distribution, norm)
 
 
-def _measure_ket(state: KetExpression, modes: tuple[int, ...]) -> MeasurementReport:
+def _measure_ket(
+    state: KetExpression, modes: tuple[int, ...], norm: float
+) -> MeasurementReport:
     expectations = {m: algebra.number_expectation(state, m) for m in modes}
     distribution = algebra.joint_number_distribution(state, modes)
-    return MeasurementReport(modes, expectations, distribution, state.norm())
+    return MeasurementReport(modes, expectations, distribution, norm)
 
 
 def measure(state, modes) -> MeasurementReport:
@@ -386,23 +400,19 @@ def measure(state, modes) -> MeasurementReport:
     :class:`KetExpression` they are evaluated through vacuum expectations
     of normal-ordered number insertions, never through any basis.
     """
-    if isinstance(state, FockVector):
-        system = state.system
-    elif isinstance(state, KetExpression):
-        system = state.system
-    else:
+    if not isinstance(state, (FockVector, KetExpression)):
         raise TypeError("measure expects a FockVector or a KetExpression")
     modes = tuple(sorted(set(int(m) for m in modes)))
     if not modes:
         raise ValueError("at least one mode must be measured")
     for m in modes:
-        system.validate_mode(m)
+        state.system.validate_mode(m)
     norm = state.norm()
-    if abs(norm - 1.0) > 1e-8:
+    if not abs(norm - 1.0) <= 1e-8:  # a nan norm fails too
         raise ValueError(f"measurement requires a normalized state (norm {norm:.6g})")
     if isinstance(state, FockVector):
-        return _measure_fock(state, modes)
-    return _measure_ket(state, modes)
+        return _measure_fock(state, modes, norm)
+    return _measure_ket(state, modes, norm)
 
 
 def compare_reports(
@@ -458,7 +468,7 @@ def heisenberg_residual(element: CircuitElement, system: ModeSystem) -> float:
         raise ValueError("the Heisenberg relation applies to linear elements only")
     if system.basis_size > 20_000:
         raise ValueError("system too large for a dense Heisenberg check")
-    b = mode_matrix(element)
+    b = element.mode_matrix()
     modes = element.modes
     gen = polynomial_matrix(element_generator(element, system), system)
     s = expm(gen.matrix.toarray())

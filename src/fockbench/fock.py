@@ -40,35 +40,25 @@ class FockVector:
     amplitudes: dict
 
     @classmethod
-    def from_amplitudes(
-        cls,
-        system: ModeSystem,
-        amplitudes: Mapping,
-        prune: float = PRUNE_THRESHOLD,
-    ) -> "FockVector":
+    def from_amplitudes(cls, system: ModeSystem, amplitudes: Mapping) -> "FockVector":
         clean = {}
         for occ, amp in amplitudes.items():
             occ = tuple(int(n) for n in occ)
             system.validate_occupation(occ)
             amp = complex(amp)
-            if abs(amp) >= prune:
+            if abs(amp) >= PRUNE_THRESHOLD:
                 clean[occ] = amp
         return cls(system, clean)
 
     @classmethod
-    def from_dense(
-        cls,
-        system: ModeSystem,
-        vector: np.ndarray,
-        prune: float = PRUNE_THRESHOLD,
-    ) -> "FockVector":
+    def from_dense(cls, system: ModeSystem, vector: np.ndarray) -> "FockVector":
         vector = np.asarray(vector).reshape(-1)
         if vector.shape[0] != system.basis_size:
             raise ValueError(
                 f"dense vector has length {vector.shape[0]}, "
                 f"expected {system.basis_size}"
             )
-        (hits,) = np.nonzero(np.abs(vector) >= prune)
+        (hits,) = np.nonzero(np.abs(vector) >= PRUNE_THRESHOLD)
         return cls(
             system, {system.occupation_of(int(i)): complex(vector[i]) for i in hits}
         )
@@ -224,13 +214,11 @@ def number_op(system: ModeSystem, mode: int) -> SparseOperator:
     return SparseOperator(system, mat)
 
 
-def apply(
-    op: SparseOperator, state: FockVector, prune: float = PRUNE_THRESHOLD
-) -> FockVector:
-    """Sparse matrix-vector product, pruned at ``prune``."""
+def apply(op: SparseOperator, state: FockVector) -> FockVector:
+    """Sparse matrix-vector product, pruned at :data:`PRUNE_THRESHOLD`."""
     if op.system != state.system:
         raise ValueError("operator and state live on different mode systems")
-    return FockVector.from_dense(state.system, op.matrix @ state.to_dense(), prune)
+    return FockVector.from_dense(state.system, op.matrix @ state.to_dense())
 
 
 def inner_product(left: FockVector, right: FockVector) -> complex:

@@ -421,16 +421,23 @@ def test_kerr_on_vacuum():
 
 def test_phase_pi_on_single_occupation():
     system = ModeSystem(1, 0, 4)
-    out = apply_number_diagonal({0: math.pi}, basis_ket(system, (1,)))
+    out = apply_number_diagonal({(0,): math.pi}, basis_ket(system, (1,)))
     assert ket_inner(basis_ket(system, (1,)), out) == pytest.approx(-1.0)
 
 
 def test_number_diagonal_scales_with_occupation():
     system = ModeSystem(1, 0, 4)
-    out = apply_number_diagonal({0: 0.25}, basis_ket(system, (3,)))
+    out = apply_number_diagonal({(0,): 0.25}, basis_ket(system, (3,)))
     assert ket_inner(basis_ket(system, (3,)), out) == pytest.approx(
         np.exp(0.75j)
     )
+
+
+@pytest.mark.parametrize("key", [0, (0, 1, 2)], ids=["bare int", "3-tuple"])
+def test_number_diagonal_rejects_keys_other_than_one_or_two_modes(key):
+    system = ModeSystem(3, 0, 4)
+    with pytest.raises(ValueError, match="one or two modes"):
+        apply_number_diagonal({key: 0.25}, basis_ket(system, (1, 1, 1)))
 
 
 # ---------------------------------------------------------------------------

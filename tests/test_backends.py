@@ -378,6 +378,13 @@ def test_numeric_vertex_exact_at_any_angle(theta):
     assert compare_backends(circuit, 1e-9).passed
 
 
+def test_numeric_vertex_rejects_nan_angle():
+    # a nan angle used to come back as an empty state
+    circuit = build_experiment("hardy_vertex", theta=math.nan)
+    with pytest.raises(ValueError, match=r"element 1 \(AnnihilationVertex\)"):
+        evolve_numeric(circuit)
+
+
 def test_numeric_norm_preserved_through_elements():
     rng = np.random.default_rng(8)
     for _ in range(5):
@@ -528,6 +535,14 @@ def test_measure_rejects_unnormalized():
         measure(FockVector.from_amplitudes(system, {(1,): 0.5}), (0,))
     with pytest.raises(ValueError, match="normalized"):
         measure(KetExpression(system, basis_ket(system, (1,)).poly * 0.5), (0,))
+
+
+def test_measure_rejects_nan_norm():
+    system = ModeSystem(1, 0, 3)
+    with pytest.raises(ValueError, match="norm nan"):
+        measure(FockVector(system, {(1,): complex(math.nan)}), (0,))
+    with pytest.raises(ValueError, match="norm nan"):
+        measure(KetExpression(system, basis_ket(system, (1,)).poly * math.nan), (0,))
 
 
 def test_measure_probabilities_sum_to_one():

@@ -33,9 +33,7 @@ from fockbench.circuit import (
     cnot_expected_output,
     cnot_input_occupation,
     element_generator,
-    element_modes,
     generator_from_unitary,
-    mode_matrix,
     with_cutoff,
 )
 from fockbench.modes import BOSON, FERMION, ModeSystem
@@ -47,19 +45,19 @@ from fockbench.modes import BOSON, FERMION, ModeSystem
 
 
 def test_symmetric_entries():
-    b = mode_matrix(BeamSplitter(0, 1, SYMMETRIC))
+    b = BeamSplitter(0, 1, SYMMETRIC).mode_matrix()
     s = 1 / math.sqrt(2)
     assert np.allclose(b, [[s, 1j * s], [1j * s, s]], atol=0)
 
 
 def test_antisymmetric_entries():
-    b = mode_matrix(BeamSplitter(0, 1, ANTISYMMETRIC))
+    b = BeamSplitter(0, 1, ANTISYMMETRIC).mode_matrix()
     s = 1 / math.sqrt(2)
     assert np.allclose(b, [[s, -s], [s, s]], atol=0)
 
 
 def test_angle_zero_is_identity():
-    b = mode_matrix(BeamSplitter(0, 1, ANGLE, 0.0))
+    b = BeamSplitter(0, 1, ANGLE, 0.0).mode_matrix()
     assert np.abs(b - np.eye(2)).max() == 0.0
 
 
@@ -73,15 +71,15 @@ def test_angle_zero_is_identity():
     ],
 )
 def test_mode_matrices_unitary(element):
-    b = mode_matrix(element)
+    b = element.mode_matrix()
     assert np.abs(b.conj().T @ b - np.eye(b.shape[0])).max() < 1e-15
 
 
 def test_mode_matrix_rejects_nonlinear():
     with pytest.raises(ValueError):
-        mode_matrix(KerrMedium(0, 1))
+        KerrMedium(0, 1).mode_matrix()
     with pytest.raises(ValueError):
-        mode_matrix(AnnihilationVertex(0, 1, 2, 1.0))
+        AnnihilationVertex(0, 1, 2, 1.0).mode_matrix()
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +173,12 @@ def test_generator_exponentiates_to_mode_matrix(element):
     # exp of the quadratic coefficient matrix reproduces the mode map
     system = ModeSystem(2, 0, 4)
     k = element_generator(element, system)
-    modes = element_modes(element)
+    modes = element.modes
     c = np.zeros((len(modes), len(modes)), dtype=complex)
     pos = {m: p for p, m in enumerate(modes)}
     for factors, coeff in k.terms.items():
         c[pos[factors[0].mode], pos[factors[1].mode]] = coeff
-    assert np.abs(expm(c) - mode_matrix(element)).max() < 1e-10
+    assert np.abs(expm(c) - element.mode_matrix()).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +238,10 @@ def test_number_phases_are_the_generator_over_i(element):
         return
     numbers = LadderPolynomial.zero()
     for key, value in element.number_phases.items():
+        assert type(key) is tuple and len(key) in (1, 2)
+        assert all(type(m) is int for m in key)
         term = LadderPolynomial.constant(value)
-        for m in key if isinstance(key, tuple) else (key,):
+        for m in key:
             species = MIXED.species(m)
             term = multiply(term, multiply(creation(m, species), annihilation(m, species)))
         numbers = numbers + term
@@ -252,14 +252,14 @@ def test_number_phases_are_the_generator_over_i(element):
 def test_mode_matrix_exactly_for_linear_elements(element):
     if not element.linear:
         with pytest.raises(ValueError, match="no mode matrix"):
-            mode_matrix(element)
+            element.mode_matrix()
         return
     k = element_generator(element, MIXED)
-    pos = {m: p for p, m in enumerate(element_modes(element))}
+    pos = {m: p for p, m in enumerate(element.modes)}
     c = np.zeros((len(pos), len(pos)), dtype=complex)
     for factors, coeff in k.terms.items():
         c[pos[factors[0].mode], pos[factors[1].mode]] = coeff
-    assert np.abs(expm(c) - mode_matrix(element)).max() < 1e-12
+    assert np.abs(expm(c) - element.mode_matrix()).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +273,7 @@ def test_log_of_identity():
 
 
 def test_log_of_b1_reexponentiates():
-    b1 = mode_matrix(BeamSplitter(0, 1, SYMMETRIC))
+    b1 = BeamSplitter(0, 1, SYMMETRIC).mode_matrix()
     c = generator_from_unitary(b1)
     assert np.abs(expm(c) - b1).max() < 1e-10
     # principal log of B1 is (i pi/4) off-diagonal
@@ -281,7 +281,7 @@ def test_log_of_b1_reexponentiates():
 
 
 def test_log_of_b2_is_quarter_turn():
-    b2 = mode_matrix(BeamSplitter(0, 1, ANTISYMMETRIC))
+    b2 = BeamSplitter(0, 1, ANTISYMMETRIC).mode_matrix()
     c = generator_from_unitary(b2)
     want = 0.25 * math.pi * np.array([[0.0, -1.0], [1.0, 0.0]])
     assert np.abs(c - want).max() < 1e-12
@@ -351,6 +351,14 @@ def test_circuit_rejects_unnormalized_input():
     bad = type(ket)(system, ket.poly * 0.5)
     with pytest.raises(ValueError, match="normalized"):
         Circuit(system, (), bad, (0,))
+
+
+def test_circuit_rejects_nan_input():
+    # a nan input norm must not slip past the normalisation check
+    system = ModeSystem(1, 0, 4)
+    ket = basis_ket(system, (1,))
+    with pytest.raises(ValueError, match="normalized"):
+        Circuit(system, (), type(ket)(system, ket.poly * math.nan), (0,))
 
 
 def test_circuit_rejects_foreign_modes():

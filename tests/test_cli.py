@@ -252,6 +252,66 @@ def test_both_backends_write_nothing_to_stderr(runner, tmp_path, name):
     assert result.stderr == ""
 
 
+#: Programs with a finite parameter large enough that an amplitude overflows:
+#: name -> (program, element named by the error, symbolic stdout or None when
+#: the symbolic route overflows too).  cos and sin of 1e308 are finite, so
+#: the symbolic splitter and vertex stay exact.
+NON_FINITE = {
+    "phase": (
+        "system bosons=2 cutoff=4\ninput create 1 1 2 2\nphase 1 1e308\n"
+        "bs 1 2 sym\nmeasure all\n",
+        "element 1 (PhaseShifter)",
+        None,
+    ),
+    "kerr": (
+        "system bosons=2 cutoff=4\ninput create 1 1 2 2\nkerr 1 2 strength=1e308\n"
+        "bs 1 2 sym\nmeasure all\n",
+        "element 1 (KerrMedium)",
+        None,
+    ),
+    "vertex": (
+        "system bosons=1 fermions=2 cutoff=4\ninput create 2 3\n"
+        "vertex 1 2 3 theta=1e308\nmeasure all\n",
+        "element 1 (AnnihilationVertex)",
+        '{"norm": 1, "expectations": {"N1": 0.205568377599212, "N2": '
+        '0.794431622400788, "N3": 0.794431622400788}, "distribution": [{"occ": '
+        '[0, 1, 1], "prob": 0.794431622400788}, {"occ": [1, 0, 0], "prob": '
+        '0.205568377599212}]}\n',
+    ),
+    "bs": (
+        "system bosons=2 cutoff=4\ninput create 1 1 2\nbs 1 2 angle=1e308\n"
+        "measure all\n",
+        "element 1 (BeamSplitter)",
+        '{"norm": 1, "expectations": {"N1": 1.79443162240079, "N2": '
+        '1.20556837759921}, "distribution": [{"occ": [0, 3], "prob": '
+        '0.100714127405045}, {"occ": [1, 2], "prob": 0.393356054575395}, '
+        '{"occ": [2, 1], "prob": 0.116713886233286}, {"occ": [3, 0], "prob": '
+        '0.389215931786274}]}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("backend", ["numeric", "symbolic", "both"])
+@pytest.mark.parametrize("name", NON_FINITE)
+def test_non_finite_amplitude_is_one_error_line(runner, tmp_path, name, backend):
+    # an overflow fails at the element that caused it, not as "norm 0" at
+    # measurement, and numpy's own warnings do not reach stderr
+    program, element, symbolic_stdout = NON_FINITE[name]
+    path = tmp_path / f"{name}.fck"
+    path.write_text(program)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        result = invoke(runner, ["run", str(path), "--backend", backend, "--format", "json"])
+    if backend == "symbolic" and symbolic_stdout is not None:
+        assert result.exit_code == 0
+        assert result.stdout == symbolic_stdout
+        assert result.stderr == ""
+        return
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: {element} makes an amplitude non-finite\n"
+
+
 # ---------------------------------------------------------------------------
 # cutoff resolution
 # ---------------------------------------------------------------------------
