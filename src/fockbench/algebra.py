@@ -308,6 +308,7 @@ class KetExpression:
 
     The polynomial is fully reduced: normal ordered, with every monomial
     containing an annihilator removed because it annihilates the vacuum.
+    The constructor refuses any other; :func:`reduce_to_ket` reduces one.
     The attached mode system supplies mode count and species; its cutoff is
     irrelevant here and never used.
     """
@@ -317,6 +318,8 @@ class KetExpression:
 
     def __post_init__(self):
         for factors in self.poly._terms:
+            # Canonical order: modes ascend, a fermionic mode at most once.
+            lowest = 0
             for s in factors:
                 if not s.dagger:
                     raise ValueError(
@@ -327,6 +330,12 @@ class KetExpression:
                     raise ValueError(
                         f"symbol {s!r} has the wrong species for its mode"
                     )
+                if s.mode < lowest:
+                    raise ValueError(
+                        f"monomial {factors!r} is not in canonical order; "
+                        "use reduce_to_ket to build one"
+                    )
+                lowest = s.mode if s.species == BOSON else s.mode + 1
 
     def norm(self) -> float:
         return math.sqrt(ket_inner(self, self).real)

@@ -196,11 +196,11 @@ def check_heisenberg() -> tuple[float, float]:
     return worst, 1e-10
 
 
-def check_commutator_identity(samples: int = 10, seed: int = 7) -> tuple[float, float]:
-    rng = np.random.default_rng(seed)
+def check_commutator_identity() -> tuple[float, float]:
+    rng = np.random.default_rng(7)
     worst = 0.0
     for species in (BOSON, FERMION):
-        for _ in range(samples):
+        for _ in range(10):
             n = int(rng.integers(1, 5))
             c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             k = LadderPolynomial.zero()
@@ -219,11 +219,11 @@ def check_commutator_identity(samples: int = 10, seed: int = 7) -> tuple[float, 
     return worst, 1e-12
 
 
-def check_normal_order_oracle(samples: int = 25, seed: int = 11) -> tuple[float, float]:
-    rng = np.random.default_rng(seed)
+def check_normal_order_oracle() -> tuple[float, float]:
+    rng = np.random.default_rng(11)
     systems = [ModeSystem(3, 0, 8), ModeSystem(2, 1, 8), ModeSystem(1, 2, 8)]
     worst = 0.0
-    for trial in range(samples):
+    for trial in range(25):
         system = systems[trial % len(systems)]
         poly = random_polynomial(rng, system)
         ordered = algebra.normal_order(poly)
@@ -247,21 +247,21 @@ def check_backend_equivalence() -> tuple[float, float]:
     return worst, 1e-9
 
 
-def check_random_equivalence(samples: int = 10, seed: int = 5) -> tuple[float, float]:
-    rng = np.random.default_rng(seed)
+def check_random_equivalence() -> tuple[float, float]:
+    rng = np.random.default_rng(5)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(10):
         report = compare_backends(random_circuit(rng), tol=1e-9)
         worst = max(worst, report.max_deviation)
     return worst, 1e-9
 
 
-def check_number_conservation(samples: int = 5, seed: int = 3) -> tuple[float, float]:
+def check_number_conservation() -> tuple[float, float]:
     from .backends import evolve_numeric, evolve_symbolic, measure
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(5):
         circuit = random_circuit(rng)
         modes = tuple(range(circuit.system.total_modes))
         start = sum(measure(circuit.input_state, modes).expectations.values())

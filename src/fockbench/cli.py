@@ -70,43 +70,35 @@ def _parse_experiment_spec(spec: str, cutoff: int | None, all_inputs: bool):
         raise click.ClickException(f"unknown experiment {name!r} (known: {known})")
     if all_inputs and name != "cnot_dualrail":
         raise click.ClickException("--all-inputs applies only to cnot_dualrail")
-    kwargs = {}
-    if cutoff is not None:
-        kwargs["cutoff"] = cutoff
     if name == "cnot_dualrail":
+        inputs = [(0, 0)]
         if all_inputs:
-            runs = []
-            for control in (0, 1):
-                for target in (0, 1):
-                    circuit = build_experiment(
-                        name, control=control, target=target, **kwargs
-                    )
-                    runs.append((f"{control}{target}", circuit))
-            return runs
-        control, target = 0, 0
-        if params:
+            inputs = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        elif params:
             try:
                 control, target = (int(x) for x in params.split(","))
             except ValueError:
                 raise click.ClickException(
                     "cnot_dualrail parameters must look like 1,0"
                 )
-        return [(f"{control}{target}", build_experiment(name, control=control, target=target, **kwargs))]
-    if name == "hardy_vertex":
-        theta = 0.5 * math.pi
-        if params:
-            try:
-                theta = float(params)
-            except ValueError:
-                raise click.ClickException("hardy_vertex parameter must be a number")
-            if not math.isfinite(theta):
-                raise click.ClickException(
-                    f"hardy_vertex parameter must be finite, got {params!r}"
-                )
-        return [(None, build_experiment(name, theta=theta, **kwargs))]
+            inputs = [(control, target)]
+        return [
+            (f"{c}{t}", build_experiment(name, cutoff=cutoff, control=c, target=t))
+            for c, t in inputs
+        ]
+    if name == "hardy_vertex" and params:
+        try:
+            theta = float(params)
+        except ValueError:
+            raise click.ClickException("hardy_vertex parameter must be a number")
+        if not math.isfinite(theta):
+            raise click.ClickException(
+                f"hardy_vertex parameter must be finite, got {params!r}"
+            )
+        return [(None, build_experiment(name, cutoff=cutoff, theta=theta))]
     if params:
         raise click.ClickException(f"experiment {name!r} takes no parameters")
-    return [(None, build_experiment(name, **kwargs))]
+    return [(None, build_experiment(name, cutoff=cutoff))]
 
 
 def _load_circuit_file(path: str, cutoff: int | None) -> Circuit:
@@ -221,10 +213,7 @@ def cmd_run(circuit_file, experiment, backend, cutoff, tol, fmt, all_inputs):
     except CircuitParseError as exc:
         click.echo(f"parse error: {exc}", file=sys.stderr)
         sys.exit(EXIT_PARSE)
-    except click.ClickException as exc:
-        click.echo(f"error: {exc.message}", file=sys.stderr)
-        sys.exit(EXIT_EVALUATION)
-    except ValueError as exc:
+    except (click.ClickException, ValueError) as exc:
         click.echo(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_EVALUATION)
 

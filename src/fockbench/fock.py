@@ -10,6 +10,7 @@ Jordan-Wigner signs over the fermionic modes.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,6 +47,8 @@ class FockVector:
             occ = tuple(int(n) for n in occ)
             system.validate_occupation(occ)
             amp = complex(amp)
+            if not cmath.isfinite(amp):
+                raise ValueError(f"amplitude of {occ} is not finite: {amp}")
             if abs(amp) >= PRUNE_THRESHOLD:
                 clean[occ] = amp
         return cls(system, clean)
@@ -58,6 +61,8 @@ class FockVector:
                 f"dense vector has length {vector.shape[0]}, "
                 f"expected {system.basis_size}"
             )
+        if not np.isfinite(vector).all():
+            raise ValueError("dense vector has a non-finite amplitude")
         (hits,) = np.nonzero(np.abs(vector) >= PRUNE_THRESHOLD)
         return cls(
             system, {system.occupation_of(int(i)): complex(vector[i]) for i in hits}
@@ -238,9 +243,12 @@ def inner_product(left: FockVector, right: FockVector) -> complex:
 def mode_bipartition_entropy(state: FockVector, left_modes) -> float:
     """Von Neumann entropy (nats) of the reduced state on ``left_modes``.
 
-    Traces out the complement of ``left_modes`` in the occupation basis.
-    The partition must be a proper nonempty subset of the modes and the
-    state must be normalized.
+    Traces out the complement of ``left_modes`` on the state's support: the
+    Schmidt matrix has one row per distinct occupation pattern of the left
+    modes among the stored amplitudes and one column per pattern of the
+    right modes, so the same amplitudes give the same entropy at any
+    cutoff.  The partition must be a proper nonempty subset of the modes
+    and the state must be normalized.
     """
     system = state.system
     left = sorted(set(int(m) for m in left_modes))
@@ -248,23 +256,15 @@ def mode_bipartition_entropy(state: FockVector, left_modes) -> float:
         system.validate_mode(m)
     if not left or len(left) == system.total_modes:
         raise ValueError("partition must be a proper nonempty subset of the modes")
-    if abs(state.norm() - 1.0) > 1e-9:
+    if not abs(state.norm() - 1.0) <= 1e-9:  # a nan norm fails too
         raise ValueError("entropy requires a normalized state")
 
     right = [m for m in range(system.total_modes) if m not in left]
-    dims_l = [system.mode_dim(m) for m in left]
-    dims_r = [system.mode_dim(m) for m in right]
-    dim_l, dim_r = math.prod(dims_l), math.prod(dims_r)
-
-    def _local_index(occ, modes, dims):
-        index = 0
-        for m, d in zip(modes, dims):
-            index = index * d + occ[m]
-        return index
-
-    coeff = np.zeros((dim_l, dim_r), dtype=complex)
-    for occ, amp in state.amplitudes.items():
-        coeff[_local_index(occ, left, dims_l), _local_index(occ, right, dims_r)] = amp
+    occupations = np.array(list(state.amplitudes))
+    lefts, row = np.unique(occupations[:, left], axis=0, return_inverse=True)
+    rights, col = np.unique(occupations[:, right], axis=0, return_inverse=True)
+    coeff = np.zeros((len(lefts), len(rights)), dtype=complex)
+    coeff[row, col] = list(state.amplitudes.values())
 
     schmidt = np.linalg.svd(coeff, compute_uv=False)
     probs = schmidt**2

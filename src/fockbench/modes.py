@@ -69,10 +69,6 @@ class ModeSystem:
     def is_boson(self, mode: int) -> bool:
         return self.species(mode) == BOSON
 
-    def mode_dim(self, mode: int) -> int:
-        """Number of allowed occupations of ``mode``."""
-        return self.cutoff + 1 if self.is_boson(mode) else 2
-
     @cached_property
     def _dims(self) -> tuple[int, ...]:
         return tuple(

@@ -325,6 +325,31 @@ def test_vacuum_ket_norm():
     assert vacuum_ket(ModeSystem(1, 0, 2)).norm() == 1.0
 
 
+def test_ket_rejects_fermions_out_of_mode_order():
+    # 0.6 f2^ f1^ + 0.8 f1^ f2^ is the state 0.2 |.,1,1>; read as two
+    # canonical monomials it had norm 1
+    system = ModeSystem(1, 2, 2)
+    f1, f2 = creation(1, FERMION), creation(2, FERMION)
+    poly = f2 * f1 * 0.6 + f1 * f2 * 0.8
+    with pytest.raises(ValueError, match="reduce_to_ket"):
+        KetExpression(system, poly)
+    assert reduce_to_ket(poly, system).norm() == pytest.approx(0.2, abs=1e-15)
+
+
+def test_ket_rejects_bosons_out_of_mode_order():
+    # a1^ a0^ would be orthogonal to a0^ a1^, the same state
+    with pytest.raises(ValueError, match="reduce_to_ket"):
+        KetExpression(ModeSystem(2, 0, 2), creation(1) * creation(0))
+
+
+def test_ket_rejects_repeated_fermionic_mode():
+    # f0^ f0^ is zero, not a ket of norm 1
+    pair = creation(0, FERMION) * creation(0, FERMION)
+    with pytest.raises(ValueError, match="reduce_to_ket"):
+        KetExpression(ModeSystem(0, 1, 1), pair)
+    assert reduce_to_ket(pair, ModeSystem(0, 1, 1)).poly.is_zero
+
+
 # ---------------------------------------------------------------------------
 # Heisenberg substitution
 # ---------------------------------------------------------------------------

@@ -385,6 +385,30 @@ def test_numeric_vertex_rejects_nan_angle():
         evolve_numeric(circuit)
 
 
+@pytest.mark.parametrize("theta", [2.0000001e6, 3e6, 1e16])
+def test_numeric_vertex_refuses_imprecise_angle(theta):
+    # beyond 2e6 the dense exponential drifts towards the 1e-9 tolerance;
+    # at 1e16 it is not even unitary
+    circuit = build_experiment("hardy_vertex", theta=theta)
+    message = r"element 1 \(AnnihilationVertex\) has a generator entry"
+    with pytest.raises(ValueError, match=message):
+        evolve_numeric(circuit)
+    assert measure(evolve_symbolic(circuit), circuit.measured_modes).norm == 1.0
+
+
+def test_numeric_refuses_imprecise_splitter():
+    # the check reads the generator's entries, so it covers every element
+    circuit = Circuit(
+        ModeSystem(2, 0, 4),
+        (BeamSplitter(0, 1, ANGLE, 3e6),),
+        basis_ket(ModeSystem(2, 0, 4), (1, 0)),
+        (0, 1),
+    )
+    message = r"element 1 \(BeamSplitter\) has a generator entry"
+    with pytest.raises(ValueError, match=message):
+        evolve_numeric(circuit)
+
+
 def test_numeric_norm_preserved_through_elements():
     rng = np.random.default_rng(8)
     for _ in range(5):
@@ -543,6 +567,14 @@ def test_measure_rejects_nan_norm():
         measure(FockVector(system, {(1,): complex(math.nan)}), (0,))
     with pytest.raises(ValueError, match="norm nan"):
         measure(KetExpression(system, basis_ket(system, (1,)).poly * math.nan), (0,))
+
+
+def test_measure_prints_norm_to_twelve_digits():
+    # 1 - 2.2e-8 is outside the 1e-8 tolerance and must not print as 1
+    system = ModeSystem(1, 0, 3)
+    state = FockVector(system, {(1,): complex(1 - 2.2e-8)})
+    with pytest.raises(ValueError, match=r"\(norm 0\.999999978\)"):
+        measure(state, (0,))
 
 
 def test_measure_probabilities_sum_to_one():

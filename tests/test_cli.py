@@ -99,6 +99,45 @@ def test_run_requires_exactly_one_source(runner):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (
+            ["--experiment", "hardy_vertex", "--all-inputs"],
+            "--all-inputs applies only to cnot_dualrail",
+        ),
+        (
+            [str(ROOT / "circuits" / "cnot_dualrail.fck"), "--all-inputs"],
+            "--all-inputs applies only to --experiment cnot_dualrail",
+        ),
+        (["--experiment", "hardy_vertex:abc"], "hardy_vertex parameter must be a number"),
+        (["--experiment", "cnot_dualrail:1"], "cnot_dualrail parameters must look like 1,0"),
+        (
+            ["--experiment", "single_photon_bs_sym:1"],
+            "experiment 'single_photon_bs_sym' takes no parameters",
+        ),
+    ],
+)
+def test_run_rejects_bad_experiment_spec(runner, args, message):
+    result = invoke(runner, ["run", *args])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("cutoff, exit_code", [("2", 0), ("0", 1)])
+def test_experiment_with_cutoff_matches_circuit_file(runner, cutoff, exit_code):
+    # cutoff 0 shows that --cutoff reaches the experiment: both runs refuse it
+    common = ["--cutoff", cutoff, "--format", "json"]
+    experiment = invoke(runner, ["run", "--experiment", "cnot_dualrail:1,0", *common])
+    circuit_file = invoke(
+        runner, ["run", str(ROOT / "circuits" / "cnot_dualrail.fck"), *common]
+    )
+    assert experiment.exit_code == circuit_file.exit_code == exit_code
+    assert experiment.stdout == circuit_file.stdout.replace("{", '{"input": "10", ', 1)
+    assert experiment.stderr == circuit_file.stderr
+
+
 # ---------------------------------------------------------------------------
 # run: files and exit codes
 # ---------------------------------------------------------------------------
@@ -310,6 +349,44 @@ def test_non_finite_amplitude_is_one_error_line(runner, tmp_path, name, backend)
     assert result.exit_code == 1
     assert result.stdout == ""
     assert result.stderr == f"error: {element} makes an amplitude non-finite\n"
+
+
+#: Symbolic detector statistics of the vertex at large angles, as
+#: (P(1,0,0), P(0,1,1)); the symbolic route is exact at any angle.
+LARGE_VERTEX_ANGLES = {
+    "3e6": ("0.771744782259163", "0.228255217740838"),
+    "1.43e7": ("0.847794392667098", "0.152205607332902"),
+    "1e8": ("0.867951276833957", "0.132048723166043"),
+    "1e9": ("0.297945071306055", "0.702054928693945"),
+    "1e16": ("0.607913387646764", "0.392086612353236"),
+}
+
+
+@pytest.mark.parametrize("backend", ["numeric", "symbolic", "both"])
+@pytest.mark.parametrize("theta", LARGE_VERTEX_ANGLES)
+def test_large_vertex_angle_is_one_error_line(runner, theta, backend):
+    # the numeric exponential drifts beyond 1e-9 near 5e6 and loses
+    # unitarity near 1e16; it refuses the angle instead of reporting a
+    # backend disagreement or an unnormalized state
+    args = ["run", "--experiment", f"hardy_vertex:{theta}", "--backend", backend]
+    result = invoke(runner, [*args, "--format", "json"])
+    if backend == "symbolic":
+        vacuum, pair = LARGE_VERTEX_ANGLES[theta]
+        assert result.exit_code == 0
+        assert result.stdout == (
+            f'{{"norm": 1, "expectations": {{"N1": {vacuum}, "N2": {pair}, '
+            f'"N3": {pair}}}, "distribution": [{{"occ": [0, 1, 1], "prob": {pair}}}, '
+            f'{{"occ": [1, 0, 0], "prob": {vacuum}}}]}}\n'
+        )
+        assert result.stderr == ""
+        return
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"error: element 1 (AnnihilationVertex) has a generator entry of modulus "
+        f"{float(theta):.3g}, above 2e+06, where the numeric exponential loses "
+        "precision\n"
+    )
 
 
 # ---------------------------------------------------------------------------

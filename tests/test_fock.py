@@ -1,6 +1,7 @@
 """Fock-core: basis enumeration, ladder matrices, states, entropy."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -392,6 +393,18 @@ def test_normalize_zero_vector():
         FockVector.from_amplitudes(system, {}).normalized()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_constructors_reject_non_finite_amplitudes(bad):
+    # abs(nan) >= PRUNE_THRESHOLD is False, so a nan used to be pruned away
+    system = ModeSystem(2, 0, 3)
+    with pytest.raises(ValueError, match="not finite"):
+        FockVector.from_amplitudes(system, {(1, 0): bad})
+    dense = np.zeros(system.basis_size, dtype=complex)
+    dense[system.index_of((1, 0))] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        FockVector.from_dense(system, dense)
+
+
 # ---------------------------------------------------------------------------
 # Mode-bipartition entropy
 # ---------------------------------------------------------------------------
@@ -455,3 +468,45 @@ def test_entropy_rejects_unnormalized():
     state = FockVector.from_amplitudes(system, {(1, 0): 0.5})
     with pytest.raises(ValueError):
         mode_bipartition_entropy(state, [0])
+    nan_state = FockVector(system, {(1, 0): complex(math.nan)})
+    with pytest.raises(ValueError, match="normalized"):
+        mode_bipartition_entropy(nan_state, [0])
+
+
+def test_entropy_does_not_depend_on_cutoff():
+    # the Schmidt matrix is built on the support, so the same amplitudes give
+    # the same bits whatever box holds them
+    amplitudes = {(1, 0, 0, 1): 0.6, (0, 1, 1, 0): 0.8j}
+    got = {
+        float.hex(
+            mode_bipartition_entropy(
+                FockVector.from_amplitudes(ModeSystem(4, 0, cutoff), amplitudes), [0, 1]
+            )
+        )
+        for cutoff in range(1, 9)
+    }
+    (entropy,) = got
+    expected = -(0.36 * math.log(0.36) + 0.64 * math.log(0.64))
+    assert float.fromhex(entropy) == pytest.approx(expected, abs=1e-12)
+
+
+def test_entropy_schmidt_matrix_spans_the_support(monkeypatch):
+    # a single photon shared by 12 modes, split 6/6: the full box at cutoff 6
+    # would need a 7**6 x 7**6 matrix, the support needs 7 x 7
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(matrix, **kwargs):
+        shapes.append(matrix.shape)
+        return svd(matrix, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    w_state = {
+        tuple(int(m == k) for m in range(12)): 1 / math.sqrt(12) for k in range(12)
+    }
+    state = FockVector.from_amplitudes(ModeSystem(12, 0, 6), w_state)
+    start = time.perf_counter()
+    entropy = mode_bipartition_entropy(state, range(6))
+    assert time.perf_counter() - start < 1.0
+    assert entropy == pytest.approx(math.log(2), abs=1e-12)
+    assert shapes == [(7, 7)]
