@@ -11,14 +11,20 @@ Canonical monomial order: boson symbols before fermion symbols, and within
 each species all daggered symbols before all undaggered ones, each block
 sorted by mode index.  Fermionic swaps track signs; a repeated fermionic
 creation (or annihilation) on one mode collapses a monomial to zero.
+
+Symbols are hash-consed (Filliatre & Conchon, "Type-safe modular
+hash-consing", ML Workshop 2006): one :class:`LadderSymbol` instance
+exists per ``(mode, species, dagger)``, so symbol equality is identity and
+the dicts keyed by factor tuples hash them in C.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -38,34 +44,58 @@ class SeriesConvergenceError(RuntimeError):
     """The exponential series failed to settle within the iteration cap."""
 
 
-@dataclass(frozen=True)
 class LadderSymbol:
-    """A single creation or annihilation symbol on one mode."""
+    """A single creation or annihilation symbol on one mode.
 
-    mode: int
-    species: str
-    dagger: bool
+    Symbols are interned: the constructor returns the one instance for each
+    ``(mode, species, dagger)``, so equality is identity and a dict keyed by
+    symbol tuples hashes them in C.  ``copy``, ``deepcopy`` and ``pickle``
+    rebuild through the constructor and return the same instance.  A
+    symbol is immutable; it also stores its canonical sort key.
+    """
 
-    def __post_init__(self):
-        if self.species not in (BOSON, FERMION):
-            raise ValueError(f"unknown species {self.species!r}")
-        if self.mode < 0:
+    __slots__ = ("mode", "species", "dagger", "_is_boson", "_sort_key")
+
+    _interned: dict[tuple, "LadderSymbol"] = {}
+
+    def __new__(cls, mode: int, species: str, dagger: bool) -> "LadderSymbol":
+        key = (mode, species, dagger)
+        symbol = cls._interned.get(key)
+        if symbol is not None:
+            return symbol
+        if species not in (BOSON, FERMION):
+            raise ValueError(f"unknown species {species!r}")
+        if mode < 0:
             raise ValueError("mode index must be non-negative")
+        mode = operator.index(mode)
+        symbol = object.__new__(cls)
+        is_boson = species == BOSON
+        fields = {
+            "mode": mode,
+            "species": species,
+            "dagger": bool(dagger),
+            "_is_boson": is_boson,
+            "_sort_key": (0 if is_boson else 1, 0 if dagger else 1, mode),
+        }
+        for name, value in fields.items():
+            object.__setattr__(symbol, name, value)
+        return cls._interned.setdefault(key, symbol)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (LadderSymbol, (self.mode, self.species, self.dagger))
 
     def adjoint(self) -> "LadderSymbol":
-        return replace(self, dagger=not self.dagger)
+        return LadderSymbol(self.mode, self.species, not self.dagger)
 
     def __repr__(self):
-        letter = "a" if self.species == BOSON else "f"
+        letter = "a" if self._is_boson else "f"
         return f"{letter}{self.mode}{'^' if self.dagger else ''}"
-
-
-def _sort_key(symbol: LadderSymbol) -> tuple[int, int, int]:
-    return (
-        0 if symbol.species == BOSON else 1,
-        0 if symbol.dagger else 1,
-        symbol.mode,
-    )
 
 
 class LadderPolynomial:
@@ -167,7 +197,7 @@ class LadderPolynomial:
             return "0"
         parts = []
         for factors, coeff in sorted(
-            self._terms.items(), key=lambda item: [_sort_key(s) for s in item[0]]
+            self._terms.items(), key=lambda item: [s._sort_key for s in item[0]]
         ):
             word = " ".join(repr(s) for s in factors) if factors else "1"
             parts.append(f"({coeff:.6g})*{word}")
@@ -206,22 +236,22 @@ def _reduce_factors(factors: tuple[LadderSymbol, ...]) -> dict:
         coeff, fs = stack.pop()
         for i in range(len(fs) - 1):
             s1, s2 = fs[i], fs[i + 1]
-            if s1.species == FERMION and s1 == s2:
+            if s1 is s2 and not s1._is_boson:
                 break  # Pauli exclusion kills the monomial
-            if _sort_key(s1) <= _sort_key(s2):
+            if s1._sort_key <= s2._sort_key:
                 continue
             head, tail = fs[:i], fs[i + 2 :]
             swapped = head + (s2, s1) + tail
-            if s1.species != s2.species:
+            if s1._is_boson != s2._is_boson:
                 stack.append((coeff, swapped))
             elif s1.mode == s2.mode and s1.dagger != s2.dagger:
                 # s1 undaggered, s2 daggered on the same mode
-                if s1.species == BOSON:
+                if s1._is_boson:
                     stack.append((coeff, swapped))
                 else:
                     stack.append((-coeff, swapped))
                 stack.append((coeff, head + tail))
-            elif s1.species == BOSON:
+            elif s1._is_boson:
                 stack.append((coeff, swapped))
             else:
                 stack.append((-coeff, swapped))
@@ -296,7 +326,7 @@ def _gram_weight(factors: tuple[LadderSymbol, ...]) -> float:
     applied mode by mode.
     """
     weight = 1.0
-    counts = Counter(s.mode for s in factors if s.species == BOSON)
+    counts = Counter(s.mode for s in factors if s._is_boson)
     for count in counts.values():
         weight *= math.factorial(count)
     return weight
@@ -317,6 +347,8 @@ class KetExpression:
     poly: LadderPolynomial
 
     def __post_init__(self):
+        boson_modes = self.system.boson_modes
+        total_modes = self.system.total_modes
         for factors in self.poly._terms:
             # Canonical order: modes ascend, a fermionic mode at most once.
             lowest = 0
@@ -326,7 +358,9 @@ class KetExpression:
                         "ket expressions may only contain creation symbols; "
                         "use reduce_to_ket to build one"
                     )
-                if self.system.species(s.mode) != s.species:
+                if s.mode >= total_modes:
+                    self.system.validate_mode(s.mode)  # raises IndexError
+                if (s.mode < boson_modes) != s._is_boson:
                     raise ValueError(
                         f"symbol {s!r} has the wrong species for its mode"
                     )
@@ -335,7 +369,7 @@ class KetExpression:
                         f"monomial {factors!r} is not in canonical order; "
                         "use reduce_to_ket to build one"
                     )
-                lowest = s.mode if s.species == BOSON else s.mode + 1
+                lowest = s.mode if s._is_boson else s.mode + 1
 
     def norm(self) -> float:
         return math.sqrt(ket_inner(self, self).real)

@@ -72,6 +72,10 @@ def _parse_experiment_spec(spec: str, cutoff: int | None, all_inputs: bool):
         raise click.ClickException("--all-inputs applies only to cnot_dualrail")
     if name == "cnot_dualrail":
         inputs = [(0, 0)]
+        if all_inputs and params:
+            raise click.ClickException(
+                "--all-inputs runs every cnot_dualrail input and takes no parameters"
+            )
         if all_inputs:
             inputs = [(0, 0), (0, 1), (1, 0), (1, 1)]
         elif params:

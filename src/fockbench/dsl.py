@@ -391,9 +391,9 @@ def _render_input(circuit: Circuit) -> str | None:
     amplitudes = circuit.input_state.occupation_amplitudes()
     if len(amplitudes) == 1:
         ((occ, amplitude),) = amplitudes.items()
-        if not any(occ):
-            return None  # vacuum input is the default
         if abs(amplitude - 1.0) < 1e-12:
+            if not any(occ):
+                return None  # vacuum input is the default
             modes = " ".join(str(m + 1) for m, n in enumerate(occ) for _ in range(n))
             return f"input create {modes}"
     parts = []
@@ -401,6 +401,8 @@ def _render_input(circuit: Circuit) -> str | None:
         circuit.input_state.poly.terms.items(),
         key=lambda item: tuple(s.mode for s in item[0]),
     ):
+        if not factors:
+            raise ValueError("a superposition with a vacuum branch has no text form")
         modes = ",".join(str(s.mode + 1) for s in factors)
         parts.append(f"{coeff!r}:{modes}")
     return "input superpose " + " ; ".join(parts)
@@ -416,7 +418,11 @@ def _render_element(element) -> str:
 
 
 def render_circuit(circuit: Circuit) -> str:
-    """Render to DSL text that parses back to an equivalent circuit."""
+    """Render to DSL text that parses back to an equivalent circuit.
+
+    Raises ``ValueError`` for a circuit the text format cannot express: a
+    custom quadratic element, or a superposition input with a vacuum branch.
+    """
     system = circuit.system
     head = f"system bosons={system.boson_modes}"
     if system.fermion_modes:

@@ -1,6 +1,8 @@
 """Ladder-operator calculus: ordering, commutators, kets, series."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -52,6 +54,56 @@ def safe_columns(system, margin):
     for m in range(system.boson_modes):
         safe &= system.occupation_digits(idx, m) <= system.cutoff - margin
     return safe
+
+
+# ---------------------------------------------------------------------------
+# Interned symbols
+# ---------------------------------------------------------------------------
+
+
+def test_symbols_are_interned():
+    s = LadderSymbol(0, BOSON, True)
+    assert s is LadderSymbol(0, BOSON, True)
+    assert s.adjoint() is LadderSymbol(0, BOSON, False)
+    assert s.adjoint().adjoint() is s
+    assert s != s.adjoint()
+    assert s != LadderSymbol(0, FERMION, True)
+
+
+def test_copies_and_pickles_return_the_interned_symbol():
+    s = LadderSymbol(3, FERMION, False)
+    assert copy.copy(s) is s
+    assert copy.deepcopy(s) is s
+    assert pickle.loads(pickle.dumps(s)) is s
+
+
+def test_pickled_polynomial_compares_equal():
+    poly = normal_order(
+        creation(0) * annihilation(1) * 0.5j + creation(2, FERMION) * annihilation(2, FERMION)
+    )
+    again = pickle.loads(pickle.dumps(poly))
+    assert again == poly
+    assert hash(again) == hash(poly)
+    assert copy.deepcopy(poly) == poly
+
+
+@pytest.mark.parametrize(
+    "mode, species, message",
+    [(0, "photon", "unknown species"), (-1, BOSON, "non-negative")],
+)
+def test_invalid_symbol_raises_every_time(mode, species, message):
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            LadderSymbol(mode, species, True)
+
+
+def test_symbols_are_immutable():
+    s = LadderSymbol(1, BOSON, True)
+    with pytest.raises(AttributeError):
+        s.mode = 2
+    with pytest.raises(AttributeError):
+        del s.dagger
+    assert (s.mode, s.species, s.dagger) == (1, BOSON, True)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +392,16 @@ def test_ket_rejects_bosons_out_of_mode_order():
     # a1^ a0^ would be orthogonal to a0^ a1^, the same state
     with pytest.raises(ValueError, match="reduce_to_ket"):
         KetExpression(ModeSystem(2, 0, 2), creation(1) * creation(0))
+
+
+def test_ket_rejects_symbols_outside_the_system_or_of_the_wrong_species():
+    system = ModeSystem(1, 1, 2)
+    with pytest.raises(IndexError, match="mode 2 out of range for a system of 2 modes"):
+        KetExpression(system, creation(2))
+    with pytest.raises(ValueError, match="wrong species"):
+        KetExpression(system, creation(1))
+    with pytest.raises(ValueError, match="wrong species"):
+        KetExpression(system, creation(0, FERMION))
 
 
 def test_ket_rejects_repeated_fermionic_mode():

@@ -116,6 +116,14 @@ def test_run_requires_exactly_one_source(runner):
             ["--experiment", "single_photon_bs_sym:1"],
             "experiment 'single_photon_bs_sym' takes no parameters",
         ),
+        (
+            ["--experiment", "cnot_dualrail:abc", "--all-inputs"],
+            "--all-inputs runs every cnot_dualrail input and takes no parameters",
+        ),
+        (
+            ["--experiment", "cnot_dualrail:1,0", "--all-inputs"],
+            "--all-inputs runs every cnot_dualrail input and takes no parameters",
+        ),
     ],
 )
 def test_run_rejects_bad_experiment_spec(runner, args, message):
@@ -248,12 +256,12 @@ def test_example_circuits_match_golden_bytes(runner, path, backend):
     assert result.stdout_bytes == golden.read_bytes()
 
 
-@pytest.mark.parametrize("path", CIRCUIT_FILES, ids=lambda p: p.stem)
-def test_both_golden_is_numeric_golden_plus_comparison(path):
+@pytest.mark.parametrize("name", [*(p.stem for p in CIRCUIT_FILES), "mesh_m6"])
+def test_both_golden_is_numeric_golden_plus_comparison(name):
     # the two-route report adds the comparison and changes nothing else
     golden = ROOT / "tests" / "golden"
-    numeric = (golden / f"{path.stem}.numeric.json").read_text()
-    both = (golden / f"{path.stem}.both.json").read_text()
+    numeric = (golden / f"{name}.numeric.json").read_text()
+    both = (golden / f"{name}.both.json").read_text()
     assert both.startswith(numeric[: -len("}\n")] + ', "comparison": ')
     numeric_report, both_report = json.loads(numeric), json.loads(both)
     assert list(both_report) == [*numeric_report, "comparison"]
@@ -271,6 +279,28 @@ def _mesh_program(modes: int, photons: int, cutoff: int) -> str:
             lines.append(f"phase {m + 1} {0.5 - 0.13 * m + 0.05 * layer}")
     lines.append("measure all")
     return "\n".join(lines) + "\n"
+
+
+#: Mesh goldens: name -> (modes, photons, cutoff), backends.  Several
+#: photons meet on one splitter, which the example circuits never do.
+MESH_GOLDENS = {
+    "mesh_m6": ((6, 3, 3), ("numeric", "symbolic", "both")),
+    "mesh_m8": ((8, 4, 4), ("symbolic",)),
+}
+
+
+@pytest.mark.parametrize(
+    "name, backend",
+    [(name, backend) for name, (_, backends) in MESH_GOLDENS.items() for backend in backends],
+)
+def test_mesh_circuits_match_golden_bytes(runner, tmp_path, name, backend):
+    # the meshes' JSON reports are frozen byte for byte, like the examples'
+    path = tmp_path / f"{name}.fck"
+    path.write_text(_mesh_program(*MESH_GOLDENS[name][0]))
+    golden = ROOT / "tests" / "golden" / f"{name}.{backend}.json"
+    result = invoke(runner, ["run", str(path), "--backend", backend, "--format", "json"])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == golden.read_bytes()
 
 
 @pytest.mark.parametrize(

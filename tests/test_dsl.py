@@ -3,12 +3,13 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fockbench.dsl
 from fockbench.algebra import basis_ket
 from fockbench.backends import ket_to_fock
-from fockbench.checks import builtin_equivalence_cases
+from fockbench.checks import builtin_equivalence_cases, random_circuit
 from fockbench.circuit import (
     ANGLE,
     ANTISYMMETRIC,
@@ -161,6 +162,22 @@ def test_round_trip_superposition_input():
     circuit = parse_circuit(text)
     again = parse_circuit(render_circuit(circuit))
     assert circuits_equivalent(circuit, again)
+
+
+def test_random_circuits_round_trip_or_name_the_vacuum_branch():
+    # random inputs include vacuum branches and phased vacua, which have no text
+    rng = np.random.default_rng(0)
+    refused = 0
+    for _ in range(200):
+        circuit = random_circuit(rng)
+        try:
+            text = render_circuit(circuit)
+        except ValueError as exc:
+            assert "vacuum branch" in str(exc)
+            refused += 1
+            continue
+        assert circuits_equivalent(circuit, parse_circuit(text))
+    assert 0 < refused < 200
 
 
 # ---------------------------------------------------------------------------

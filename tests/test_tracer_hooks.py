@@ -44,3 +44,20 @@ def test_installed_tracer_records_element_generator():
     assert result.exit_code == 0
     names = {span[2] for span in tracer.spans}
     assert {"cli.cmd_run", "circuit.element_generator", "backends.expm_multiply"} <= names
+
+
+def test_installed_tracer_records_symbolic_route():
+    # the tracer also reads the symbolic ket: ``ket.poly.terms`` after each evolve
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        result = CliRunner().invoke(
+            fockbench.cli.main,
+            ["run", "--experiment", "single_photon_bs_sym", "--backend", "both"],
+        )
+    finally:
+        tracer.uninstall()
+    assert result.exit_code == 0
+    names = {span[2] for span in tracer.spans}
+    assert {"algebra.substitute_modes", "backends.evolve_symbolic"} <= names
+    assert tracer.metrics(1)["algebra.ket_monomials"] > 0
