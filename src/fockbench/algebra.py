@@ -12,6 +12,11 @@ each species all daggered symbols before all undaggered ones, each block
 sorted by mode index.  Fermionic swaps track signs; a repeated fermionic
 creation (or annihilation) on one mode collapses a monomial to zero.
 
+Normal ordering serves the vertex, input parsing and the operator calculus
+(commutators, vacuum expectations, the series reference).  Linear
+elements never run it: a ket holds only creators, so a substituted product
+is sorted into canonical order in one step (:func:`substitute_modes`).
+
 Symbols are hash-consed (Filliatre & Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006): one :class:`LadderSymbol` instance
 exists per ``(mode, species, dagger)``, so symbol equality is identity and
@@ -116,6 +121,13 @@ class LadderPolynomial:
             if coeff != 0:
                 merged[factors] = merged.get(factors, 0.0 + 0.0j) + coeff
         self._terms = {f: c for f, c in merged.items() if c != 0}
+
+    @classmethod
+    def _from_merged(cls, terms: dict) -> "LadderPolynomial":
+        """Wrap ``terms`` as they are: tuple keys, complex values, none zero."""
+        poly = cls.__new__(cls)
+        poly._terms = terms
+        return poly
 
     # -- construction helpers -------------------------------------------
 
@@ -496,6 +508,50 @@ def _prune_ket_poly(poly: LadderPolynomial, atol: float) -> LadderPolynomial:
 # ---------------------------------------------------------------------------
 
 
+_SORT_KEY = operator.attrgetter("_sort_key")
+
+
+def _sort_creations(factors: tuple[LadderSymbol, ...]):
+    """Canonical order of a product of creation symbols, and its sign.
+
+    Returns ``(canonical factors, negate)``, or ``None`` when a fermionic
+    symbol repeats (Pauli exclusion).  Bosonic creators commute with every
+    creator and fermionic ones anticommute with each other, so sorting by
+    ``_sort_key`` flips the sign once per inverted pair of fermions: the
+    rewrite :func:`_reduce_factors` does swap by swap, in one step.
+    """
+    fermions = [s for s in factors if not s._is_boson]
+    negate = False
+    for i, s in enumerate(fermions):
+        for t in fermions[i + 1 :]:
+            if t is s:
+                return None
+            if t._sort_key < s._sort_key:
+                negate = not negate
+    return tuple(sorted(factors, key=_SORT_KEY)), negate
+
+
+def _expand_span(span: tuple[LadderSymbol, ...], replacements: dict):
+    """Every product of one replacement per substituted symbol of ``span``.
+
+    Returns the products and, for each substituted symbol in order, its
+    replacement weights.  Products come in the order of
+    ``itertools.product`` over the choices; symbols without replacements
+    stay as they are and carry no weight.
+    """
+    words: list[tuple[LadderSymbol, ...]] = [()]
+    levels = []
+    for s in span:
+        choice = replacements.get(s.mode)
+        if choice is None:
+            words = [w + (s,) for w in words]
+        else:
+            symbols, weights = choice
+            words = [w + (t,) for w in words for t in symbols]
+            levels.append(weights)
+    return words, levels
+
+
 def substitute_modes(ket: KetExpression, matrix, modes) -> KetExpression:
     """Transform creation symbols by a unitary acting on a mode subset.
 
@@ -504,6 +560,16 @@ def substitute_modes(ket: KetExpression, matrix, modes) -> KetExpression:
     result of a linear element agrees exactly with exponentiating its
     quadratic generator; the convention was pinned against the explicit
     matrix representation once and is frozen here.
+
+    A ket monomial is split around the span from its first to its last
+    symbol on ``modes``.  Each distinct span is expanded once per call
+    (:func:`_expand_span`), and the weights are multiplied onto the
+    monomial's coefficient in factor order.  Equal products are summed in
+    the order they appear, then each product is sorted straight into
+    canonical order (:func:`_sort_creations`) and added to its canonical
+    monomial, again in order of appearance.  These are the sums, in the
+    order, that normal ordering the expanded polynomial would do, so the
+    coefficients are the same bit for bit; no normal ordering is run.
     """
     b = np.asarray(matrix, dtype=complex)
     modes = tuple(int(m) for m in modes)
@@ -517,34 +583,42 @@ def substitute_modes(ket: KetExpression, matrix, modes) -> KetExpression:
     if np.abs(b.conj().T @ b - np.eye(len(modes))).max() > 1e-12:
         raise ValueError("substitution matrix is not unitary")
 
-    col_of = {mode: p for p, mode in enumerate(modes)}
     spec = species.pop()
-    replacements = {
-        mode: [
-            (LadderSymbol(modes[q], spec, True), b[q, col_of[mode]])
-            for q in range(len(modes))
-            if b[q, col_of[mode]] != 0
-        ]
-        for mode in modes
-    }
+    replacements = {}
+    for p, mode in enumerate(modes):
+        rows = [q for q in range(len(modes)) if b[q, p] != 0]
+        replacements[mode] = (
+            [LadderSymbol(modes[q], spec, True) for q in rows],
+            [complex(b[q, p]) for q in rows],
+        )
 
-    out: dict[tuple[LadderSymbol, ...], complex] = {}
+    expansions: dict[tuple[LadderSymbol, ...], tuple[list, list]] = {}
+    products: dict[tuple[LadderSymbol, ...], complex] = {}
     for factors, coeff in ket.poly._terms.items():
-        partial: dict[tuple[LadderSymbol, ...], complex] = {(): coeff}
-        for s in factors:
-            if s.mode in col_of:
-                choices = replacements[s.mode]
-            else:
-                choices = [(s, 1.0 + 0.0j)]
-            grown: dict[tuple[LadderSymbol, ...], complex] = {}
-            for prefix, c in partial.items():
-                for symbol, weight in choices:
-                    key = prefix + (symbol,)
-                    grown[key] = grown.get(key, 0.0 + 0.0j) + c * weight
-            partial = grown
-        for factors_new, c in partial.items():
-            out[factors_new] = out.get(factors_new, 0.0 + 0.0j) + c
-    return reduce_to_ket(LadderPolynomial(out), ket.system)
+        hits = [i for i, s in enumerate(factors) if s.mode in replacements]
+        start, stop = (hits[0], hits[-1] + 1) if hits else (0, 0)
+        span = factors[start:stop]
+        expansion = expansions.get(span)
+        if expansion is None:
+            expansion = expansions[span] = _expand_span(span, replacements)
+        words, levels = expansion
+        coeffs = [coeff]
+        for weights in levels:
+            coeffs = [c * w for c in coeffs for w in weights]
+        head, tail = factors[:start], factors[stop:]
+        for word, c in zip(words, coeffs):
+            key = head + word + tail
+            products[key] = products.get(key, 0.0 + 0.0j) + c
+
+    terms: dict[tuple[LadderSymbol, ...], complex] = {}
+    for factors, c in products.items():
+        ordered = _sort_creations(factors) if c else None
+        if ordered is not None:
+            canon, negate = ordered
+            terms[canon] = terms.get(canon, 0.0 + 0.0j) + (-c if negate else c)
+    return KetExpression(
+        ket.system, LadderPolynomial._from_merged({f: c for f, c in terms.items() if c})
+    )
 
 
 def apply_number_diagonal(phases: Mapping, ket: KetExpression) -> KetExpression:
@@ -564,19 +638,24 @@ def apply_number_diagonal(phases: Mapping, ket: KetExpression) -> KetExpression:
                     ket.system.validate_mode(m)
             case _:
                 raise ValueError(f"phase key {key!r} is not a tuple of one or two modes")
-    terms = [(key, float(value)) for key, value in phases.items()]
+    # A ket symbol on mode m is the creator of m, so its count is n_m.
+    terms = [
+        ([LadderSymbol(m, ket.system.species(m), True) for m in key], float(value))
+        for key, value in phases.items()
+    ]
 
     out = {}
     for factors, coeff in ket.poly._terms.items():
-        occ = monomial_occupations(factors, ket.system.total_modes)
         angle = 0.0
-        for key, value in terms:
+        for symbols, value in terms:
             contribution = value
-            for m in key:
-                contribution *= occ[m]
+            for s in symbols:
+                contribution *= factors.count(s)
             angle += contribution
-        out[factors] = coeff * cmath.exp(1j * angle)
-    return KetExpression(ket.system, LadderPolynomial(out))
+        c = coeff * cmath.exp(1j * angle)
+        if c:
+            out[factors] = c
+    return KetExpression(ket.system, LadderPolynomial._from_merged(out))
 
 
 def apply_vertex_exponential(
@@ -666,8 +745,8 @@ def apply_exponential_series(
     signals a generator that does not act boundedly on the excitation
     sector reachable from the input.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
     system = state.system
 
     def _norm(poly: LadderPolynomial) -> float:
@@ -742,6 +821,24 @@ def number_expectation(ket: KetExpression, mode: int) -> float:
         occ = monomial_occupations(factors, ket.system.total_modes)
         total += abs(coeff) ** 2 * _gram_weight(factors) * _falling_factorial(occ[mode], 1)
     return total
+
+
+def number_expectations(ket: KetExpression, modes) -> dict[int, float]:
+    """:func:`number_expectation` for every mode of ``modes``, in one pass.
+
+    Each mode's sum adds the same terms in the same order as
+    :func:`number_expectation`, so the values are the same bit for bit.
+    """
+    totals = {}
+    for m in modes:
+        ket.system.validate_mode(m)
+        totals[int(m)] = 0.0
+    for factors, coeff in ket.poly._terms.items():
+        occ = monomial_occupations(factors, ket.system.total_modes)
+        weight = abs(coeff) ** 2 * _gram_weight(factors)
+        for m in totals:
+            totals[m] += weight * occ[m]
+    return totals
 
 
 def joint_number_distribution(

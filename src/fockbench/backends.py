@@ -406,7 +406,11 @@ def _measure_fock(
 def _measure_ket(
     state: KetExpression, modes: tuple[int, ...], norm: float
 ) -> MeasurementReport:
-    expectations = {m: algebra.number_expectation(state, m) for m in modes}
+    """Expectations of every mode from one pass over the ket
+    (:func:`~fockbench.algebra.number_expectations`), and the joint
+    distribution from :func:`~fockbench.algebra.joint_number_distribution`.
+    """
+    expectations = algebra.number_expectations(state, modes)
     distribution = algebra.joint_number_distribution(state, modes)
     return MeasurementReport(modes, expectations, distribution, norm)
 
@@ -441,10 +445,12 @@ def compare_reports(
 
     Deviations are absolute differences of detector expectations and of
     every joint-outcome probability (all bounded by 1); the verdict is
-    "pass" exactly when the largest deviation is below ``tol``.
+    "pass" exactly when the largest deviation is below ``tol``, which must
+    be finite and positive: under nan every run would fail, under inf every
+    run would pass.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
     deviations: dict[str, float] = {}
     for m in numeric.measured_modes:
         deviations[f"N{m + 1}"] = abs(

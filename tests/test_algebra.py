@@ -6,7 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fockbench.algebra import (
     KetExpression,
@@ -29,6 +29,7 @@ from fockbench.algebra import (
     multiply,
     normal_order,
     number_expectation,
+    number_expectations,
     reduce_to_ket,
     substitute_modes,
     vacuum_expectation,
@@ -488,6 +489,122 @@ def test_substitute_matches_exponential_series():
     assert via_series.allclose(via_subst, 1e-12)
 
 
+def _substitute_by_normal_ordering(ket, matrix, modes):
+    # the expand-then-reduce_to_ket substitution that the one-pass sort
+    # replaces: every expanded product goes through normal_order
+    b = np.asarray(matrix, dtype=complex)
+    col_of = {mode: p for p, mode in enumerate(modes)}
+    spec = ket.system.species(modes[0])
+    replacements = {
+        mode: [
+            (LadderSymbol(modes[q], spec, True), b[q, col_of[mode]])
+            for q in range(len(modes))
+            if b[q, col_of[mode]] != 0
+        ]
+        for mode in modes
+    }
+    out = {}
+    for factors, coeff in ket.poly.terms.items():
+        partial = {(): coeff}
+        for s in factors:
+            choices = replacements.get(s.mode, [(s, 1.0 + 0.0j)])
+            grown = {}
+            for prefix, c in partial.items():
+                for symbol, weight in choices:
+                    key = prefix + (symbol,)
+                    grown[key] = grown.get(key, 0.0 + 0.0j) + c * weight
+            partial = grown
+        for factors_new, c in partial.items():
+            out[factors_new] = out.get(factors_new, 0.0 + 0.0j) + c
+    return reduce_to_ket(LadderPolynomial(out), ket.system)
+
+
+def _hex_terms(ket):
+    # monomials in dict order with their coefficients bit for bit
+    return [(f, c.real.hex(), c.imag.hex()) for f, c in ket.poly.terms.items()]
+
+
+#: (bosons, fermions): mixed systems, and one of each species alone.
+_SUBSTITUTION_SYSTEMS = [(3, 2), (2, 3), (1, 3), (4, 0), (0, 4)]
+
+
+@st.composite
+def substitutions(draw):
+    """A random ket and a random unitary on a subset of one species' modes."""
+    bosons, fermions = draw(st.sampled_from(_SUBSTITUTION_SYSTEMS))
+    system = ModeSystem(bosons, fermions, 3)
+    parts = st.floats(-2.0, 2.0, allow_subnormal=False) | st.sampled_from([0.0, 1.0])
+    terms = {}
+    for _ in range(draw(st.integers(1, 8))):
+        # at most 5 creators: the expansion grows as (modes substituted)^creators
+        modes = sorted(draw(st.lists(st.integers(0, system.total_modes - 1), max_size=5)))
+        factors = tuple(
+            LadderSymbol(m, system.species(m), True)
+            for i, m in enumerate(modes)
+            if system.is_boson(m) or modes[i - 1 : i] != [m]
+        )
+        terms[factors] = complex(draw(parts), draw(parts))
+    ket = KetExpression(system, LadderPolynomial(terms))
+    species = [m for m in range(system.total_modes) if system.species(m) == BOSON]
+    if not species or (fermions and draw(st.booleans())):
+        species = [m for m in range(system.total_modes) if system.species(m) == FERMION]
+    modes = tuple(draw(st.permutations(species))[: draw(st.integers(1, len(species)))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        matrix, _ = np.linalg.qr(
+            rng.normal(size=(len(modes),) * 2) + 1j * rng.normal(size=(len(modes),) * 2)
+        )
+    else:
+        # a phased permutation: exact zeros, so some choices are missing
+        matrix = np.eye(len(modes))[rng.permutation(len(modes))] * np.exp(
+            1j * rng.uniform(0, 2 * np.pi, size=len(modes))
+        )
+    return ket, matrix, modes
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(substitutions())
+@example(
+    # both fermions of a fermionic splitter's modes: the products that put
+    # both on one mode repeat a fermion and must drop out
+    (
+        KetExpression(
+            ModeSystem(1, 2, 3),
+            LadderPolynomial(
+                {
+                    (sym(0, BOSON, True), sym(1, FERMION, True), sym(2, FERMION, True)): 0.6,
+                    (sym(1, FERMION, True), sym(2, FERMION, True)): 0.8j,
+                }
+            ),
+        ),
+        np.array([[0.6, -0.8j], [-0.8j, 0.6]]),
+        (2, 1),
+    )
+)
+def test_substitute_equals_normal_ordering_bit_for_bit(data):
+    ket, matrix, modes = data
+    got = substitute_modes(ket, matrix, modes)
+    assert _hex_terms(got) == _hex_terms(_substitute_by_normal_ordering(ket, matrix, modes))
+    everything = range(ket.system.total_modes)
+    one_pass = number_expectations(got, everything)
+    assert list(one_pass) == list(everything)
+    assert [v.hex() for v in one_pass.values()] == [
+        number_expectation(got, m).hex() for m in everything
+    ]
+
+
+def test_substitute_drops_repeated_fermions():
+    # a fermionic splitter on both occupied modes keeps the pair: the
+    # products with one fermion twice vanish, and the determinant remains
+    system = ModeSystem(0, 2, 1)
+    b = np.array([[0.6, -0.8j], [-0.8j, 0.6]])
+    pair = (sym(0, FERMION, True), sym(1, FERMION, True))
+    ket = KetExpression(system, LadderPolynomial({pair: 1.0}))
+    out = substitute_modes(ket, b, (0, 1))
+    assert list(out.poly.terms) == [pair]
+    assert out.poly.terms[pair] == pytest.approx(np.linalg.det(b), abs=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # Number-diagonal exponentials
 # ---------------------------------------------------------------------------
@@ -575,6 +692,16 @@ def test_series_rejects_bad_tolerance():
         apply_exponential_series(
             LadderPolynomial.zero(), vacuum_ket(system), tol=0.0
         )
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_series_rejects_tolerance_that_is_not_finite(tol):
+    # under nan no term ever counts as small (a false "unbounded" verdict),
+    # under inf the sum would stop after the first term
+    system = ModeSystem(2, 0, 4)
+    generator = 0.3 * (creation(1) * annihilation(0) - creation(0) * annihilation(1))
+    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        apply_exponential_series(generator, basis_ket(system, (1, 0)), tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -506,6 +506,71 @@ def test_symbolic_amplitudes_match_numeric_on_random_circuits():
         assert sym.allclose(num, 1e-10)
 
 
+def _count_calls(monkeypatch, names):
+    # wrap each fockbench.algebra function so calls through the module count
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(fockbench.algebra, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(fockbench.algebra, name, counted)
+    return calls
+
+
+def _linear_circuits():
+    mesh = ["system bosons=6 cutoff=3", "input create 1 2 3"]
+    for layer in range(6):
+        for m in range(layer % 2, 5, 2):
+            mesh.append(f"bs {m + 1} {m + 2} angle={0.3 + 0.11 * m + 0.07 * layer}")
+            mesh.append(f"phase {m + 1} {0.5 - 0.13 * m}")
+    mesh.append("measure all")
+    u = unitary_group.rvs(3, random_state=5)
+    fermionic = QuadraticCustom.from_matrix((1, 2, 3), generator_from_unitary(u))
+    system = ModeSystem(1, 3, 2)
+    custom = Circuit(
+        system,
+        (fermionic, PhaseShifter(2, 0.4), fermionic),
+        basis_ket(system, (1, 1, 0, 1)),
+        range(4),
+    )
+    return {"bs_phase_mesh": parse_circuit("\n".join(mesh) + "\n"), "fermionic_custom": custom}
+
+
+@pytest.mark.parametrize("name", ["bs_phase_mesh", "fermionic_custom"])
+def test_linear_elements_never_normal_order(monkeypatch, name):
+    # substitution sorts each product straight into canonical order
+    circuit = _linear_circuits()[name]
+    calls = _count_calls(monkeypatch, ["normal_order", "reduce_to_ket", "substitute_modes"])
+    ket = evolve_symbolic(circuit)
+    assert calls == {
+        "normal_order": 0,
+        "reduce_to_ket": 0,
+        "substitute_modes": sum(e.number_phases is None for e in circuit.elements),
+    }
+    assert ket_to_fock(ket).allclose(evolve_numeric(circuit), 1e-10)
+
+
+def test_symbolic_measurement_is_one_expectation_pass(monkeypatch):
+    circuit = _linear_circuits()["bs_phase_mesh"]
+    ket = evolve_symbolic(circuit)
+    calls = _count_calls(
+        monkeypatch,
+        ["number_expectations", "number_expectation", "joint_number_distribution"],
+    )
+    report = measure(ket, circuit.measured_modes)
+    assert calls == {
+        "number_expectations": 1,
+        "number_expectation": 0,
+        "joint_number_distribution": 1,
+    }
+    assert report.expectations == {
+        m: fockbench.algebra.number_expectation(ket, m) for m in circuit.measured_modes
+    }
+
+
 # ---------------------------------------------------------------------------
 # Measurement
 # ---------------------------------------------------------------------------
@@ -636,6 +701,16 @@ def test_compare_detects_truncation_mismatch():
 def test_compare_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         compare_backends(build_experiment("single_photon_bs_sym"), 0.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_compare_reports_rejects_tolerance_that_is_not_finite_and_positive(tol):
+    circuit = build_experiment("single_photon_bs_sym")
+    report = measure(evolve_symbolic(circuit), circuit.measured_modes)
+    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        compare_reports(report, report, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        compare_backends(circuit, tol)
 
 
 def test_compare_reports_takes_measured_reports():

@@ -93,6 +93,18 @@ def test_run_rejects_non_finite_vertex_angle(runner, value):
     assert result.output == expected
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-9"])
+def test_run_rejects_tolerance_that_is_not_finite_and_positive(runner, value):
+    # under nan every comparison fails (a false disagreement, exit 3), under
+    # inf every comparison passes
+    path = ROOT / "circuits" / "single_photon_bs_sym.fck"
+    result = invoke(runner, ["run", str(path), "--tol", value])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    tol = float(value)
+    assert result.stderr == f"error: tolerance must be finite and positive, got {tol!r}\n"
+
+
 def test_run_requires_exactly_one_source(runner):
     assert invoke(runner, ["run"]).exit_code == 1
     result = invoke(runner, ["run", "x.fck", "--experiment", "single_photon_bs_sym"])

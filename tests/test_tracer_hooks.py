@@ -61,3 +61,21 @@ def test_installed_tracer_records_symbolic_route():
     names = {span[2] for span in tracer.spans}
     assert {"algebra.substitute_modes", "backends.evolve_symbolic"} <= names
     assert tracer.metrics(1)["algebra.ket_monomials"] > 0
+
+
+def test_installed_tracer_records_symbolic_measurement_and_phases():
+    # substitution no longer normal orders and measurement makes one
+    # expectation pass, but the tracer still sees these two layers
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        result = CliRunner().invoke(
+            fockbench.cli.main,
+            ["run", "--experiment", "cnot_dualrail", "--backend", "symbolic"],
+        )
+    finally:
+        tracer.uninstall()
+    assert result.exit_code == 0
+    names = {span[2] for span in tracer.spans}
+    assert {"algebra.joint_number_distribution", "algebra.apply_number_diagonal"} <= names
+    assert "algebra.normal_order" not in names
