@@ -4,6 +4,9 @@
 element's generator becomes a matrix on the occupations reachable from the
 input, and the state vector is pushed through its exponential, computed
 densely on the blocks the generator leaves invariant (:func:`expm_multiply`).
+The search applies each distinct ladder monomial once per state, and
+elements with the same modes and monomials share one plan of those blocks,
+which also records the blocks that are equal whatever the coefficients.
 ``evolve_symbolic`` never touches a basis: linear elements act by
 substitution on creation symbols, number-diagonal elements by exact
 phases, and the annihilation vertex by its closed-form exponential.
@@ -172,63 +175,67 @@ def ket_to_fock(ket: KetExpression) -> FockVector:
 # ---------------------------------------------------------------------------
 
 
-def _reachable_generators(circuit: Circuit, support) -> tuple[list, dict, bool]:
-    """Occupations reachable from ``support`` and the generators on them.
+def _reachable_generators(
+    system: ModeSystem, monomials, support
+) -> tuple[list, dict, bool]:
+    """Occupations reachable from ``support`` and each monomial's image on them.
 
-    Breadth-first search inside the cutoff box: every monomial of every
-    generator shifts occupations by a fixed vector, so the span of the
-    states found is invariant under each truncated generator.  The same
-    pass records, per element position, the generator's matrix entries as
-    (rows, columns, values) lists indexed in discovery order, and whether a
-    bosonic creation was dropped at the cutoff from a reachable state.
-    Elements with ``number_phases`` are number-diagonal: they reach nothing
-    new and get no entries.
+    Breadth-first search inside the cutoff box: every ladder monomial
+    shifts occupations by a fixed vector, so the span of the states found
+    is invariant under every truncated generator built from ``monomials``.
+    Each distinct monomial is applied once per state, however many
+    elements share it.  Returns the states in discovery order, a dict
+    giving each monomial's matrix entries on them as (rows, columns,
+    weights) lists in that order, and whether a bosonic creation was
+    dropped at the cutoff from a reachable state.
     """
-    system = circuit.system
-    generators = {
-        k: list(element_generator(element, system).terms.items())
-        for k, element in enumerate(circuit.elements)
-        if element.number_phases is None
-    }
-    entries = {k: ([], [], []) for k in generators}
+    images = {factors: ([], [], []) for factors in monomials}
     states = list(support)
     index = {occ: i for i, occ in enumerate(states)}
     cut = False
     # ``states`` grows while it is walked: it is the search queue.
     for col, occ in enumerate(states):
-        for k, terms in generators.items():
-            rows, cols, values = entries[k]
-            for factors, coeff in terms:
-                image = _monomial_image(system, factors, occ)
-                if image is _CUT_AT_CUTOFF:
-                    cut = True
-                elif image is not None:
-                    target, weight = image
-                    row = index.setdefault(target, len(states))
-                    if row == len(states):
-                        states.append(target)
-                    rows.append(row)
-                    cols.append(col)
-                    values.append(coeff * weight)
-    return states, entries, cut
+        for factors, (rows, cols, weights) in images.items():
+            image = _monomial_image(system, factors, occ)
+            if image is _CUT_AT_CUTOFF:
+                cut = True
+            elif image is not None:
+                target, weight = image
+                row = index.setdefault(target, len(states))
+                if row == len(states):
+                    states.append(target)
+                rows.append(row)
+                cols.append(col)
+                weights.append(weight)
+    return states, images, cut
 
 
-def expm_multiply(entries, occupations, modes, vec) -> np.ndarray:
-    """exp(K) @ ``vec`` for a generator K that changes occupations only on
-    ``modes``.
+@dataclass(frozen=True)
+class _BlockPlan:
+    """Where the entries of a generator fall in its invariant blocks.
 
-    ``entries`` holds K's (rows, columns, values) as arrays indexing the
-    rows of ``occupations``, one state each.  States that agree on every
-    mode outside ``modes`` form a block that K maps into itself, so exp(K)
-    is block diagonal.  Each distinct block is exponentiated once by
-    scaling and squaring (:func:`scipy.linalg.expm`, all blocks of one
-    size in one batched call), whose cost grows with log ||K|| where a
-    Taylor series grows with ||K||, and applied to its states' amplitudes.
-    The function keeps the name of the scipy action it replaced because
-    the benchmark tracer (``perfbench/tracer.py``) times the numeric
-    exponential under ``backends.expm_multiply``.
+    Entry ``e`` has the value ``coefficient[term[e]] * weights[e]``.
+    ``groups`` holds one ``(size, take, cells, count, same, states)`` per
+    block size: the entries ``take`` go to the flat ``cells`` of ``count``
+    representative blocks, block ``i`` of that size equals representative
+    ``same[i]``, and ``states[i]`` are its rows in basis order.
     """
-    rows, cols, values = entries
+
+    term: np.ndarray
+    weights: np.ndarray
+    groups: tuple
+
+
+def _block_plan(occupations: np.ndarray, rank, modes, images) -> _BlockPlan:
+    """Block plan shared by every generator on ``modes`` with these monomials.
+
+    ``images`` holds, per monomial in term order, its (rows, columns,
+    weights) lists in discovery order, which ``rank`` maps to the rows of
+    ``occupations``.  States that agree on every mode outside ``modes``
+    form a block that the generator maps into itself.  Blocks of one size
+    whose cells receive the same weights of the same terms are equal for
+    any coefficients; the first of them represents the others.
+    """
     n = len(occupations)
     outside = occupations[:, [m for m in range(occupations.shape[1]) if m not in modes]]
     # The index key keeps each block's states in basis order, and is the
@@ -236,32 +243,67 @@ def expm_multiply(entries, occupations, modes, vec) -> np.ndarray:
     order = np.lexsort((np.arange(n), *outside.T))
     first = np.ones(n, dtype=bool)
     first[1:] = (outside[order[1:]] != outside[order[:-1]]).any(axis=1)
-    bounds = np.flatnonzero(np.append(first, True))
-    starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
+    starts = np.flatnonzero(first)
     grouped = np.cumsum(first) - 1
+    sizes = np.bincount(grouped)
     block = np.empty(n, dtype=np.int64)
     block[order] = grouped
     position = np.empty(n, dtype=np.int64)
     position[order] = np.arange(n) - starts[grouped]
+    # Entries run term by term: the order in which a cell's values are summed.
+    term = np.repeat(np.arange(len(images)), [len(w) for _, _, w in images])
+    rows = rank[[r for image in images for r in image[0]]]
+    cols = rank[[c for image in images for c in image[1]]]
+    weights = np.array([w for image in images for w in image[2]], dtype=float)
     slot = np.empty(len(starts), dtype=np.int64)
-    entry_sizes = sizes[block[rows]]
-    out = np.empty_like(vec)
+    entry_blocks = block[rows]
+    entry_sizes = sizes[entry_blocks]
+    groups = []
     for size in sorted(set(sizes.tolist())):
         (members,) = np.nonzero(sizes == size)
-        slot[members] = np.arange(len(members))
-        mats = np.zeros((len(members), size, size), dtype=complex)
-        mine = entry_sizes == size
-        np.add.at(
-            mats,
-            (slot[block[rows[mine]]], position[rows[mine]], position[cols[mine]]),
-            values[mine],
-        )
-        # Each block's index, or that of the first block equal to it.
-        firsts: dict[bytes, int] = {}
-        same = [firsts.setdefault(mat.tobytes(), i) for i, mat in enumerate(mats)]
-        distinct = list(firsts.values())
-        mats[distinct] = expm(mats[distinct])
+        (mine,) = np.nonzero(entry_sizes == size)
+        inner = position[rows[mine]] * size + position[cols[mine]]
+        if len(members) == 1:  # nothing to compare, which small circuits often meet
+            take, cells, count, same = mine, inner, 1, np.zeros(1, dtype=np.int64)
+        else:
+            slot[members] = np.arange(len(members))
+            where = slot[entry_blocks[mine]]
+            pattern = np.zeros((len(members), len(images), size * size))
+            pattern[where, term[mine], inner] = weights[mine]
+            # Each block's index, or that of the first block with its pattern.
+            firsts: dict[bytes, int] = {}
+            leader = [firsts.setdefault(p.tobytes(), i) for i, p in enumerate(pattern)]
+            count = len(firsts)
+            representative = np.full(len(members), -1)
+            representative[list(firsts.values())] = np.arange(count)
+            target = representative[where]
+            kept = target >= 0
+            take, cells = mine[kept], target[kept] * size * size + inner[kept]
+            same = representative[leader]
         states = order[starts[members][:, np.newaxis] + np.arange(size)]
+        groups.append((size, take, cells, count, same, states))
+    return _BlockPlan(term, weights, tuple(groups))
+
+
+def expm_multiply(plan: _BlockPlan, values: np.ndarray, vec) -> np.ndarray:
+    """exp(K) @ ``vec`` for a generator K with the block structure ``plan``.
+
+    ``values`` holds K's entries in the plan's entry order.  K maps each
+    block of the plan into itself, so exp(K) is block diagonal.  Only the
+    representative blocks are filled and exponentiated, by scaling and
+    squaring (:func:`scipy.linalg.expm`, all blocks of one size in one
+    batched call), whose cost grows with log ||K|| where a Taylor series
+    grows with ||K||; each block's states are then multiplied by its
+    representative's exponential, one batched product per size.  The
+    function keeps the name of the scipy action it replaced because the
+    benchmark tracer (``perfbench/tracer.py``) times the numeric
+    exponential under ``backends.expm_multiply``.
+    """
+    out = np.empty_like(vec)
+    for size, take, cells, count, same, states in plan.groups:
+        mats = np.zeros(count * size * size, dtype=complex)
+        np.add.at(mats, cells, values[take])
+        mats = expm(mats.reshape(count, size, size))
         out[states] = np.matmul(mats[same], vec[states][..., np.newaxis])[..., 0]
     return out
 
@@ -286,7 +328,13 @@ def evolve_numeric(
     generators, so their exponentials are applied as exact phases read
     from the set's occupations; all other elements go through
     :func:`expm_multiply`, dense scaling-and-squaring exponentials of the
-    generator's invariant blocks on the set.  The resulting norm stays
+    generator's invariant blocks on the set.  The blocks depend only on the
+    element's shape, its modes and ladder monomials, not on its
+    coefficients: elements of one shape share one :func:`_block_plan`, and
+    each element exponentiates one representative block per weight pattern.
+    The blocks it skips are bitwise equal to their representative, and
+    each cell sums its values in term order, so sharing moves no amplitude
+    bit.  The resulting norm stays
     within 1e-10 of the input norm because every generator is
     anti-Hermitian; a ``ValueError`` names the first element, if any, that
     makes an amplitude inf or nan, or whose generator on the set has an
@@ -306,7 +354,13 @@ def evolve_numeric(
         )
     amps, input_cut = _ket_amplitudes(circuit.input_state)
     start = FockVector.from_amplitudes(system, amps).amplitudes
-    states, entries, search_cut = _reachable_generators(circuit, start)
+    generators = {
+        k: element_generator(element, system).terms
+        for k, element in enumerate(circuit.elements)
+        if element.number_phases is None
+    }
+    monomials = dict.fromkeys(f for terms in generators.values() for f in terms)
+    states, images, search_cut = _reachable_generators(system, monomials, start)
     if input_cut or search_cut:
         warnings.warn(
             "the input or the circuit needs a bosonic occupation above the "
@@ -324,6 +378,7 @@ def evolve_numeric(
     occupations = [states[i] for i in order]
     occ_array = np.array(occupations, dtype=np.int64)
     vec = np.array([start.get(occ, 0.0) for occ in occupations], dtype=complex)
+    plans: dict[tuple, _BlockPlan] = {}
     # An overflow shows as a non-finite amplitude, reported by _require_finite.
     with np.errstate(over="ignore", invalid="ignore"):
         for k, element in enumerate(circuit.elements):
@@ -335,11 +390,16 @@ def evolve_numeric(
                     vec = vec * np.exp(1j * angle)
                 largest = 0.0
             else:
-                rows, cols, values = entries[k]
-                values = np.array(values, dtype=complex)
-                vec = expm_multiply(
-                    (rank[rows], rank[cols], values), occ_array, element.modes, vec
-                )
+                terms = generators[k]
+                shape = (element.modes, tuple(terms))
+                plan = plans.get(shape)
+                if plan is None:
+                    plan = plans[shape] = _block_plan(
+                        occ_array, rank, element.modes, [images[f] for f in terms]
+                    )
+                coefficients = np.array(list(terms.values()), dtype=complex)
+                values = coefficients[plan.term] * plan.weights
+                vec = expm_multiply(plan, values, vec)
                 largest = np.abs(values).max(initial=0.0)
             _require_finite(np.isfinite(vec).all(), k, element)
             if largest > MAX_GENERATOR_ENTRY:

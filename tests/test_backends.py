@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.stats import unitary_group
 
@@ -569,6 +570,225 @@ def test_symbolic_measurement_is_one_expectation_pass(monkeypatch):
     assert report.expectations == {
         m: fockbench.algebra.number_expectation(ket, m) for m in circuit.measured_modes
     }
+
+
+# ---------------------------------------------------------------------------
+# Numeric evolution against the per-element reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_expm_multiply(entries, occupations, modes, vec):
+    # every block filled and compared by its bytes, for one element
+    rows, cols, values = entries
+    n = len(occupations)
+    outside = occupations[:, [m for m in range(occupations.shape[1]) if m not in modes]]
+    order = np.lexsort((np.arange(n), *outside.T))
+    first = np.ones(n, dtype=bool)
+    first[1:] = (outside[order[1:]] != outside[order[:-1]]).any(axis=1)
+    bounds = np.flatnonzero(np.append(first, True))
+    starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]
+    grouped = np.cumsum(first) - 1
+    block = np.empty(n, dtype=np.int64)
+    block[order] = grouped
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n) - starts[grouped]
+    slot = np.empty(len(starts), dtype=np.int64)
+    entry_sizes = sizes[block[rows]]
+    out = np.empty_like(vec)
+    for size in sorted(set(sizes.tolist())):
+        (members,) = np.nonzero(sizes == size)
+        slot[members] = np.arange(len(members))
+        mats = np.zeros((len(members), size, size), dtype=complex)
+        mine = entry_sizes == size
+        np.add.at(
+            mats,
+            (slot[block[rows[mine]]], position[rows[mine]], position[cols[mine]]),
+            values[mine],
+        )
+        firsts: dict[bytes, int] = {}
+        same = [firsts.setdefault(mat.tobytes(), i) for i, mat in enumerate(mats)]
+        distinct = list(firsts.values())
+        mats[distinct] = expm(mats[distinct])
+        states = order[starts[members][:, np.newaxis] + np.arange(size)]
+        out[states] = np.matmul(mats[same], vec[states][..., np.newaxis])[..., 0]
+    return out
+
+
+def _reference_evolve_numeric(circuit: Circuit) -> FockVector:
+    # one search entry per element term, one block partition per element
+    system = circuit.system
+    image_of = fockbench.backends._monomial_image
+    amps, cut = fockbench.backends._ket_amplitudes(circuit.input_state)
+    start = FockVector.from_amplitudes(system, amps).amplitudes
+    generators = {
+        k: list(element_generator(element, system).terms.items())
+        for k, element in enumerate(circuit.elements)
+        if element.number_phases is None
+    }
+    entries = {k: ([], [], []) for k in generators}
+    states = list(start)
+    index = {occ: i for i, occ in enumerate(states)}
+    for col, occ in enumerate(states):
+        for k, terms in generators.items():
+            rows, cols, values = entries[k]
+            for factors, coeff in terms:
+                image = image_of(system, factors, occ)
+                if image is fockbench.backends._CUT_AT_CUTOFF:
+                    cut = True
+                elif image is not None:
+                    target, weight = image
+                    row = index.setdefault(target, len(states))
+                    if row == len(states):
+                        states.append(target)
+                    rows.append(row)
+                    cols.append(col)
+                    values.append(coeff * weight)
+    if cut:
+        warnings.warn("truncated", TruncationWarning)
+    if not states:
+        return FockVector(system, {})
+    order = sorted(range(len(states)), key=states.__getitem__)
+    rank = np.empty(len(states), dtype=np.int64)
+    rank[order] = np.arange(len(states))
+    occupations = [states[i] for i in order]
+    occ_array = np.array(occupations, dtype=np.int64)
+    vec = np.array([start.get(occ, 0.0) for occ in occupations], dtype=complex)
+    for k, element in enumerate(circuit.elements):
+        if element.number_phases is not None:
+            for key, value in element.number_phases.items():
+                angle = value
+                for m in key:
+                    angle = angle * occ_array[:, m]
+                vec = vec * np.exp(1j * angle)
+        else:
+            rows, cols, values = entries[k]
+            values = np.array(values, dtype=complex)
+            vec = _reference_expm_multiply(
+                (rank[rows], rank[cols], values), occ_array, element.modes, vec
+            )
+    (hits,) = np.nonzero(np.abs(vec) >= fockbench.backends.PRUNE_THRESHOLD)
+    return FockVector(system, {occupations[i]: complex(vec[i]) for i in hits})
+
+
+def _bits_and_truncation(evolve, circuit):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        state = evolve(circuit)
+    truncated = [w for w in caught if issubclass(w.category, TruncationWarning)]
+    bits = {
+        occ: (amp.real.hex(), amp.imag.hex()) for occ, amp in state.amplitudes.items()
+    }
+    return bits, len(truncated)
+
+
+def _jordan_wigner_blocks() -> Circuit:
+    # the hop 1<->3 passes over fermion 2: its two blocks differ only in sign
+    system = ModeSystem(0, 3, 1)
+    poly = basis_ket(system, (1, 0, 0)).poly * 0.6 + basis_ket(system, (1, 1, 0)).poly * 0.8j
+    return Circuit(
+        system,
+        (
+            BeamSplitter(0, 2, ANGLE, 0.4),
+            PhaseShifter(1, 0.3),
+            BeamSplitter(0, 2, SYMMETRIC),
+        ),
+        KetExpression(system, poly).normalized(),
+        (0, 1, 2),
+    )
+
+
+def _three_term_diagonal() -> Circuit:
+    # three diagonal terms meet in one cell, where their summation order shows
+    system = ModeSystem(3, 0, 2)
+    c = generator_from_unitary(unitary_group.rvs(3, random_state=3))
+    element = QuadraticCustom.from_matrix((0, 1, 2), c)
+    return Circuit(system, (element, element), basis_ket(system, (1, 1, 1)), (0, 1, 2))
+
+
+_ANGLES = st.one_of(st.just(0.0), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def _numeric_circuits(draw):
+    bosons = draw(st.integers(0, 3))
+    fermions = draw(st.integers(0 if bosons else 1, 3))
+    system = ModeSystem(bosons, fermions, draw(st.integers(1, 3)))
+    modes = range(system.total_modes)
+    groups = [g for g in (range(bosons), range(bosons, bosons + fermions)) if len(g) >= 2]
+    kinds = ["phase"] + ["kerr"] * (len(modes) >= 2) + ["bs", "custom"] * bool(groups)
+    kinds += ["vertex"] * (bosons >= 1 and fermions >= 2)
+    elements = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "phase":
+            elements.append(PhaseShifter(draw(st.sampled_from(modes)), draw(_ANGLES)))
+        elif kind == "kerr":
+            a, b = draw(st.permutations(modes))[:2]
+            elements.append(KerrMedium(a, b, draw(_ANGLES)))
+        elif kind == "vertex":
+            e, p = draw(st.permutations(range(bosons, bosons + fermions)))[:2]
+            photon = draw(st.integers(0, bosons - 1))
+            elements.append(AnnihilationVertex(photon, e, p, draw(_ANGLES)))
+        else:
+            group = draw(st.sampled_from(groups))
+            width = 2 if kind == "bs" else draw(st.integers(2, min(3, len(group))))
+            chosen = draw(st.permutations(group))[:width]
+            if kind == "bs":
+                variant = draw(st.sampled_from([SYMMETRIC, ANTISYMMETRIC, ANGLE]))
+                theta = draw(_ANGLES) if variant == ANGLE else None
+                elements.append(BeamSplitter(*chosen, variant, theta))
+            else:
+                # anti-Hermitian with non-zero diagonal terms
+                x = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * width**2,
+                                           max_size=2 * width**2)))
+                x = (x[: width**2] + 1j * x[width**2 :]).reshape(width, width)
+                elements.append(QuadraticCustom.from_matrix(chosen, x - x.conj().T))
+    # occupations up to one above the cutoff, so some inputs are truncated
+    wide = ModeSystem(bosons, fermions, system.cutoff + 1)
+    occupation = st.tuples(
+        *(st.integers(0, system.cutoff + 1) for _ in range(bosons)),
+        *(st.integers(0, 1) for _ in range(fermions)),
+    )
+    poly = None
+    for k, occ in enumerate(draw(st.lists(occupation, min_size=1, max_size=3, unique=True))):
+        term = basis_ket(wide, occ).poly * complex(1.0 + 0.5 * k, 0.3 * k)
+        poly = term if poly is None else poly + term
+    ket = KetExpression(system, poly).normalized()
+    return Circuit(system, tuple(elements), ket, tuple(modes))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_numeric_circuits())
+@example(_mixed_species_circuit())
+@example(_vertex_circuit())
+@example(_identical_blocks())
+@example(_three_mode_custom_two_photons())
+@example(_two_photon_splitter_at_cutoff_1())
+@example(_jordan_wigner_blocks())
+@example(_three_term_diagonal())
+@example(_two_vertex_pairs(0.0))
+def test_numeric_matches_per_element_reference_bit_for_bit(circuit):
+    # shared monomial images and block plans change no operand and no order
+    assert _bits_and_truncation(evolve_numeric, circuit) == _bits_and_truncation(
+        _reference_evolve_numeric, circuit
+    )
+
+
+def test_numeric_search_and_plans_are_shared_across_a_mesh(monkeypatch):
+    # 15 splitters on 5 mode pairs: 10 distinct monomials on 56 states
+    circuit = _linear_circuits()["bs_phase_mesh"]
+    calls = {"_monomial_image": 0, "_block_plan": 0, "element_generator": 0}
+    for name in calls:
+        original = getattr(fockbench.backends, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(fockbench.backends, name, counted)
+    state = evolve_numeric(circuit)
+    assert len(state.amplitudes) == 56
+    assert calls == {"_monomial_image": 56 * 10 + 1, "_block_plan": 5, "element_generator": 15}
 
 
 # ---------------------------------------------------------------------------

@@ -297,7 +297,7 @@ def _mesh_program(modes: int, photons: int, cutoff: int) -> str:
 #: photons meet on one splitter, which the example circuits never do.
 MESH_GOLDENS = {
     "mesh_m6": ((6, 3, 3), ("numeric", "symbolic", "both")),
-    "mesh_m8": ((8, 4, 4), ("symbolic",)),
+    "mesh_m8": ((8, 4, 4), ("numeric", "symbolic", "both")),
 }
 
 
