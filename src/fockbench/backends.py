@@ -31,9 +31,10 @@ from .fock import (
     FockVector,
     PRUNE_THRESHOLD,
     SparseOperator,
+    _CUT_AT_CUTOFF,
+    _monomial_image,
     annihilation_op,
-    creation_op,
-    identity_op,
+    ladder_matrix,
 )
 from .modes import ModeSystem
 
@@ -83,63 +84,17 @@ class ComparisonReport:
 
 
 def polynomial_matrix(poly: LadderPolynomial, system: ModeSystem) -> SparseOperator:
-    """Explicit sparse matrix of a ladder polynomial on the truncated basis."""
-    total = None
-    for factors, coeff in poly.terms.items():
-        term = identity_op(system)
+    """Explicit sparse matrix of a ladder polynomial on the truncated basis.
+
+    Built by :func:`~fockbench.fock.ladder_matrix`, which applies each
+    monomial to every basis state with the same per-state rule as the
+    numeric evolution.
+    """
+    for factors in poly.terms:
         for symbol in factors:
             if system.species(symbol.mode) != symbol.species:
                 raise ValueError(f"symbol {symbol!r} has the wrong species for its mode")
-            op = (
-                creation_op(system, symbol.mode)
-                if symbol.dagger
-                else annihilation_op(system, symbol.mode)
-            )
-            term = term @ op
-        term = coeff * term
-        total = term if total is None else total + term
-    if total is None:
-        return 0.0 * identity_op(system)
-    return total
-
-
-#: Returned by :func:`_monomial_image` when a bosonic creation meets the cutoff.
-_CUT_AT_CUTOFF = "cut at cutoff"
-
-
-def _monomial_image(system: ModeSystem, factors, occ: tuple[int, ...]):
-    """Truncated image of one occupation basis vector under a ladder monomial.
-
-    Applies ``factors`` right to left with the rules of
-    :func:`~fockbench.fock.creation_op` and
-    :func:`~fockbench.fock.annihilation_op`: bosonic weights sqrt(n+1) up
-    and sqrt(n) down, the transition out of ``n == cutoff`` dropped, and
-    Jordan-Wigner signs over the fermionic modes.  Returns
-    ``(occupation, weight)``, ``None`` when the ladder rules annihilate the
-    vector, or :data:`_CUT_AT_CUTOFF` when only the truncation does.
-    """
-    occ = list(occ)
-    weight = 1.0
-    for symbol in reversed(factors):
-        m = symbol.mode
-        if m < system.boson_modes:
-            if symbol.dagger:
-                if occ[m] == system.cutoff:
-                    return _CUT_AT_CUTOFF
-                occ[m] += 1
-                weight *= math.sqrt(occ[m])
-            else:
-                if occ[m] == 0:
-                    return None
-                weight *= math.sqrt(occ[m])
-                occ[m] -= 1
-        else:
-            if occ[m] == int(symbol.dagger):
-                return None
-            if sum(occ[system.boson_modes : m]) % 2 == 1:
-                weight = -weight
-            occ[m] = int(symbol.dagger)
-    return tuple(occ), weight
+    return ladder_matrix(system, poly.terms)
 
 
 def _ket_amplitudes(ket: KetExpression) -> tuple[dict, bool]:
@@ -543,11 +498,12 @@ def compare_backends(circuit: Circuit, tol: float = 1e-9) -> ComparisonReport:
 def heisenberg_residual(element: CircuitElement, system: ModeSystem) -> float:
     """Largest operator-norm violation of Sdag a_j S = sum_k B_jk a_k.
 
-    Builds the numeric S = exp(K) and compares against the element's mode
-    matrix, restricted to input basis vectors whose total bosonic
-    occupation on the element's modes is at most cutoff - 1; columns that
-    can reach the truncation level are exempt because the cut basis cannot
-    represent them faithfully.
+    Builds the numeric S = exp(K) from the explicit generator matrix, whose
+    entries come from the same per-state ladder rule as the numeric
+    evolution, and compares against the element's mode matrix, restricted
+    to input basis vectors whose total bosonic occupation on the element's
+    modes is at most cutoff - 1; columns that can reach the truncation
+    level are exempt because the cut basis cannot represent them faithfully.
     """
     if not element.linear:
         raise ValueError("the Heisenberg relation applies to linear elements only")
@@ -558,12 +514,9 @@ def heisenberg_residual(element: CircuitElement, system: ModeSystem) -> float:
     gen = polynomial_matrix(element_generator(element, system), system)
     s = expm(gen.matrix.toarray())
 
-    idx = np.arange(system.basis_size, dtype=np.int64)
-    boson_total = np.zeros(system.basis_size, dtype=np.int64)
-    for m in modes:
-        if system.is_boson(m):
-            boson_total += system.occupation_digits(idx, m)
-    safe = boson_total <= system.cutoff - 1
+    occupations = np.array(list(system.occupations()))
+    bosons = [m for m in modes if system.is_boson(m)]
+    safe = occupations[:, bosons].sum(axis=1) <= system.cutoff - 1
 
     ladders = [annihilation_op(system, m).matrix.toarray() for m in modes]
     worst = 0.0

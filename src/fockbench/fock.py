@@ -2,10 +2,13 @@
 
 This is the representation-dependent half of the simulator.  There is one
 distinguished vacuum, the basis vector ``(1, 0, 0, ...)``, and every state
-is a finite complex combination of occupation basis vectors.  Ladder
-operators are explicit sparse matrices; bosonic creation drops the
-transition out of the cutoff level, fermionic operators carry
-Jordan-Wigner signs over the fermionic modes.
+is a finite complex combination of occupation basis vectors.  The truncated
+ladder rules live in one per-state kernel, :func:`_monomial_image`: bosonic
+creation drops the transition out of the cutoff level, fermionic operators
+carry Jordan-Wigner signs over the fermionic modes.  The numeric evolution
+applies it to the states it reaches, and :func:`ladder_matrix` to every
+state of the box to build the explicit sparse matrices, so both run the
+same rules.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import Mapping
 import numpy as np
 from scipy import sparse
 
+from .algebra import LadderSymbol
 from .modes import ModeSystem
 
 #: Stored amplitudes smaller than this are dropped.  Chosen below the
@@ -172,33 +176,83 @@ def identity_op(system: ModeSystem) -> SparseOperator:
     )
 
 
+#: Returned by :func:`_monomial_image` when a bosonic creation meets the cutoff.
+_CUT_AT_CUTOFF = "cut at cutoff"
+
+
+def _monomial_image(system: ModeSystem, factors, occ: tuple[int, ...]):
+    """Truncated image of one occupation basis vector under a ladder monomial.
+
+    Applies ``factors`` right to left: bosonic weights sqrt(n+1) up and
+    sqrt(n) down, the transition out of ``n == cutoff`` dropped, and
+    Jordan-Wigner signs ``(-1)**(number of occupied fermionic modes with a
+    smaller index)``.  No other code writes the truncated ladder rules.
+    Returns ``(occupation, weight)``, ``None`` when the ladder rules
+    annihilate the vector, or :data:`_CUT_AT_CUTOFF` when only the
+    truncation does.
+    """
+    occ = list(occ)
+    weight = 1.0
+    for symbol in reversed(factors):
+        m = symbol.mode
+        if m < system.boson_modes:
+            if symbol.dagger:
+                if occ[m] == system.cutoff:
+                    return _CUT_AT_CUTOFF
+                occ[m] += 1
+                weight *= math.sqrt(occ[m])
+            else:
+                if occ[m] == 0:
+                    return None
+                weight *= math.sqrt(occ[m])
+                occ[m] -= 1
+        else:
+            if occ[m] == int(symbol.dagger):
+                return None
+            if sum(occ[system.boson_modes : m]) % 2 == 1:
+                weight = -weight
+            occ[m] = int(symbol.dagger)
+    return tuple(occ), weight
+
+
+def ladder_matrix(system: ModeSystem, terms: Mapping) -> SparseOperator:
+    """Sparse matrix of ``sum(coeff * monomial)`` over ``terms`` on the full box.
+
+    ``terms`` maps ladder monomials (tuples of symbols) to coefficients.
+    Each monomial goes through :func:`_monomial_image` on every basis state,
+    the per-state rule the numeric evolution runs, and entries that meet in
+    one cell are summed in term order.
+    """
+    occupations = list(system.occupations())
+    index = {occ: i for i, occ in enumerate(occupations)}
+    rows, cols, data = [], [], []
+    for factors, coeff in terms.items():
+        for col, occ in enumerate(occupations):
+            image = _monomial_image(system, factors, occ)
+            if image is not None and image is not _CUT_AT_CUTOFF:
+                target, weight = image
+                rows.append(index[target])
+                cols.append(col)
+                data.append(coeff * weight)
+    dim = system.basis_size
+    mat = sparse.coo_matrix(
+        (np.array(data, dtype=complex), (rows, cols)), shape=(dim, dim)
+    ).tocsr()
+    return SparseOperator(system, mat)
+
+
 @lru_cache(maxsize=None)
 def creation_op(system: ModeSystem, mode: int) -> SparseOperator:
     """Matrix of the creation operator on the truncated basis.
 
-    Bosonic modes get matrix elements ``sqrt(n+1)`` from ``|..., n, ...>``
-    to ``|..., n+1, ...>``; the transition out of ``n == cutoff`` is
-    dropped by the truncation.  Fermionic modes map 0 to 1 with the
-    Jordan-Wigner sign ``(-1)**(number of occupied fermionic modes with a
-    smaller index)`` and annihilate already-occupied states.  Returned
-    operators are cached per (system, mode) and must not be mutated.
+    Built by :func:`ladder_matrix` from the single creation symbol on
+    ``mode``, so its entries are the kernel's: ``sqrt(n+1)`` for a bosonic
+    mode below the cutoff, a Jordan-Wigner sign for an empty fermionic
+    mode.  Returned operators are cached per (system, mode) and must not be
+    mutated.
     """
-    system.validate_mode(mode)
-    dim = system.basis_size
-    idx = np.arange(dim, dtype=np.int64)
-    occ = system.occupation_digits(idx, mode)
-    if system.is_boson(mode):
-        src = idx[occ < system.cutoff]
-        data = np.sqrt(system.occupation_digits(src, mode) + 1.0).astype(complex)
-    else:
-        src = idx[occ == 0]
-        parity = np.zeros(len(src), dtype=np.int64)
-        for other in range(system.boson_modes, mode):
-            parity += system.occupation_digits(src, other)
-        data = np.where(parity % 2 == 1, -1.0, 1.0).astype(complex)
-    dst = src + system.strides[mode]
-    mat = sparse.coo_matrix((data, (dst, src)), shape=(dim, dim)).tocsr()
-    return SparseOperator(system, mat)
+    symbol = LadderSymbol(mode, system.species(mode), True)
+    return ladder_matrix(system, {(symbol,): 1.0})
 
 
 @lru_cache(maxsize=None)
@@ -212,8 +266,7 @@ def number_op(system: ModeSystem, mode: int) -> SparseOperator:
     """Diagonal matrix whose entry on each basis vector is its occupation."""
     system.validate_mode(mode)
     dim = system.basis_size
-    idx = np.arange(dim, dtype=np.int64)
-    occ = system.occupation_digits(idx, mode).astype(complex)
+    occ = np.array([n[mode] for n in system.occupations()], dtype=complex)
     mat = sparse.dia_matrix((occ[np.newaxis, :], [0]), shape=(dim, dim)).tocsr()
     mat.eliminate_zeros()
     return SparseOperator(system, mat)
@@ -233,10 +286,12 @@ def inner_product(left: FockVector, right: FockVector) -> complex:
     l_amp, r_amp = left.amplitudes, right.amplitudes
     if len(l_amp) <= len(r_amp):
         return sum(
-            amp.conjugate() * r_amp[occ] for occ, amp in l_amp.items() if occ in r_amp
+            (amp.conjugate() * r_amp[occ] for occ, amp in l_amp.items() if occ in r_amp),
+            0j,
         )
     return sum(
-        l_amp[occ].conjugate() * amp for occ, amp in r_amp.items() if occ in l_amp
+        (l_amp[occ].conjugate() * amp for occ, amp in r_amp.items() if occ in l_amp),
+        0j,
     )
 
 

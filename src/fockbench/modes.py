@@ -9,11 +9,10 @@ that serialized operators and reports are reproducible bit for bit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
-
-import numpy as np
 
 BOSON = "boson"
 FERMION = "fermion"
@@ -113,12 +112,7 @@ class ModeSystem:
 
     def occupations(self) -> Iterator[tuple[int, ...]]:
         """Iterate all occupation tuples in basis order."""
-        return (self.occupation_of(i) for i in range(self.basis_size))
-
-    def occupation_digits(self, indices: np.ndarray, mode: int) -> np.ndarray:
-        """Vectorized occupation of ``mode`` for an array of basis indices."""
-        self.validate_mode(mode)
-        return indices // self.strides[mode] % self._dims[mode]
+        return itertools.product(*(range(d) for d in self._dims))
 
     def vacuum_occupation(self) -> tuple[int, ...]:
         return (0,) * self.total_modes

@@ -246,10 +246,8 @@ def test_criterion_7_algebra_oracle():
         ordered = normal_order(poly)
         m_raw = polynomial_matrix(poly, system).matrix
         m_ord = polynomial_matrix(ordered, system).matrix
-        idx = np.arange(system.basis_size)
-        safe = np.ones(system.basis_size, dtype=bool)
-        for m in range(system.boson_modes):
-            safe &= system.occupation_digits(idx, m) <= system.cutoff - 6
+        bosons = np.array(list(system.occupations()))[:, : system.boson_modes]
+        safe = (bosons <= system.cutoff - 6).all(axis=1)
         diff = np.abs((m_raw - m_ord).toarray()[:, safe])
         worst_matrix = max(worst_matrix, float(diff.max()) if diff.size else 0.0)
         worst_vacuum = max(

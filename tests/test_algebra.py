@@ -50,11 +50,8 @@ def matrix_of(poly, system):
 
 
 def safe_columns(system, margin):
-    idx = np.arange(system.basis_size)
-    safe = np.ones(system.basis_size, dtype=bool)
-    for m in range(system.boson_modes):
-        safe &= system.occupation_digits(idx, m) <= system.cutoff - margin
-    return safe
+    bosons = np.array(list(system.occupations()))[:, : system.boson_modes]
+    return (bosons <= system.cutoff - margin).all(axis=1)
 
 
 # ---------------------------------------------------------------------------

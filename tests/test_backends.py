@@ -49,14 +49,9 @@ from fockbench.circuit import (
     with_cutoff,
 )
 from fockbench.dsl import parse_circuit
-from fockbench.fock import (
-    FockVector,
-    annihilation_op,
-    creation_op,
-    inner_product,
-    vacuum_state,
-)
+from fockbench.fock import FockVector, inner_product, vacuum_state
 from fockbench.modes import FERMION, ModeSystem
+from test_fock import dense_creation_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -65,13 +60,15 @@ from fockbench.modes import FERMION, ModeSystem
 
 
 def test_polynomial_matrix_single_ladder():
+    # against the per-state oracle: creation_op is built by the same kernel
     system = ModeSystem(2, 1, 4)
     for mode in range(system.total_modes):
         species = system.species(mode)
-        got = polynomial_matrix(creation(mode, species), system)
-        assert (got - creation_op(system, mode)).max_abs() == 0.0
-        got = polynomial_matrix(annihilation(mode, species), system)
-        assert (got - annihilation_op(system, mode)).max_abs() == 0.0
+        want = dense_creation_oracle(system, mode)
+        got = polynomial_matrix(creation(mode, species), system).matrix.toarray()
+        assert np.abs(got - want).max() == 0.0
+        got = polynomial_matrix(annihilation(mode, species), system).matrix.toarray()
+        assert np.abs(got - want.conj().T).max() == 0.0
 
 
 def test_polynomial_matrix_rejects_wrong_species():
@@ -83,8 +80,28 @@ def test_polynomial_matrix_rejects_wrong_species():
 def test_polynomial_matrix_composes_left_to_right():
     system = ModeSystem(1, 0, 4)
     poly = creation(0) * annihilation(0)
-    want = creation_op(system, 0) @ annihilation_op(system, 0)
-    assert (polynomial_matrix(poly, system) - want).max_abs() == 0.0
+    up = dense_creation_oracle(system, 0)
+    got = polynomial_matrix(poly, system).matrix.toarray()
+    assert np.abs(got - up @ up.conj().T).max() == 0.0
+
+
+def test_polynomial_matrix_mixed_species_terms():
+    # b2dag passes fermion 1 when it is occupied, adag meets the cutoff at 2,
+    # and the first two terms fill the same cells
+    system = ModeSystem(1, 2, 2)
+    a0, b1, b2 = (dense_creation_oracle(system, m) for m in range(3))
+    poly = (
+        creation(0) * creation(2, FERMION) * 0.5
+        + creation(2, FERMION) * creation(0) * (0.3 - 0.2j)
+        + creation(0) * creation(0) * annihilation(1, FERMION) * 1j
+    )
+    want = 0.5 * a0 @ b2 + (0.3 - 0.2j) * b2 @ a0 + 1j * a0 @ a0 @ b1.conj().T
+    got = polynomial_matrix(poly, system).matrix.toarray()
+    assert np.abs(got - want).max() < 1e-15
+    at = system.index_of
+    assert got[at((1, 1, 1)), at((0, 1, 0))] == pytest.approx(-(0.8 - 0.2j))
+    assert got[at((1, 0, 1)), at((0, 0, 0))] == pytest.approx(0.8 - 0.2j)
+    assert not got[:, at((2, 1, 0))].any()
 
 
 def test_ket_to_fock_sqrt_weights():
