@@ -57,11 +57,8 @@ from .circuit import (
 from .dsl import CircuitParseError, parse_circuit, render_circuit
 from .fock import (
     FockVector,
-    SparseOperator,
     annihilation_op,
-    apply,
     creation_op,
-    identity_op,
     inner_product,
     mode_bipartition_entropy,
     number_op,

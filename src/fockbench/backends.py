@@ -22,6 +22,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import expm
 
 from . import algebra
@@ -30,7 +31,6 @@ from .circuit import Circuit, CircuitElement, element_generator
 from .fock import (
     FockVector,
     PRUNE_THRESHOLD,
-    SparseOperator,
     _CUT_AT_CUTOFF,
     _monomial_image,
     annihilation_op,
@@ -83,7 +83,7 @@ class ComparisonReport:
 # ---------------------------------------------------------------------------
 
 
-def polynomial_matrix(poly: LadderPolynomial, system: ModeSystem) -> SparseOperator:
+def polynomial_matrix(poly: LadderPolynomial, system: ModeSystem) -> sparse.csr_matrix:
     """Explicit sparse matrix of a ladder polynomial on the truncated basis.
 
     Built by :func:`~fockbench.fock.ladder_matrix`, which applies each
@@ -512,13 +512,13 @@ def heisenberg_residual(element: CircuitElement, system: ModeSystem) -> float:
     b = element.mode_matrix()
     modes = element.modes
     gen = polynomial_matrix(element_generator(element, system), system)
-    s = expm(gen.matrix.toarray())
+    s = expm(gen.toarray())
 
     occupations = np.array(list(system.occupations()))
     bosons = [m for m in modes if system.is_boson(m)]
     safe = occupations[:, bosons].sum(axis=1) <= system.cutoff - 1
 
-    ladders = [annihilation_op(system, m).matrix.toarray() for m in modes]
+    ladders = [annihilation_op(system, m).toarray() for m in modes]
     worst = 0.0
     for j, _ in enumerate(modes):
         expected = sum(b[j, k] * ladders[k] for k in range(len(modes)))

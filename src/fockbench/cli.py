@@ -262,12 +262,9 @@ def cmd_list_experiments():
 def cmd_check():
     """Run the full invariant suite and report pass/fail per invariant."""
     failed = False
-    for name, passed, worst, bound in run_all_checks():
+    for name, passed, detail in run_all_checks():
         status = "ok" if passed else "FAIL"
-        click.echo(
-            f"[{status:>4}] {name}: worst {worst:.3e} (bound {bound:.0e})",
-            file=sys.stdout,
-        )
+        click.echo(f"[{status:>4}] {name}: {detail}", file=sys.stdout)
         failed = failed or not passed
     sys.exit(EXIT_EVALUATION if failed else EXIT_OK)
 

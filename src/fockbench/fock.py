@@ -2,13 +2,16 @@
 
 This is the representation-dependent half of the simulator.  There is one
 distinguished vacuum, the basis vector ``(1, 0, 0, ...)``, and every state
-is a finite complex combination of occupation basis vectors.  The truncated
-ladder rules live in one per-state kernel, :func:`_monomial_image`: bosonic
-creation drops the transition out of the cutoff level, fermionic operators
-carry Jordan-Wigner signs over the fermionic modes.  The numeric evolution
-applies it to the states it reaches, and :func:`ladder_matrix` to every
-state of the box to build the explicit sparse matrices, so both run the
-same rules.
+is a finite complex combination of occupation basis vectors.  Dense
+vectors and matrices index the box in the order :attr:`ModeSystem.shape
+<fockbench.modes.ModeSystem.shape>` states, through ``np.ravel_multi_index``
+and ``np.unravel_index``; matrices are plain ``scipy.sparse.csr_matrix``.
+The truncated ladder rules live in one per-state kernel,
+:func:`_monomial_image`: bosonic creation drops the transition out of the
+cutoff level, fermionic operators carry Jordan-Wigner signs over the
+fermionic modes.  The numeric evolution applies it to the states it
+reaches, and :func:`ladder_matrix` to every state of the box to build the
+explicit sparse matrices, so both run the same rules.
 """
 
 from __future__ import annotations
@@ -68,14 +71,17 @@ class FockVector:
         if not np.isfinite(vector).all():
             raise ValueError("dense vector has a non-finite amplitude")
         (hits,) = np.nonzero(np.abs(vector) >= PRUNE_THRESHOLD)
+        occupations = np.transpose(np.unravel_index(hits, system.shape)).tolist()
         return cls(
-            system, {system.occupation_of(int(i)): complex(vector[i]) for i in hits}
+            system,
+            {tuple(occ): complex(vector[i]) for occ, i in zip(occupations, hits)},
         )
 
     def to_dense(self) -> np.ndarray:
         vec = np.zeros(self.system.basis_size, dtype=complex)
-        for occ, amp in self.amplitudes.items():
-            vec[self.system.index_of(occ)] = amp
+        vec[_box_indices(self.system, list(self.amplitudes))] = list(
+            self.amplitudes.values()
+        )
         return vec
 
     def norm(self) -> float:
@@ -107,73 +113,9 @@ class FockVector:
         return f"FockVector({parts})"
 
 
-@dataclass(frozen=True)
-class SparseOperator:
-    """Sparse complex matrix over the enumerated basis of a mode system."""
-
-    system: ModeSystem
-    matrix: sparse.csr_matrix
-
-    def __post_init__(self):
-        dim = self.system.basis_size
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(
-                f"operator shape {self.matrix.shape} does not match basis size {dim}"
-            )
-
-    def adjoint(self) -> "SparseOperator":
-        return SparseOperator(self.system, self.matrix.conj().T.tocsr())
-
-    def _compat(self, other: "SparseOperator") -> None:
-        if self.system != other.system:
-            raise ValueError("operators live on different mode systems")
-
-    def __matmul__(self, other):
-        if isinstance(other, SparseOperator):
-            self._compat(other)
-            prod = (self.matrix @ other.matrix).tocsr()
-            prod.eliminate_zeros()
-            return SparseOperator(self.system, prod)
-        if isinstance(other, FockVector):
-            return apply(self, other)
-        return NotImplemented
-
-    def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        self._compat(other)
-        s = (self.matrix + other.matrix).tocsr()
-        s.eliminate_zeros()
-        return SparseOperator(self.system, s)
-
-    def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        self._compat(other)
-        s = (self.matrix - other.matrix).tocsr()
-        s.eliminate_zeros()
-        return SparseOperator(self.system, s)
-
-    def __mul__(self, scalar) -> "SparseOperator":
-        return SparseOperator(self.system, (self.matrix * complex(scalar)).tocsr())
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SparseOperator":
-        return self * -1.0
-
-    def max_abs(self) -> float:
-        """Largest entry magnitude (0 for an empty matrix)."""
-        if self.matrix.nnz == 0:
-            return 0.0
-        return float(np.abs(self.matrix.data).max())
-
-
 def vacuum_state(system: ModeSystem) -> FockVector:
     """The state with amplitude 1 on the all-zeros occupation."""
     return FockVector(system, {system.vacuum_occupation(): 1.0 + 0.0j})
-
-
-def identity_op(system: ModeSystem) -> SparseOperator:
-    return SparseOperator(
-        system, sparse.identity(system.basis_size, dtype=complex, format="csr")
-    )
 
 
 #: Returned by :func:`_monomial_image` when a bosonic creation meets the cutoff.
@@ -215,7 +157,13 @@ def _monomial_image(system: ModeSystem, factors, occ: tuple[int, ...]):
     return tuple(occ), weight
 
 
-def ladder_matrix(system: ModeSystem, terms: Mapping) -> SparseOperator:
+def _box_indices(system: ModeSystem, occupations: list) -> np.ndarray:
+    """Basis indices of occupation tuples, in the order of ``system.shape``."""
+    multi_index = np.array(occupations, dtype=np.intp).reshape(-1, system.total_modes)
+    return np.ravel_multi_index(multi_index.T, system.shape)
+
+
+def ladder_matrix(system: ModeSystem, terms: Mapping) -> sparse.csr_matrix:
     """Sparse matrix of ``sum(coeff * monomial)`` over ``terms`` on the full box.
 
     ``terms`` maps ladder monomials (tuples of symbols) to coefficients.
@@ -224,31 +172,30 @@ def ladder_matrix(system: ModeSystem, terms: Mapping) -> SparseOperator:
     one cell are summed in term order.
     """
     occupations = list(system.occupations())
-    index = {occ: i for i, occ in enumerate(occupations)}
-    rows, cols, data = [], [], []
+    targets, cols, data = [], [], []
     for factors, coeff in terms.items():
         for col, occ in enumerate(occupations):
             image = _monomial_image(system, factors, occ)
             if image is not None and image is not _CUT_AT_CUTOFF:
                 target, weight = image
-                rows.append(index[target])
+                targets.append(target)
                 cols.append(col)
                 data.append(coeff * weight)
     dim = system.basis_size
-    mat = sparse.coo_matrix(
+    rows = _box_indices(system, targets)
+    return sparse.coo_matrix(
         (np.array(data, dtype=complex), (rows, cols)), shape=(dim, dim)
     ).tocsr()
-    return SparseOperator(system, mat)
 
 
 @lru_cache(maxsize=None)
-def creation_op(system: ModeSystem, mode: int) -> SparseOperator:
+def creation_op(system: ModeSystem, mode: int) -> sparse.csr_matrix:
     """Matrix of the creation operator on the truncated basis.
 
     Built by :func:`ladder_matrix` from the single creation symbol on
     ``mode``, so its entries are the kernel's: ``sqrt(n+1)`` for a bosonic
     mode below the cutoff, a Jordan-Wigner sign for an empty fermionic
-    mode.  Returned operators are cached per (system, mode) and must not be
+    mode.  Returned matrices are cached per (system, mode) and must not be
     mutated.
     """
     symbol = LadderSymbol(mode, system.species(mode), True)
@@ -256,27 +203,20 @@ def creation_op(system: ModeSystem, mode: int) -> SparseOperator:
 
 
 @lru_cache(maxsize=None)
-def annihilation_op(system: ModeSystem, mode: int) -> SparseOperator:
+def annihilation_op(system: ModeSystem, mode: int) -> sparse.csr_matrix:
     """Adjoint of :func:`creation_op`; annihilates the vacuum exactly."""
-    return creation_op(system, mode).adjoint()
+    return creation_op(system, mode).conj().T.tocsr()
 
 
 @lru_cache(maxsize=None)
-def number_op(system: ModeSystem, mode: int) -> SparseOperator:
+def number_op(system: ModeSystem, mode: int) -> sparse.csr_matrix:
     """Diagonal matrix whose entry on each basis vector is its occupation."""
     system.validate_mode(mode)
     dim = system.basis_size
     occ = np.array([n[mode] for n in system.occupations()], dtype=complex)
     mat = sparse.dia_matrix((occ[np.newaxis, :], [0]), shape=(dim, dim)).tocsr()
     mat.eliminate_zeros()
-    return SparseOperator(system, mat)
-
-
-def apply(op: SparseOperator, state: FockVector) -> FockVector:
-    """Sparse matrix-vector product, pruned at :data:`PRUNE_THRESHOLD`."""
-    if op.system != state.system:
-        raise ValueError("operator and state live on different mode systems")
-    return FockVector.from_dense(state.system, op.matrix @ state.to_dense())
+    return mat
 
 
 def inner_product(left: FockVector, right: FockVector) -> complex:

@@ -3,13 +3,15 @@
 A mode system is an ordered, finite list of field modes: bosonic modes
 first, fermionic modes after them.  Bosonic occupations run from 0 up to a
 per-mode ``cutoff``; fermionic occupations are 0 or 1.  Basis states are
-labelled by occupation tuples, and their enumeration order is frozen so
-that serialized operators and reports are reproducible bit for bit.
+labelled by occupation tuples.  Their enumeration order is frozen, so that
+serialized operators and reports are reproducible bit for bit, and it is
+stated once, by :attr:`ModeSystem.shape`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -29,10 +31,10 @@ class ModeSystem:
     and ``n_m in {0, 1}`` for fermionic modes, so the basis size is
     ``(cutoff+1)**boson_modes * 2**fermion_modes``.
 
-    Enumeration order (frozen): tuples are ordered lexicographically with
-    mode 0 as the most significant digit.  Equivalently, the basis index is
-    the mixed-radix number whose digits are the occupations, with radix
-    ``cutoff+1`` for bosonic and 2 for fermionic positions.
+    Enumeration order (frozen): the box is an array of :attr:`shape`
+    laid out in C (row-major) order, so tuples are ordered
+    lexicographically with mode 0 as the most significant digit, and the
+    basis index of a tuple is ``np.ravel_multi_index(occupation, shape)``.
     """
 
     boson_modes: int
@@ -52,8 +54,13 @@ class ModeSystem:
         return self.boson_modes + self.fermion_modes
 
     @cached_property
+    def shape(self) -> tuple[int, ...]:
+        """Number of occupation levels of each mode, in mode order."""
+        return (self.cutoff + 1,) * self.boson_modes + (2,) * self.fermion_modes
+
+    @cached_property
     def basis_size(self) -> int:
-        return (self.cutoff + 1) ** self.boson_modes * 2 ** self.fermion_modes
+        return math.prod(self.shape)
 
     def validate_mode(self, mode: int) -> None:
         if not 0 <= mode < self.total_modes:
@@ -68,21 +75,6 @@ class ModeSystem:
     def is_boson(self, mode: int) -> bool:
         return self.species(mode) == BOSON
 
-    @cached_property
-    def _dims(self) -> tuple[int, ...]:
-        return tuple(
-            self.cutoff + 1 if m < self.boson_modes else 2
-            for m in range(self.total_modes)
-        )
-
-    @cached_property
-    def strides(self) -> tuple[int, ...]:
-        """Mixed-radix place values; mode 0 is the most significant digit."""
-        strides = [1] * self.total_modes
-        for m in range(self.total_modes - 2, -1, -1):
-            strides[m] = strides[m + 1] * self._dims[m + 1]
-        return tuple(strides)
-
     def validate_occupation(self, occupation) -> None:
         if len(occupation) != self.total_modes:
             raise ValueError(
@@ -90,29 +82,15 @@ class ModeSystem:
                 f"expected {self.total_modes}"
             )
         for m, n in enumerate(occupation):
-            if not 0 <= n < self._dims[m]:
+            if not 0 <= n < self.shape[m]:
                 raise ValueError(
                     f"occupation {n} invalid for mode {m} "
-                    f"(allowed range 0..{self._dims[m] - 1})"
+                    f"(allowed range 0..{self.shape[m] - 1})"
                 )
-
-    def index_of(self, occupation) -> int:
-        """Basis index of an occupation tuple."""
-        occupation = tuple(int(n) for n in occupation)
-        self.validate_occupation(occupation)
-        return sum(n * s for n, s in zip(occupation, self.strides))
-
-    def occupation_of(self, index: int) -> tuple[int, ...]:
-        """Occupation tuple of a basis index."""
-        if not 0 <= index < self.basis_size:
-            raise IndexError(f"basis index {index} out of range")
-        return tuple(
-            index // self.strides[m] % self._dims[m] for m in range(self.total_modes)
-        )
 
     def occupations(self) -> Iterator[tuple[int, ...]]:
         """Iterate all occupation tuples in basis order."""
-        return itertools.product(*(range(d) for d in self._dims))
+        return itertools.product(*map(range, self.shape))
 
     def vacuum_occupation(self) -> tuple[int, ...]:
         return (0,) * self.total_modes

@@ -244,8 +244,8 @@ def test_criterion_7_algebra_oracle():
         system = systems[trial % len(systems)]
         poly = random_polynomial(rng, system, max_factors=6)
         ordered = normal_order(poly)
-        m_raw = polynomial_matrix(poly, system).matrix
-        m_ord = polynomial_matrix(ordered, system).matrix
+        m_raw = polynomial_matrix(poly, system)
+        m_ord = polynomial_matrix(ordered, system)
         bosons = np.array(list(system.occupations()))[:, : system.boson_modes]
         safe = (bosons <= system.cutoff - 6).all(axis=1)
         diff = np.abs((m_raw - m_ord).toarray()[:, safe])

@@ -46,7 +46,7 @@ def sym(mode, species=BOSON, dagger=False):
 
 
 def matrix_of(poly, system):
-    return polynomial_matrix(poly, system).matrix.toarray()
+    return polynomial_matrix(poly, system).toarray()
 
 
 def safe_columns(system, margin):

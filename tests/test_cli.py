@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import fockbench.backends
+import fockbench.checks
 import fockbench.cli
 from fockbench.cli import main
 
@@ -513,6 +514,25 @@ def test_check_passes(runner):
     assert result.exit_code == 0
     assert "FAIL" not in result.output
     assert result.output.count("ok") >= 10
+
+
+def test_check_reports_a_raising_check_and_runs_the_rest(runner, monkeypatch):
+    def raises():
+        raise ValueError("measurement requires a normalized state")
+
+    monkeypatch.setattr(
+        fockbench.checks,
+        "ALL_CHECKS",
+        [("first", lambda: (0.0, 1e-12)), ("raises", raises), ("last", lambda: (2.0, 0.0))],
+    )
+    result = invoke(runner, ["check"])
+    assert result.exit_code == 1
+    assert result.stdout.splitlines() == [
+        "[  ok] first: worst 0.000e+00 (bound 1e-12)",
+        "[FAIL] raises: error: measurement requires a normalized state",
+        "[FAIL] last: worst 2.000e+00 (bound 0e+00)",
+    ]
+    assert "Traceback" not in result.output
 
 
 def test_invocations_keep_no_output_streams_alive(runner):
