@@ -19,6 +19,7 @@ from .algebra import (
     basis_ket,
     commutator,
     creation,
+    evolve_symbolic,
     ket_from_creations,
     ket_inner,
     multiply,
@@ -31,15 +32,9 @@ from .algebra import (
 from .backends import (
     ComparisonReport,
     MeasurementReport,
-    TruncationWarning,
     compare_backends,
     compare_reports,
-    evolve_numeric,
-    evolve_symbolic,
-    heisenberg_residual,
-    ket_to_fock,
     measure,
-    polynomial_matrix,
 )
 from .circuit import (
     AnnihilationVertex,
@@ -57,11 +52,16 @@ from .circuit import (
 from .dsl import CircuitParseError, parse_circuit, render_circuit
 from .fock import (
     FockVector,
+    TruncationWarning,
     annihilation_op,
     creation_op,
+    evolve_numeric,
+    heisenberg_residual,
     inner_product,
+    ket_to_fock,
     mode_bipartition_entropy,
     number_op,
+    polynomial_matrix,
     vacuum_state,
 )
 from .modes import BOSON, DEFAULT_CUTOFF, FERMION, ModeSystem

@@ -17,6 +17,11 @@ Normal ordering serves the vertex, input parsing and the operator calculus
 elements never run it: a ket holds only creators, so a substituted product
 is sorted into canonical order in one step (:func:`substitute_modes`).
 
+This module is also the symbolic route: :func:`evolve_symbolic` takes a
+circuit through its elements on these kets, and :func:`_measure_ket` reads
+detector statistics from them for :func:`fockbench.backends.measure`.  It
+never imports the explicit representation.
+
 Symbols are hash-consed (Filliatre & Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006): one :class:`LadderSymbol` instance
 exists per ``(mode, species, dagger)``, so symbol equality is identity and
@@ -31,11 +36,14 @@ import operator
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
 from .modes import BOSON, FERMION, ModeSystem
+
+if TYPE_CHECKING:  # circuit imports this module
+    from .circuit import Circuit, CircuitElement
 
 #: Defaults for the exponential power series.
 SERIES_TOL = 1e-14
@@ -482,7 +490,9 @@ def ket_inner(left: KetExpression, right: KetExpression) -> complex:
     monomials are therefore orthogonal with squared length equal to the
     product of bosonic factorials.
     """
-    if left.system != right.system:
+    # Mode counts, not the systems: the cutoff belongs to the other route.
+    lsys, rsys = left.system, right.system
+    if (lsys.boson_modes, lsys.fermion_modes) != (rsys.boson_modes, rsys.fermion_modes):
         raise ValueError("kets live on different mode systems")
     total = 0.0 + 0.0j
     lterms = left.poly._terms
@@ -872,3 +882,50 @@ def joint_number_distribution(
             sums.get(restricted, 0.0) + abs(coeff) ** 2 * _gram_weight(factors)
         )
     return {pattern: sums[pattern] for pattern in sorted(sums) if sums[pattern] != 0.0}
+
+
+# ---------------------------------------------------------------------------
+# Symbolic route
+# ---------------------------------------------------------------------------
+
+
+def _require_finite(finite: bool, k: int, element: CircuitElement) -> None:
+    """Fail at the element that first makes a coefficient inf or nan."""
+    if not finite:
+        name = type(element).__name__
+        raise ValueError(f"element {k + 1} ({name}) makes an amplitude non-finite")
+
+
+def evolve_symbolic(circuit: Circuit) -> KetExpression:
+    """Evolve by pure operator algebra; no cutoff is involved anywhere.
+
+    Elements with ``number_phases`` multiply monomials by exact phases,
+    other linear elements substitute creation symbols through their mode
+    matrix, and the rest go through :func:`apply_vertex_exponential`, which
+    is exact at any angle and rejects any generator but the annihilation
+    vertex's.  No element uses the power series.  The circuit validated
+    every element on its system when it was built.  A ``ValueError`` names
+    the first element, if any, that makes a coefficient inf or nan.
+    """
+    ket = circuit.input_state
+    for k, element in enumerate(circuit.elements):
+        if element.number_phases is not None:
+            ket = apply_number_diagonal(element.number_phases, ket)
+        elif element.linear:
+            ket = substitute_modes(ket, element.mode_matrix(), element.modes)
+        else:
+            ket = apply_vertex_exponential(
+                element.generator(circuit.system), ket, *element.modes
+            )
+        # The coefficients of a normalized ket are at most 1 in modulus, so
+        # their sum is finite exactly when each of them is.
+        _require_finite(cmath.isfinite(sum(ket.poly.terms.values())), k, element)
+    return ket
+
+
+def _measure_ket(state: KetExpression, modes: tuple[int, ...]) -> tuple[dict, dict]:
+    """Expectations of every mode from one pass over the ket
+    (:func:`number_expectations`), and the joint distribution from
+    :func:`joint_number_distribution`.
+    """
+    return number_expectations(state, modes), joint_number_distribution(state, modes)

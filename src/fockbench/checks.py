@@ -12,8 +12,8 @@ import numpy as np
 from scipy import sparse
 
 from . import algebra
-from .algebra import LadderPolynomial, LadderSymbol, creation, annihilation
-from .backends import compare_backends, heisenberg_residual, polynomial_matrix
+from .algebra import LadderPolynomial, LadderSymbol, annihilation, basis_ket, creation
+from .backends import compare_backends, measure
 from .circuit import (
     ANGLE,
     ANTISYMMETRIC,
@@ -23,12 +23,17 @@ from .circuit import (
     PhaseShifter,
     SYMMETRIC,
     build_experiment,
+    with_cutoff,
 )
 from .fock import (
     annihilation_op,
     creation_op,
+    evolve_numeric,
+    heisenberg_residual,
+    ket_to_fock,
     mode_bipartition_entropy,
     number_op,
+    polynomial_matrix,
 )
 from .modes import BOSON, FERMION, ModeSystem
 
@@ -253,24 +258,19 @@ def check_random_equivalence() -> tuple[float, float]:
 
 
 def check_number_conservation() -> tuple[float, float]:
-    from .backends import evolve_numeric, evolve_symbolic, measure
-
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(5):
         circuit = random_circuit(rng)
         modes = tuple(range(circuit.system.total_modes))
         start = sum(measure(circuit.input_state, modes).expectations.values())
-        for state in (evolve_numeric(circuit), evolve_symbolic(circuit)):
+        for state in (evolve_numeric(circuit), algebra.evolve_symbolic(circuit)):
             end = sum(measure(state, modes).expectations.values())
             worst = max(worst, abs(end - start))
     return worst, 1e-10
 
 
 def check_entropy() -> tuple[float, float]:
-    from .algebra import basis_ket
-    from .backends import ket_to_fock
-
     system = ModeSystem(2, 0, 3)
     bell_poly = (
         basis_ket(system, (1, 0)).poly + basis_ket(system, (0, 1)).poly
@@ -283,9 +283,6 @@ def check_entropy() -> tuple[float, float]:
 
 
 def check_cutoff_robustness() -> tuple[float, float]:
-    from .backends import evolve_numeric, measure
-    from .circuit import with_cutoff
-
     worst = 0.0
     for control in (0, 1):
         circuit = build_experiment("cnot_dualrail", control=control, target=control)

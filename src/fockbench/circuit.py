@@ -7,8 +7,9 @@ exp(K) its evolution; a number-diagonal one defines ``number_phases``
 instead, keyed by mode tuples of length 1 or 2, from which the generator
 follows; a linear one sets ``linear`` and defines ``mode_matrix()``;
 species rules beyond the shared ones go in ``validate(system)``.  Both
-routes in :mod:`fockbench.backends` read only these (the symbolic route
-takes any other element to be the annihilation vertex), and a row of
+routes, :func:`fockbench.fock.evolve_numeric` and
+:func:`fockbench.algebra.evolve_symbolic`, read only these (the symbolic
+route takes any other element to be the annihilation vertex), and a row of
 :data:`fockbench.dsl.ELEMENT_SYNTAX` gives an element its text form.
 
 Conventions frozen here:

@@ -19,15 +19,9 @@ from fockbench.algebra import (
     normal_order,
     vacuum_expectation,
     commutator,
-)
-from fockbench.backends import (
-    compare_backends,
-    evolve_numeric,
     evolve_symbolic,
-    heisenberg_residual,
-    measure,
-    polynomial_matrix,
 )
+from fockbench.backends import compare_backends, measure
 from fockbench.checks import builtin_equivalence_cases, random_circuit, random_polynomial
 from fockbench.circuit import (
     BeamSplitter,
@@ -39,7 +33,13 @@ from fockbench.circuit import (
 )
 from fockbench.cli import main as cli_main
 from fockbench.dsl import parse_circuit, render_circuit
-from fockbench.fock import FockVector, mode_bipartition_entropy
+from fockbench.fock import (
+    FockVector,
+    evolve_numeric,
+    heisenberg_residual,
+    mode_bipartition_entropy,
+    polynomial_matrix,
+)
 from fockbench.modes import BOSON, FERMION, ModeSystem
 
 from test_dsl import MALFORMED, circuits_equivalent

@@ -35,9 +35,8 @@ from fockbench.algebra import (
     vacuum_expectation,
     vacuum_ket,
 )
-from fockbench.backends import ket_to_fock, polynomial_matrix
 from fockbench.circuit import AnnihilationVertex, element_generator
-from fockbench.fock import inner_product
+from fockbench.fock import inner_product, ket_to_fock, polynomial_matrix
 from fockbench.modes import BOSON, FERMION, ModeSystem
 
 
@@ -369,6 +368,19 @@ def test_ket_inner_matches_general_reduction():
     assert via_gram == pytest.approx(via_rewrite, abs=1e-12)
     via_matrix = inner_product(ket_to_fock(k1), ket_to_fock(k2))
     assert via_gram == pytest.approx(via_matrix, abs=1e-12)
+
+
+def test_ket_inner_ignores_the_cutoff_but_not_the_modes():
+    # a ket has no cutoff: only the mode counts must agree
+    poly = (creation(0) * creation(0) + creation(1) * 1j) * (1 / math.sqrt(3))
+    low, high = ModeSystem(2, 0, 3), ModeSystem(2, 0, 6)
+    assert ket_inner(reduce_to_ket(poly, low), reduce_to_ket(poly, high)) == pytest.approx(
+        1.0, abs=1e-12
+    )
+    mixed = reduce_to_ket(creation(1), ModeSystem(2, 1, 3))
+    bosonic = reduce_to_ket(creation(1), ModeSystem(3, 0, 3))
+    with pytest.raises(ValueError, match="kets live on different mode systems"):
+        ket_inner(mixed, bosonic)
 
 
 def test_vacuum_ket_norm():

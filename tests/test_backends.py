@@ -10,26 +10,21 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.stats import unitary_group
 
-import fockbench.backends
+import fockbench.fock
 from fockbench.algebra import (
     KetExpression,
     annihilation,
     basis_ket,
     creation,
+    evolve_symbolic,
     ket_inner,
     reduce_to_ket,
 )
 from fockbench.backends import (
     ComparisonReport,
-    TruncationWarning,
     compare_backends,
     compare_reports,
-    evolve_numeric,
-    evolve_symbolic,
-    heisenberg_residual,
-    ket_to_fock,
     measure,
-    polynomial_matrix,
 )
 from fockbench.checks import random_circuit
 from fockbench.circuit import (
@@ -49,7 +44,16 @@ from fockbench.circuit import (
     with_cutoff,
 )
 from fockbench.dsl import parse_circuit
-from fockbench.fock import FockVector, inner_product, vacuum_state
+from fockbench.fock import (
+    FockVector,
+    TruncationWarning,
+    evolve_numeric,
+    heisenberg_residual,
+    inner_product,
+    ket_to_fock,
+    polynomial_matrix,
+    vacuum_state,
+)
 from fockbench.modes import FERMION, ModeSystem
 from test_fock import box_index_oracle, dense_creation_oracle
 
@@ -366,7 +370,7 @@ def _random_bosonic(seed: int, cutoff: int):
         _identical_blocks,
     ],
 )
-@pytest.mark.filterwarnings("ignore::fockbench.backends.TruncationWarning")
+@pytest.mark.filterwarnings("ignore::fockbench.fock.TruncationWarning")
 def test_numeric_matches_full_box_reference(build):
     circuit = build()
     reference = _full_box_reference(circuit)
@@ -375,13 +379,13 @@ def test_numeric_matches_full_box_reference(build):
 
 def test_identical_blocks_exponentiated_once(monkeypatch):
     exponentiated = []
-    original = fockbench.backends.expm
+    original = fockbench.fock.expm
 
     def recording(mats):
         exponentiated.append(mats.shape)
         return original(mats)
 
-    monkeypatch.setattr(fockbench.backends, "expm", recording)
+    monkeypatch.setattr(fockbench.fock, "expm", recording)
     evolve_numeric(_identical_blocks())
     assert exponentiated == [(1, 2, 2), (1, 2, 2)]
 
@@ -637,8 +641,8 @@ def _reference_expm_multiply(entries, occupations, modes, vec):
 def _reference_evolve_numeric(circuit: Circuit) -> FockVector:
     # one search entry per element term, one block partition per element
     system = circuit.system
-    image_of = fockbench.backends._monomial_image
-    amps, cut = fockbench.backends._ket_amplitudes(circuit.input_state)
+    image_of = fockbench.fock._monomial_image
+    amps, cut = fockbench.fock._ket_amplitudes(circuit.input_state)
     start = FockVector.from_amplitudes(system, amps).amplitudes
     generators = {
         k: list(element_generator(element, system).terms.items())
@@ -653,7 +657,7 @@ def _reference_evolve_numeric(circuit: Circuit) -> FockVector:
             rows, cols, values = entries[k]
             for factors, coeff in terms:
                 image = image_of(system, factors, occ)
-                if image is fockbench.backends._CUT_AT_CUTOFF:
+                if image is fockbench.fock._CUT_AT_CUTOFF:
                     cut = True
                 elif image is not None:
                     target, weight = image
@@ -686,7 +690,7 @@ def _reference_evolve_numeric(circuit: Circuit) -> FockVector:
             vec = _reference_expm_multiply(
                 (rank[rows], rank[cols], values), occ_array, element.modes, vec
             )
-    (hits,) = np.nonzero(np.abs(vec) >= fockbench.backends.PRUNE_THRESHOLD)
+    (hits,) = np.nonzero(np.abs(vec) >= fockbench.fock.PRUNE_THRESHOLD)
     return FockVector(system, {occupations[i]: complex(vec[i]) for i in hits})
 
 
@@ -799,13 +803,13 @@ def test_numeric_search_and_plans_are_shared_across_a_mesh(monkeypatch):
     circuit = _linear_circuits()["bs_phase_mesh"]
     calls = {"_monomial_image": 0, "_block_plan": 0, "element_generator": 0}
     for name in calls:
-        original = getattr(fockbench.backends, name)
+        original = getattr(fockbench.fock, name)
 
         def counted(*args, _name=name, _original=original):
             calls[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(fockbench.backends, name, counted)
+        monkeypatch.setattr(fockbench.fock, name, counted)
     state = evolve_numeric(circuit)
     assert len(state.amplitudes) == 56
     assert calls == {"_monomial_image": 56 * 10 + 1, "_block_plan": 5, "element_generator": 15}

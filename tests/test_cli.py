@@ -3,6 +3,9 @@
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -507,6 +510,17 @@ def test_list_experiments_stable_order(runner):
     lines = first.strip().splitlines()
     assert lines[0].startswith("single_photon_bs_sym")
     assert lines[2].startswith("cnot_dualrail")
+
+
+def test_importing_the_cli_leaves_the_invariant_suite_unloaded():
+    # only ``check`` needs the suite, so ``run`` does not pay for loading it
+    package_root = Path(fockbench.cli.__file__).resolve().parent.parent
+    probe = "import sys, fockbench.cli; print('fockbench.checks' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n"
 
 
 def test_check_passes(runner):

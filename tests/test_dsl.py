@@ -8,7 +8,6 @@ import pytest
 
 import fockbench.dsl
 from fockbench.algebra import basis_ket
-from fockbench.backends import ket_to_fock
 from fockbench.checks import builtin_equivalence_cases, random_circuit
 from fockbench.circuit import (
     ANGLE,
@@ -22,6 +21,7 @@ from fockbench.circuit import (
     build_experiment,
 )
 from fockbench.dsl import ELEMENT_SYNTAX, CircuitParseError, parse_circuit, render_circuit
+from fockbench.fock import ket_to_fock
 from fockbench.modes import ModeSystem
 
 ROOT = Path(__file__).resolve().parent.parent

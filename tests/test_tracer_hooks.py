@@ -79,3 +79,24 @@ def test_installed_tracer_records_symbolic_measurement_and_phases():
     names = {span[2] for span in tracer.spans}
     assert {"algebra.joint_number_distribution", "algebra.apply_number_diagonal"} <= names
     assert "algebra.normal_order" not in names
+
+
+def test_installed_tracer_records_both_routes_outside_backends():
+    # the evolutions and per-route measurements live in ``fock`` and
+    # ``algebra``; the tracer finds them through ``backends`` by identity
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        result = CliRunner().invoke(
+            fockbench.cli.main,
+            ["run", "--experiment", "hardy_vertex:0.3", "--backend", "both"],
+        )
+    finally:
+        tracer.uninstall()
+    assert result.exit_code == 0
+    names = {span[2] for span in tracer.spans}
+    assert {
+        "backends.evolve_numeric",
+        "backends.measure_fock",
+        "backends.measure_ket",
+    } <= names
