@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, logm
 
 from .algebra import (
     KetExpression,
@@ -244,6 +243,8 @@ class QuadraticCustom(CircuitElement):
         return cls(tuple(modes), tuple(tuple(row) for row in c))
 
     def mode_matrix(self) -> np.ndarray:
+        from scipy.linalg import expm
+
         return expm(self.matrix)
 
     def generator(self, system: ModeSystem) -> LadderPolynomial:
@@ -268,6 +269,8 @@ def generator_from_unitary(b) -> np.ndarray:
     eigenvalue at -1 maps to +i pi), projects onto the anti-Hermitian part
     to defeat rounding, and validates by re-exponentiation.
     """
+    from scipy.linalg import expm, logm
+
     b = np.asarray(b, dtype=complex)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError("input must be a square matrix")

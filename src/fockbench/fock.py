@@ -5,7 +5,8 @@ distinguished vacuum, the basis vector ``(1, 0, 0, ...)``, and every state
 is a finite complex combination of occupation basis vectors.  Dense
 vectors and matrices index the box in the order :attr:`ModeSystem.shape
 <fockbench.modes.ModeSystem.shape>` states, through ``np.ravel_multi_index``
-and ``np.unravel_index``; matrices are plain ``scipy.sparse.csr_matrix``.
+and ``np.unravel_index``; matrices are plain ``scipy.sparse.csr_matrix``,
+and building one is what loads ``scipy.sparse``.
 The truncated ladder rules live in one per-state kernel,
 :func:`_monomial_image`: bosonic creation drops the transition out of the
 cutoff level, fermionic operators carry Jordan-Wigner signs over the
@@ -16,11 +17,13 @@ the states it reaches, so both run the same rules.
 ``evolve_numeric`` is the explicit route: each element's generator
 becomes a matrix on the occupations reachable from the input, and the
 state vector is pushed through its exponential, computed densely on the
-blocks the generator leaves invariant (:func:`expm_multiply`).  The search
-applies each distinct ladder monomial once per state, and elements with
-the same modes and monomials share one plan of those blocks, which also
-records the blocks that are equal whatever the coefficients.  The route
-reads the algebra only to build generators and input kets; its
+blocks the generator leaves invariant (:func:`expm_multiply`, which loads
+``scipy.linalg`` at its first call; the route builds no sparse matrix, so
+importing this module or running either route loads no ``scipy.sparse``).
+The search applies each distinct ladder monomial once per state, and
+elements with the same modes and monomials share one plan of those blocks,
+which also records the blocks that are equal whatever the coefficients.
+The route reads the algebra only to build generators and input kets; its
 statistics go into the reports of :mod:`fockbench.backends`.
 """
 
@@ -31,15 +34,16 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import expm
 
 from .algebra import KetExpression, LadderPolynomial, LadderSymbol
 from .circuit import Circuit, CircuitElement, element_generator
 from .modes import ModeSystem
+
+if TYPE_CHECKING:  # scipy loads where a matrix is built or exponentiated
+    from scipy import sparse
 
 #: Stored amplitudes smaller than this are dropped.  Chosen below the
 #: double-precision accumulation noise of circuits with at most ~10 elements.
@@ -199,6 +203,8 @@ def ladder_matrix(system: ModeSystem, terms: Mapping) -> sparse.csr_matrix:
     the per-state rule the numeric evolution runs, and entries that meet in
     one cell are summed in term order.
     """
+    from scipy import sparse
+
     occupations = list(system.occupations())
     targets, cols, data = [], [], []
     for factors, coeff in terms.items():
@@ -239,6 +245,8 @@ def annihilation_op(system: ModeSystem, mode: int) -> sparse.csr_matrix:
 @lru_cache(maxsize=None)
 def number_op(system: ModeSystem, mode: int) -> sparse.csr_matrix:
     """Diagonal matrix whose entry on each basis vector is its occupation."""
+    from scipy import sparse
+
     system.validate_mode(mode)
     dim = system.basis_size
     occ = np.array([n[mode] for n in system.occupations()], dtype=complex)
@@ -471,6 +479,8 @@ def expm_multiply(plan: _BlockPlan, values: np.ndarray, vec) -> np.ndarray:
     benchmark tracer (``perfbench/tracer.py``) times the numeric
     exponential under ``backends.expm_multiply``.
     """
+    from scipy.linalg import expm
+
     out = np.empty_like(vec)
     for size, take, cells, count, same, states in plan.groups:
         mats = np.zeros(count * size * size, dtype=complex)
@@ -612,6 +622,8 @@ def heisenberg_residual(element: CircuitElement, system: ModeSystem) -> float:
     modes is at most cutoff - 1; columns that can reach the truncation
     level are exempt because the cut basis cannot represent them faithfully.
     """
+    from scipy.linalg import expm
+
     if not element.linear:
         raise ValueError("the Heisenberg relation applies to linear elements only")
     if system.basis_size > 20_000:

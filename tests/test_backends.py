@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.stats import unitary_group
@@ -379,13 +380,14 @@ def test_numeric_matches_full_box_reference(build):
 
 def test_identical_blocks_exponentiated_once(monkeypatch):
     exponentiated = []
-    original = fockbench.fock.expm
+    original = scipy.linalg.expm
 
     def recording(mats):
         exponentiated.append(mats.shape)
         return original(mats)
 
-    monkeypatch.setattr(fockbench.fock, "expm", recording)
+    # expm_multiply imports expm at each call, so the spy sits on scipy.linalg
+    monkeypatch.setattr(scipy.linalg, "expm", recording)
     evolve_numeric(_identical_blocks())
     assert exponentiated == [(1, 2, 2), (1, 2, 2)]
 

@@ -523,6 +523,57 @@ def test_importing_the_cli_leaves_the_invariant_suite_unloaded():
     assert done.stdout == "False\n"
 
 
+#: Runs the CLI on the probe's arguments.
+RUN_CLI = "from fockbench.cli import main; main(sys.argv[1:])"
+
+
+def _fresh_scipy_modules(statement, *args):
+    """(exit code, stdout, scipy modules loaded) of ``statement`` run with
+    ``args`` in a fresh interpreter."""
+    probe = (
+        "import sys\n"
+        "try:\n"
+        f"    {statement}\n"
+        "finally:\n"
+        "    loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "    print('scipy:', *loaded, file=sys.stderr)\n"
+    )
+    package_root = Path(fockbench.cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True
+    )
+    last = done.stderr.splitlines()[-1].split()
+    assert last[0] == "scipy:", done.stderr
+    return done.returncode, done.stdout, last[1:]
+
+
+@pytest.mark.parametrize("module", ["fockbench", "fockbench.cli"])
+def test_importing_the_package_loads_no_scipy(module):
+    # only a matrix exponential or a box matrix needs scipy, and imports build neither
+    assert _fresh_scipy_modules(f"import {module}") == (0, "", [])
+
+
+def test_symbolic_run_loads_no_scipy():
+    path = ROOT / "circuits" / "cnot_dualrail.fck"
+    code, stdout, loaded = _fresh_scipy_modules(
+        RUN_CLI, "run", str(path), "--backend", "symbolic", "--format", "json"
+    )
+    assert (code, loaded) == (0, [])
+    golden = ROOT / "tests" / "golden" / "cnot_dualrail.symbolic.json"
+    assert stdout.encode() == golden.read_bytes()
+
+
+def test_numeric_run_loads_scipy_linalg_but_no_sparse_matrices():
+    path = ROOT / "circuits" / "cnot_dualrail.fck"
+    code, _, loaded = _fresh_scipy_modules(
+        RUN_CLI, "run", str(path), "--backend", "numeric", "--format", "json"
+    )
+    assert code == 0
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded if m.split(".")[:2] == ["scipy", "sparse"]]
+
+
 def test_check_passes(runner):
     result = invoke(runner, ["check"])
     assert result.exit_code == 0
