@@ -67,6 +67,13 @@ def measure(state, modes) -> MeasurementReport:
     return MeasurementReport(modes, *route(state, modes), norm)
 
 
+def require_tolerance(tol: float) -> None:
+    """Refuse a comparison tolerance that is not finite and positive: under
+    nan every run would fail, under inf every run would pass."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+
+
 def compare_reports(
     numeric: MeasurementReport, symbolic: MeasurementReport, tol: float = 1e-9
 ) -> ComparisonReport:
@@ -74,12 +81,10 @@ def compare_reports(
 
     Deviations are absolute differences of detector expectations and of
     every joint-outcome probability (all bounded by 1); the verdict is
-    "pass" exactly when the largest deviation is below ``tol``, which must
-    be finite and positive: under nan every run would fail, under inf every
-    run would pass.
+    "pass" exactly when the largest deviation is below ``tol``, which
+    :func:`require_tolerance` checks first.
     """
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+    require_tolerance(tol)
     deviations: dict[str, float] = {}
     for m in numeric.measured_modes:
         deviations[f"N{m + 1}"] = abs(

@@ -22,7 +22,13 @@ import warnings
 import click
 
 from .algebra import evolve_symbolic
-from .backends import ComparisonReport, MeasurementReport, compare_reports, measure
+from .backends import (
+    ComparisonReport,
+    MeasurementReport,
+    compare_reports,
+    measure,
+    require_tolerance,
+)
 from .circuit import Circuit, EXPERIMENTS, build_experiment, with_cutoff
 from .dsl import CircuitParseError, parse_circuit
 from .fock import evolve_numeric
@@ -208,6 +214,8 @@ def cmd_run(circuit_file, experiment, backend, cutoff, tol, fmt, all_inputs):
             if all_inputs:
                 raise click.ClickException("--all-inputs applies only to --experiment cnot_dualrail")
             runs = [(None, _load_circuit_file(circuit_file, cutoff))]
+        if backend == "both":  # refused before either route runs
+            require_tolerance(tol)
     except CircuitParseError as exc:
         click.echo(f"parse error: {exc}", file=sys.stderr)
         sys.exit(EXIT_PARSE)

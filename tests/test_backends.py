@@ -1,12 +1,15 @@
 """Backends: numeric and symbolic evolution, measurement, comparison."""
 
 import math
+import random
 import time
 import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 import scipy.linalg
+from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.stats import unitary_group
@@ -28,6 +31,7 @@ from fockbench.backends import (
     measure,
 )
 from fockbench.checks import random_circuit
+from fockbench.cli import main
 from fockbench.circuit import (
     ANGLE,
     ANTISYMMETRIC,
@@ -800,10 +804,17 @@ def test_numeric_matches_per_element_reference_bit_for_bit(circuit):
     )
 
 
+@pytest.mark.filterwarnings("ignore::fockbench.fock.TruncationWarning")
 def test_numeric_search_and_plans_are_shared_across_a_mesh(monkeypatch):
     # 15 splitters on 5 mode pairs: 10 distinct monomials on 56 states
+    fockbench.fock._compile_layout.cache_clear()
     circuit = _linear_circuits()["bs_phase_mesh"]
-    calls = {"_monomial_image": 0, "_block_plan": 0, "element_generator": 0}
+    calls = {
+        "_monomial_image": 0,
+        "_reachable_generators": 0,
+        "_block_plan": 0,
+        "element_generator": 0,
+    }
     for name in calls:
         original = getattr(fockbench.fock, name)
 
@@ -814,7 +825,145 @@ def test_numeric_search_and_plans_are_shared_across_a_mesh(monkeypatch):
         monkeypatch.setattr(fockbench.fock, name, counted)
     state = evolve_numeric(circuit)
     assert len(state.amplitudes) == 56
-    assert calls == {"_monomial_image": 56 * 10 + 1, "_block_plan": 5, "element_generator": 15}
+    assert calls == {
+        "_monomial_image": 56 * 10 + 1,
+        "_reachable_generators": 1,
+        "_block_plan": 5,
+        "element_generator": 15,
+    }
+    # the same mesh with new angles reuses the search and the plans; the
+    # one kernel call left reads the input ket, whose coefficients are not
+    # part of the shape
+    reangled = tuple(
+        replace(e, theta=e.theta + 0.25) if isinstance(e, BeamSplitter) else e
+        for e in circuit.elements
+    )
+    calls.update(dict.fromkeys(calls, 0))
+    evolve_numeric(replace(circuit, elements=reangled))
+    assert calls == {
+        "_monomial_image": 1,
+        "_reachable_generators": 0,
+        "_block_plan": 0,
+        "element_generator": 15,
+    }
+    # another cutoff or another input support is another shape
+    system = circuit.system
+    for other in (
+        with_cutoff(circuit, 2),
+        replace(circuit, input_state=basis_ket(system, (1, 1, 0, 1, 0, 0))),
+    ):
+        misses = fockbench.fock._compile_layout.cache_info().misses
+        calls.update(dict.fromkeys(calls, 0))
+        evolve_numeric(other)
+        assert fockbench.fock._compile_layout.cache_info().misses == misses + 1
+        assert calls["_block_plan"] == 5
+
+
+def _random_mesh_text(rng: random.Random) -> str:
+    lines = ["system bosons=6 cutoff=3", "input create 1 2 3"]
+    for layer in range(6):
+        for m in range(layer % 2, 5, 2):
+            lines.append(f"bs {m + 1} {m + 2} angle={rng.uniform(0.0, 2 * math.pi)!r}")
+            lines.append(f"phase {m + 1} {rng.uniform(0.0, 2 * math.pi)!r}")
+    lines.append("measure all")
+    return "\n".join(lines) + "\n"
+
+
+def _layout_sweep(tmp_path) -> list:
+    """(circuit, CLI arguments) pairs: 20 meshes of one shape, 20 vertex
+    angles with one refused as too large and one non-finite, and a
+    truncated splitter."""
+    rng = random.Random("layout sweep")
+    sweep = []
+    for i in range(20):
+        path = tmp_path / f"mesh{i}.fck"
+        path.write_text(_random_mesh_text(rng))
+        sweep.append((parse_circuit(path.read_text()), [str(path)]))
+    for theta in [rng.uniform(-10.0, 10.0) for _ in range(18)] + [3e6, 1e308]:
+        circuit = build_experiment("hardy_vertex", theta=theta)
+        sweep.append((circuit, ["--experiment", f"hardy_vertex:{theta!r}"]))
+    path = tmp_path / "cut.fck"
+    path.write_text("system bosons=2 cutoff=1\ninput create 1 2\nbs 1 2 sym\nmeasure all\n")
+    sweep.append((_two_photon_splitter_at_cutoff_1(), [str(path)]))
+    return sweep
+
+
+def _numeric_outcome(circuit):
+    """Amplitude bits or the refusal, and the number of TruncationWarnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            state = evolve_numeric(circuit)
+        except ValueError as exc:
+            result = str(exc)
+        else:
+            result = {
+                occ: (amp.real.hex(), amp.imag.hex()) for occ, amp in state.amplitudes.items()
+            }
+    return result, sum(issubclass(w.category, TruncationWarning) for w in caught)
+
+
+def test_warm_layout_cache_matches_cold_bit_for_bit(tmp_path):
+    layouts = fockbench.fock._compile_layout
+    sweep = _layout_sweep(tmp_path)
+    runner = CliRunner()
+
+    def outcomes(cold: bool):
+        for circuit, args in sweep:
+            if cold:
+                layouts.cache_clear()
+            library = _numeric_outcome(circuit)
+            if cold:
+                layouts.cache_clear()
+            result = runner.invoke(
+                main, ["run", *args, "--backend", "numeric", "--format", "json"]
+            )
+            yield library, (result.exit_code, result.stdout, result.stderr)
+
+    expected = list(outcomes(cold=True))
+    list(outcomes(cold=False))  # warms the cache
+    misses = layouts.cache_info().misses
+    assert list(outcomes(cold=False)) == expected
+    assert layouts.cache_info().misses == misses
+    # the sweep meets both refusals and the truncation
+    assert "above 2e+06" in expected[38][0][0]
+    assert "non-finite" in expected[39][0][0]
+    assert expected[40][0][1] == 1
+    assert [cli[0] for _, cli in expected] == [0] * 38 + [1, 1, 0]
+    assert expected[39][1][2].startswith("error: element 1 (AnnihilationVertex)")
+    assert expected[40][1][2].startswith("warning: ")
+
+
+def test_cached_layout_is_read_only_and_bounded(monkeypatch):
+    layouts = fockbench.fock._compile_layout
+    layouts.cache_clear()
+    seen = []
+
+    def recorded(*key):
+        seen.append(layouts(*key))
+        return seen[-1]
+
+    monkeypatch.setattr(fockbench.fock, "_compile_layout", recorded)
+    circuit = _linear_circuits()["bs_phase_mesh"]
+    evolve_numeric(circuit)
+    evolve_numeric(circuit)
+    layout = seen[0]
+    assert seen[1] is layout
+    arrays = [layout.occ_array, layout.support_rows]
+    for plan in layout.plans:
+        arrays += [plan.term, plan.weights]
+        arrays += [a for group in plan.groups for a in group if isinstance(a, np.ndarray)]
+    assert len(arrays) > 2 + 2 * 15
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    with pytest.raises(FrozenInstanceError):
+        layout.cut = True
+    # one more distinct shape than the cache holds: the oldest goes
+    photon = build_experiment("single_photon_bs_sym")
+    for cutoff in range(1, fockbench.fock.LAYOUT_CACHE_SIZE + 2):
+        evolve_numeric(with_cutoff(photon, cutoff))
+    assert layouts.cache_info().currsize == fockbench.fock.LAYOUT_CACHE_SIZE
 
 
 # ---------------------------------------------------------------------------

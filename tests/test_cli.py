@@ -109,6 +109,26 @@ def test_run_rejects_tolerance_that_is_not_finite_and_positive(runner, value):
     assert result.stderr == f"error: tolerance must be finite and positive, got {tol!r}\n"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-9"])
+def test_run_both_refuses_a_bad_tolerance_before_either_route(runner, monkeypatch, value):
+    def refuse(circuit):
+        raise AssertionError("a route ran under a tolerance that is refused")
+
+    path = str(ROOT / "circuits" / "single_photon_bs_sym.fck")
+    monkeypatch.setattr(fockbench.cli, "evolve_numeric", refuse)
+    result = invoke(runner, ["run", path, "--backend", "both", "--tol", value])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    tol = float(value)
+    assert result.stderr == f"error: tolerance must be finite and positive, got {tol!r}\n"
+    # the single routes compare nothing, so they keep ignoring --tol
+    monkeypatch.undo()
+    for backend in ("numeric", "symbolic"):
+        plain = invoke(runner, ["run", path, "--backend", backend])
+        result = invoke(runner, ["run", path, "--backend", backend, "--tol", value])
+        assert (result.exit_code, result.stdout, result.stderr) == (0, plain.stdout, "")
+
+
 def test_run_requires_exactly_one_source(runner):
     assert invoke(runner, ["run"]).exit_code == 1
     result = invoke(runner, ["run", "x.fck", "--experiment", "single_photon_bs_sym"])
