@@ -792,23 +792,13 @@ def apply_exponential_series(
 # ---------------------------------------------------------------------------
 
 
-def _falling_factorial(nu: int, m: int) -> int:
-    """nu! / (nu - m)!, and 0 when m exceeds nu.
-
-    This is the contraction coefficient in a^m (adag)^nu |0> =
-    (nu!/(nu-m)!) (adag)^(nu-m) |0>, obtained by commuting each ``a``
-    through the creation block.  The same formula covers fermions, whose
-    occupations never exceed 1.
-    """
-    return math.perm(nu, m) if m <= nu else 0
-
-
 def _projector_weight(n: int, nu: int) -> float:
     """<occupation nu| P_n |occupation nu> via the normal-ordered series.
 
     P_n = sum_j (-1)^j / (n! j!) adag^(n+j) a^(n+j) projects onto
     occupation ``n`` of one mode.  On a monomial with occupation ``nu``
-    each insertion is diagonal with the falling-factorial coefficient, and
+    the insertion ``adag^k a^k`` is diagonal with the falling-factorial
+    coefficient ``math.perm(nu, k)`` = nu!/(nu-k)!, fermions included, and
     the alternating sum collapses to the exact indicator of nu == n.
     """
     if nu < n:
@@ -817,27 +807,24 @@ def _projector_weight(n: int, nu: int) -> float:
     for j in range(nu - n + 1):
         total += (
             (-1) ** j
-            * _falling_factorial(nu, n + j)
+            * math.perm(nu, n + j)
             / (math.factorial(n) * math.factorial(j))
         )
     return total
 
 
 def number_expectation(ket: KetExpression, mode: int) -> float:
-    """<ket| N_mode |ket> via the single normal-ordered insertion adag a."""
-    ket.system.validate_mode(mode)
-    total = 0.0
-    for factors, coeff in ket.poly._terms.items():
-        occ = monomial_occupations(factors, ket.system.total_modes)
-        total += abs(coeff) ** 2 * _gram_weight(factors) * _falling_factorial(occ[mode], 1)
-    return total
+    """<ket| N_mode |ket>: :func:`number_expectations` for the one mode."""
+    return number_expectations(ket, (mode,))[mode]
 
 
 def number_expectations(ket: KetExpression, modes) -> dict[int, float]:
-    """:func:`number_expectation` for every mode of ``modes``, in one pass.
+    """<ket| N_m |ket> for every mode ``m`` of ``modes``, in one pass.
 
-    Each mode's sum adds the same terms in the same order as
-    :func:`number_expectation`, so the values are the same bit for bit.
+    The single normal-ordered insertion adag a is diagonal on a canonical
+    monomial, with its occupation of the mode as the coefficient, so each
+    mode's value sums ``|c|^2 <0|M^dag M|0>`` times that occupation over
+    the ket's monomials, in term order.
     """
     totals = {}
     for m in modes:
@@ -868,12 +855,7 @@ def joint_number_distribution(
     the same sums bit for bit.  Patterns outside the ket's support carry
     probability zero and are omitted.
     """
-    modes = tuple(sorted(set(int(m) for m in modes)))
-    for m in modes:
-        ket.system.validate_mode(m)
-    if not modes:
-        raise ValueError("at least one mode must be measured")
-
+    modes = ket.system.detector_modes(modes)
     sums: dict[tuple[int, ...], float] = {}
     for factors, coeff in ket.poly._terms.items():
         occ = monomial_occupations(factors, ket.system.total_modes)

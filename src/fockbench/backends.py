@@ -55,11 +55,7 @@ def measure(state, modes) -> MeasurementReport:
     """
     if not isinstance(state, (FockVector, KetExpression)):
         raise TypeError("measure expects a FockVector or a KetExpression")
-    modes = tuple(sorted(set(int(m) for m in modes)))
-    if not modes:
-        raise ValueError("at least one mode must be measured")
-    for m in modes:
-        state.system.validate_mode(m)
+    modes = state.system.detector_modes(modes)
     norm = state.norm()
     if not abs(norm - 1.0) <= 1e-8:  # a nan norm fails too
         raise ValueError(f"measurement requires a normalized state (norm {norm:.12g})")

@@ -297,18 +297,14 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        measured = tuple(sorted(set(int(m) for m in self.measured_modes)))
-        object.__setattr__(self, "measured_modes", measured)
         for element in self.elements:
             element.validate(self.system)
         if self.input_state.system != self.system:
             raise ValueError("input state belongs to a different mode system")
         if not abs(self.input_state.norm() - 1.0) <= 1e-8:  # a nan norm fails too
             raise ValueError("input state must be normalized")
-        if not measured:
-            raise ValueError("at least one mode must be measured")
-        for m in measured:
-            self.system.validate_mode(m)
+        measured = self.system.detector_modes(self.measured_modes)
+        object.__setattr__(self, "measured_modes", measured)
 
 
 def with_cutoff(circuit: Circuit, cutoff: int) -> Circuit:

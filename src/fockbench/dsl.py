@@ -344,7 +344,7 @@ class _Parser:
         modes = []
         for text, col in tokens[1:]:
             modes.append(_parse_mode(text, self.system, lineno, col))
-        self.measured = sorted(set(modes))
+        self.measured = modes
 
     def _add_element(self, element, lineno, col):
         try:

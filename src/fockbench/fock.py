@@ -4,30 +4,22 @@ This is the representation-dependent half of the simulator.  There is one
 distinguished vacuum, the basis vector ``(1, 0, 0, ...)``, and every state
 is a finite complex combination of occupation basis vectors.  Dense
 vectors and matrices index the box in the order :attr:`ModeSystem.shape
-<fockbench.modes.ModeSystem.shape>` states, through ``np.ravel_multi_index``
-and ``np.unravel_index``; matrices are plain ``scipy.sparse.csr_matrix``,
-and building one is what loads ``scipy.sparse``.
+<fockbench.modes.ModeSystem.shape>` states; matrices are plain
+``scipy.sparse.csr_matrix``, and building one is what loads
+``scipy.sparse``.
 The truncated ladder rules live in one per-state kernel,
 :func:`_monomial_image`: bosonic creation drops the transition out of the
 cutoff level, fermionic operators carry Jordan-Wigner signs over the
-fermionic modes.  :func:`ladder_matrix` applies it to every state of the
-box to build the explicit sparse matrices, and the numeric evolution to
-the states it reaches, so both run the same rules.
+fermionic modes.  Two loops run it: the breadth-first search
+:func:`_reachable_generators`, which the numeric route runs from the
+input's support and :func:`ladder_matrix` from every state of the box,
+and :func:`_ket_amplitudes`, which reads an input ket.
 
 ``evolve_numeric`` is the explicit route: each element's generator
 becomes a matrix on the occupations reachable from the input, and the
 state vector is pushed through its exponential, computed densely on the
-blocks the generator leaves invariant (:func:`expm_multiply`, which loads
-``scipy.linalg`` at its first call; the route builds no sparse matrix, so
-importing this module or running either route loads no ``scipy.sparse``).
-The search applies each distinct ladder monomial once per state, and
-elements with the same modes and monomials share one plan of those blocks,
-which also records the blocks that are equal whatever the coefficients.
-Neither reads a coefficient, so both are compiled once per circuit shape
-(the mode system, the input support, and each element's modes and
-monomials) and kept in a cache of :data:`LAYOUT_CACHE_SIZE` shapes; a run
-that finds its shape there skips them, and no amplitude bit moves.
-The route reads the algebra only to build generators and input kets; its
+blocks the generator leaves invariant (:func:`expm_multiply`).  The
+route reads the algebra only to build generators and input kets; its
 statistics go into the reports of :mod:`fockbench.backends`.
 """
 
@@ -121,8 +113,11 @@ class FockVector:
         )
 
     def to_dense(self) -> np.ndarray:
-        vec = np.zeros(self.system.basis_size, dtype=complex)
-        vec[_box_indices(self.system, list(self.amplitudes))] = list(
+        system = self.system
+        occupations = np.array(list(self.amplitudes), dtype=np.intp)
+        multi_index = occupations.reshape(-1, system.total_modes).T
+        vec = np.zeros(system.basis_size, dtype=complex)
+        vec[np.ravel_multi_index(multi_index, system.shape)] = list(
             self.amplitudes.values()
         )
         return vec
@@ -200,34 +195,26 @@ def _monomial_image(system: ModeSystem, factors, occ: tuple[int, ...]):
     return tuple(occ), weight
 
 
-def _box_indices(system: ModeSystem, occupations: list) -> np.ndarray:
-    """Basis indices of occupation tuples, in the order of ``system.shape``."""
-    multi_index = np.array(occupations, dtype=np.intp).reshape(-1, system.total_modes)
-    return np.ravel_multi_index(multi_index.T, system.shape)
-
-
 def ladder_matrix(system: ModeSystem, terms: Mapping) -> sparse.csr_matrix:
     """Sparse matrix of ``sum(coeff * monomial)`` over ``terms`` on the full box.
 
     ``terms`` maps ladder monomials (tuples of symbols) to coefficients.
-    Each monomial goes through :func:`_monomial_image` on every basis state,
-    the per-state rule the numeric evolution runs, and entries that meet in
-    one cell are summed in term order.
+    The entries come from :func:`_reachable_generators`, the numeric
+    route's search, run from every basis state in basis order: the box is
+    closed under truncated monomials, so the search finds no other state
+    and its indices are the basis indices.  Entries that meet in one cell
+    are summed in term order.
     """
     from scipy import sparse
 
-    occupations = list(system.occupations())
-    targets, cols, data = [], [], []
+    _, images, _ = _reachable_generators(system, terms, system.occupations())
+    rows, cols, data = [], [], []
     for factors, coeff in terms.items():
-        for col, occ in enumerate(occupations):
-            image = _monomial_image(system, factors, occ)
-            if image is not None and image is not _CUT_AT_CUTOFF:
-                target, weight = image
-                targets.append(target)
-                cols.append(col)
-                data.append(coeff * weight)
+        targets, sources, weights = images[factors]
+        rows += targets
+        cols += sources
+        data += [coeff * weight for weight in weights]
     dim = system.basis_size
-    rows = _box_indices(system, targets)
     return sparse.coo_matrix(
         (np.array(data, dtype=complex), (rows, cols)), shape=(dim, dim)
     ).tocsr()
@@ -425,7 +412,9 @@ def _block_plan(occupations: np.ndarray, rank, modes, images) -> _BlockPlan:
     ``occupations``.  States that agree on every mode outside ``modes``
     form a block that the generator maps into itself.  Blocks of one size
     whose cells receive the same weights of the same terms are equal for
-    any coefficients; the first of them represents the others.
+    any coefficients; the first of them represents the others.  A size
+    held by one block goes through the same comparison: plans are built
+    once per circuit shape, not once per run.
     """
     n = len(occupations)
     outside = occupations[:, [m for m in range(occupations.shape[1]) if m not in modes]]
@@ -454,23 +443,22 @@ def _block_plan(occupations: np.ndarray, rank, modes, images) -> _BlockPlan:
         (members,) = np.nonzero(sizes == size)
         (mine,) = np.nonzero(entry_sizes == size)
         inner = position[rows[mine]] * size + position[cols[mine]]
-        if len(members) == 1:  # nothing to compare, which small circuits often meet
-            take, cells, count, same = mine, inner, 1, np.zeros(1, dtype=np.int64)
-        else:
-            slot[members] = np.arange(len(members))
-            where = slot[entry_blocks[mine]]
-            pattern = np.zeros((len(members), len(images), size * size))
-            pattern[where, term[mine], inner] = weights[mine]
-            # Each block's index, or that of the first block with its pattern.
-            firsts: dict[bytes, int] = {}
-            leader = [firsts.setdefault(p.tobytes(), i) for i, p in enumerate(pattern)]
-            count = len(firsts)
-            representative = np.full(len(members), -1)
-            representative[list(firsts.values())] = np.arange(count)
-            target = representative[where]
-            kept = target >= 0
-            take, cells = mine[kept], target[kept] * size * size + inner[kept]
-            same = representative[leader]
+        slot[members] = np.arange(len(members))
+        where = slot[entry_blocks[mine]]
+        # One column per (term, cell) pair that a block of this size fills.
+        pairs, column = np.unique(term[mine] * size * size + inner, return_inverse=True)
+        pattern = np.zeros((len(members), len(pairs)))
+        pattern[where, column] = weights[mine]
+        # Each block's index, or that of the first block with its pattern.
+        firsts: dict[bytes, int] = {}
+        leader = [firsts.setdefault(p.tobytes(), i) for i, p in enumerate(pattern)]
+        count = len(firsts)
+        representative = np.full(len(members), -1)
+        representative[list(firsts.values())] = np.arange(count)
+        target = representative[where]
+        kept = target >= 0
+        take, cells = mine[kept], target[kept] * size * size + inner[kept]
+        same = representative[leader]
         states = order[starts[members][:, np.newaxis] + np.arange(size)]
         groups.append((size, take, cells, count, same, states))
     return _BlockPlan(term, weights, tuple(groups))
@@ -486,9 +474,8 @@ def expm_multiply(plan: _BlockPlan, values: np.ndarray, vec) -> np.ndarray:
     batched call), whose cost grows with log ||K|| where a Taylor series
     grows with ||K||; each block's states are then multiplied by its
     representative's exponential, one batched product per size.  The
-    function keeps the name of the scipy action it replaced because the
     benchmark tracer (``perfbench/tracer.py``) times the numeric
-    exponential under ``backends.expm_multiply``.
+    exponential under the name ``backends.expm_multiply``.
     """
     from scipy.linalg import expm
 
@@ -513,16 +500,15 @@ class _Layout:
     """Everything the numeric route derives from a circuit's shape, read-only.
 
     ``cut`` says whether the search dropped a bosonic creation at the
-    cutoff; ``occupations`` are the reachable states in basis order and
-    ``occ_array`` the same as an array; ``support_rows`` are the rows of
-    the input support, in its order; ``plans`` holds one
+    cutoff; ``occ_array`` holds the reachable states in basis order, one
+    row each, and is the route's only table of them; ``support_rows`` are
+    the rows of the input support, in its order; ``plans`` holds one
     :class:`_BlockPlan` per element without ``number_phases``, in element
     order, shared by elements of one shape.  Every array is read-only,
     since a cached layout serves every later circuit of its shape.
     """
 
     cut: bool
-    occupations: tuple
     occ_array: np.ndarray
     support_rows: np.ndarray
     plans: tuple
@@ -544,15 +530,14 @@ def _compile_layout(system: ModeSystem, support: tuple, shapes: tuple) -> _Layou
     order = sorted(range(len(states)), key=states.__getitem__)
     rank = np.empty(len(states), dtype=np.int64)
     rank[order] = np.arange(len(states))
-    occupations = tuple(states[i] for i in order)
-    occ_array = np.array(occupations, dtype=np.int64).reshape(-1, system.total_modes)
+    occ_array = np.array([states[i] for i in order], dtype=np.int64)
+    occ_array = occ_array.reshape(-1, system.total_modes)
     plans: dict[tuple, _BlockPlan] = {}
-    if states:
-        for modes, terms in shapes:
-            if (modes, terms) not in plans:
-                plans[modes, terms] = _block_plan(
-                    occ_array, rank, modes, [images[f] for f in terms]
-                )
+    for modes, terms in shapes:
+        if (modes, terms) not in plans:
+            plans[modes, terms] = _block_plan(
+                occ_array, rank, modes, [images[f] for f in terms]
+            )
     arrays = [occ_array, rank]
     for plan in plans.values():
         arrays += [plan.term, plan.weights]
@@ -560,11 +545,7 @@ def _compile_layout(system: ModeSystem, support: tuple, shapes: tuple) -> _Layou
     for array in arrays:
         array.flags.writeable = False
     return _Layout(
-        cut,
-        occupations,
-        occ_array,
-        rank[: len(support)],
-        tuple(plans[shape] for shape in shapes) if states else (),
+        cut, occ_array, rank[: len(support)], tuple(plans[shape] for shape in shapes)
     )
 
 
@@ -634,9 +615,7 @@ def evolve_numeric(
             TruncationWarning,
             stacklevel=2,
         )
-    if not layout.occupations:
-        return FockVector(system, {})
-    vec = np.zeros(len(layout.occupations), dtype=complex)
+    vec = np.zeros(len(layout.occ_array), dtype=complex)
     vec[layout.support_rows] = list(start.values())
     plans = dict(zip(generators, layout.plans))
     # An overflow shows as a non-finite amplitude, reported by _require_finite.
@@ -663,7 +642,10 @@ def evolve_numeric(
                     "where the numeric exponential loses precision"
                 )
     (hits,) = np.nonzero(np.abs(vec) >= PRUNE_THRESHOLD)
-    return FockVector(system, {layout.occupations[i]: complex(vec[i]) for i in hits})
+    occupations = layout.occ_array[hits].tolist()
+    return FockVector(
+        system, {tuple(occ): complex(vec[i]) for occ, i in zip(occupations, hits)}
+    )
 
 
 def _measure_fock(state: FockVector, modes: tuple[int, ...]) -> tuple[dict, dict]:

@@ -68,6 +68,15 @@ class ModeSystem:
                 f"mode {mode} out of range for a system of {self.total_modes} modes"
             )
 
+    def detector_modes(self, modes) -> tuple[int, ...]:
+        """``modes`` sorted, without repeats; refused when empty or out of range."""
+        modes = tuple(sorted(set(int(m) for m in modes)))
+        if not modes:
+            raise ValueError("at least one mode must be measured")
+        for m in modes:
+            self.validate_mode(m)
+        return modes
+
     def species(self, mode: int) -> str:
         self.validate_mode(mode)
         return BOSON if mode < self.boson_modes else FERMION

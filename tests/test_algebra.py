@@ -30,6 +30,7 @@ from fockbench.algebra import (
     normal_order,
     number_expectation,
     number_expectations,
+    quadratic_generator,
     reduce_to_ket,
     substitute_modes,
     vacuum_expectation,
@@ -92,6 +93,47 @@ def test_invalid_symbol_raises_every_time(mode, species, message):
     for _ in range(2):
         with pytest.raises(ValueError, match=message):
             LadderSymbol(mode, species, True)
+
+
+_REFUSAL_SYSTEM = ModeSystem(2, 1, 3)
+_REFUSAL_KET = basis_ket(_REFUSAL_SYSTEM, (1, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: KetExpression(_REFUSAL_SYSTEM, annihilation(0)),
+            "ket expressions may only contain creation symbols; "
+            "use reduce_to_ket to build one",
+            id="ket-with-annihilator",
+        ),
+        pytest.param(
+            lambda: substitute_modes(_REFUSAL_KET, np.ones((2, 3)), (0, 1)),
+            "matrix must be square with one row per listed mode",
+            id="substitute-not-square",
+        ),
+        pytest.param(
+            lambda: substitute_modes(_REFUSAL_KET, np.eye(2), (0, 0)),
+            "substitution modes must be distinct",
+            id="substitute-repeated-mode",
+        ),
+        pytest.param(
+            lambda: substitute_modes(_REFUSAL_KET, np.eye(2), (1, 2)),
+            "substitution cannot mix bosonic and fermionic modes",
+            id="substitute-mixed-species",
+        ),
+        pytest.param(
+            lambda: quadratic_generator(np.zeros((2, 2)), (0,), _REFUSAL_SYSTEM.species),
+            "coefficient matrix shape does not match the mode list",
+            id="quadratic-shape",
+        ),
+    ],
+)
+def test_algebra_refusals(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_symbols_are_immutable():

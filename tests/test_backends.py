@@ -21,6 +21,7 @@ from fockbench.algebra import (
     basis_ket,
     creation,
     evolve_symbolic,
+    joint_number_distribution,
     ket_inner,
     reduce_to_ket,
 )
@@ -1027,6 +1028,63 @@ def test_measure_rejects_nan_norm():
         measure(FockVector(system, {(1,): complex(math.nan)}), (0,))
     with pytest.raises(ValueError, match="norm nan"):
         measure(KetExpression(system, basis_ket(system, (1,)).poly * math.nan), (0,))
+
+
+_DETECTOR_SYSTEM = ModeSystem(2, 0, 3)
+_DETECTOR_KET = basis_ket(_DETECTOR_SYSTEM, (1, 0))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: measure(object(), (0,)),
+            TypeError,
+            "measure expects a FockVector or a KetExpression",
+            id="measure-not-a-state",
+        ),
+        pytest.param(
+            lambda: measure(_DETECTOR_KET, ()),
+            ValueError,
+            "at least one mode must be measured",
+            id="measure-empty",
+        ),
+        pytest.param(
+            lambda: measure(ket_to_fock(_DETECTOR_KET), (0, 2)),
+            IndexError,
+            "mode 2 out of range for a system of 2 modes",
+            id="measure-out-of-range",
+        ),
+        pytest.param(
+            lambda: joint_number_distribution(_DETECTOR_KET, ()),
+            ValueError,
+            "at least one mode must be measured",
+            id="joint-empty",
+        ),
+        pytest.param(
+            lambda: joint_number_distribution(_DETECTOR_KET, (2, 0)),
+            IndexError,
+            "mode 2 out of range for a system of 2 modes",
+            id="joint-out-of-range",
+        ),
+        pytest.param(
+            lambda: Circuit(_DETECTOR_SYSTEM, (), _DETECTOR_KET, ()),
+            ValueError,
+            "at least one mode must be measured",
+            id="circuit-empty",
+        ),
+        pytest.param(
+            lambda: Circuit(_DETECTOR_SYSTEM, (), _DETECTOR_KET, (1, 2, 2)),
+            IndexError,
+            "mode 2 out of range for a system of 2 modes",
+            id="circuit-out-of-range",
+        ),
+    ],
+)
+def test_detector_list_refusals(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_measure_prints_norm_to_twelve_digits():

@@ -367,6 +367,59 @@ def test_circuit_rejects_foreign_modes():
         Circuit(system, (PhaseShifter(5, 1.0),), basis_ket(system, (1, 0)), (0,))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: BeamSplitter(0, 1, "diag"),
+            "unknown beam splitter variant 'diag'",
+            id="bs-unknown-variant",
+        ),
+        pytest.param(
+            lambda: BeamSplitter(0, 1, ANGLE),
+            "angle variant requires theta",
+            id="bs-angle-without-theta",
+        ),
+        pytest.param(
+            lambda: BeamSplitter(0, 1, SYMMETRIC, 0.3),
+            "theta is only meaningful for the angle variant",
+            id="bs-theta-on-sym",
+        ),
+        pytest.param(
+            lambda: AnnihilationVertex(0, 1, 2, 1.0).validate(ModeSystem(2, 1, 3)),
+            "species mismatch: vertex electron/positron modes must be fermionic",
+            id="vertex-bosonic-electron",
+        ),
+        pytest.param(
+            lambda: QuadraticCustom((0, 1), ((0, 1j),)),
+            "coefficient matrix must be square, one row per mode",
+            id="custom-not-square",
+        ),
+        pytest.param(
+            lambda: QuadraticCustom((0, 0), ((0, 1j), (1j, 0))),
+            "custom element modes must be distinct",
+            id="custom-repeated-mode",
+        ),
+        pytest.param(
+            lambda: generator_from_unitary(np.ones((2, 3))),
+            "input must be a square matrix",
+            id="unitary-not-square",
+        ),
+        pytest.param(
+            lambda: Circuit(
+                ModeSystem(2, 0, 3), (), basis_ket(ModeSystem(2, 0, 4), (1, 0)), (0,)
+            ),
+            "input state belongs to a different mode system",
+            id="circuit-foreign-input",
+        ),
+    ],
+)
+def test_element_and_circuit_refusals(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_circuit_requires_measured_modes():
     system = ModeSystem(1, 0, 4)
     with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from fockbench.circuit import (
     Circuit,
     KerrMedium,
     PhaseShifter,
+    QuadraticCustom,
     SYMMETRIC,
     build_experiment,
 )
@@ -272,6 +273,12 @@ MALFORMED = [
     ("system bosons=2 cutoff=3\nkerr 1 2 strength=-inf\n", 2, "finite"),
     ("system bosons=1 fermions=2 cutoff=3\nvertex 1 2 3 theta=nan\n", 2, "finite"),
     ("system bosons=2 cutoff=3\ninput superpose 1:1 ; infj:2\n", 2, "finite"),
+    ("system bosons\n", 1, "expected key=value, got 'bosons'"),
+    ("system bosons=2 cutoff=3\ninput\n", 2, "input requires 'create' or 'superpose'"),
+    ("system bosons=2 cutoff=3\ninput superpose 1:1 ;\n", 2, "empty superposition term"),
+    ("system bosons=2 cutoff=3\ninput superpose 1:1,,2\n", 2, "empty mode in mode list"),
+    ("system bosons=2 cutoff=3\nmeasure 1\nmeasure 2\n", 3, "duplicate measure"),
+    ("# no statement\n", 1, "missing system declaration"),
 ]
 
 
@@ -282,6 +289,15 @@ def test_malformed_programs_are_diagnosed(text, line, fragment):
     assert err.value.line == line
     assert fragment.lower() in err.value.message.lower()
     assert err.value.column >= 1
+
+
+def test_render_refuses_a_custom_quadratic():
+    system = ModeSystem(2, 0, 3)
+    element = QuadraticCustom((0, 1), ((0, 1j), (1j, 0)))
+    circuit = Circuit(system, (element,), basis_ket(system, (1, 0)), (0, 1))
+    with pytest.raises(ValueError) as err:
+        render_circuit(circuit)
+    assert str(err.value) == "custom quadratic elements have no text form"
 
 
 def test_rejection_suite_has_at_least_twenty_cases():

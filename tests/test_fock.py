@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from fockbench.circuit import BeamSplitter
 from fockbench.fock import (
     FockVector,
     annihilation_op,
     creation_op,
+    heisenberg_residual,
     inner_product,
     mode_bipartition_entropy,
     number_op,
@@ -420,6 +422,47 @@ def test_normalized_flag_tolerance():
     system = ModeSystem(1, 0, 2)
     assert FockVector.from_amplitudes(system, {(0,): 1.0 + 1e-13}).is_normalized
     assert not FockVector.from_amplitudes(system, {(0,): 1.0 + 1e-9}).is_normalized
+
+
+_REFUSAL_SYSTEM = ModeSystem(2, 0, 3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: _REFUSAL_SYSTEM.validate_occupation((1,)),
+            "occupation tuple has length 1, expected 2",
+            id="occupation-length",
+        ),
+        pytest.param(
+            lambda: _REFUSAL_SYSTEM.validate_occupation((0, 4)),
+            "occupation 4 invalid for mode 1 (allowed range 0..3)",
+            id="occupation-range",
+        ),
+        pytest.param(
+            lambda: FockVector.from_dense(_REFUSAL_SYSTEM, np.zeros(3)),
+            "dense vector has length 3, expected 16",
+            id="dense-length",
+        ),
+        pytest.param(
+            lambda: inner_product(
+                vacuum_state(_REFUSAL_SYSTEM), vacuum_state(ModeSystem(2, 0, 4))
+            ),
+            "states live on different mode systems",
+            id="inner-product-systems",
+        ),
+        pytest.param(
+            lambda: heisenberg_residual(BeamSplitter(0, 1), ModeSystem(3, 0, 30)),
+            "system too large for a dense Heisenberg check",
+            id="heisenberg-too-large",
+        ),
+    ],
+)
+def test_explicit_representation_refusals(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_normalize_zero_vector():

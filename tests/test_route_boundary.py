@@ -126,3 +126,21 @@ def _fockbench_imports(module: str) -> set[str]:
 )
 def test_route_modules_do_not_import_each_other(module, forbidden):
     assert _fockbench_imports(module) & forbidden == set()
+
+
+def test_the_ladder_kernel_runs_in_two_loops():
+    # the search (numeric route and box matrices) and the input-ket reader
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if isinstance(function, ast.FunctionDef):
+                callers += [
+                    (path.stem, function.name)
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "_monomial_image"
+                ]
+    assert sorted(callers) == [
+        ("fock", "_ket_amplitudes"),
+        ("fock", "_reachable_generators"),
+    ]
