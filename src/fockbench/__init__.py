@@ -11,9 +11,7 @@ from .algebra import (
     KetExpression,
     LadderPolynomial,
     LadderSymbol,
-    SeriesConvergenceError,
     annihilation,
-    apply_exponential_series,
     apply_number_diagonal,
     apply_vertex_exponential,
     basis_ket,

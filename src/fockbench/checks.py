@@ -15,7 +15,6 @@ from . import algebra
 from .algebra import (
     LadderPolynomial,
     LadderSymbol,
-    annihilation,
     basis_ket,
     creation,
     ket_from_creations,
@@ -235,12 +234,7 @@ def check_commutator_identity() -> tuple[float, float]:
         for _ in range(10):
             n = int(rng.integers(1, 5))
             c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            k = LadderPolynomial.zero()
-            for i in range(n):
-                for j in range(n):
-                    k = k + complex(c[i, j]) * algebra.multiply(
-                        creation(i, species), annihilation(j, species)
-                    )
+            k = algebra.quadratic_generator(c, range(n), lambda m: species)
             j_mode = int(rng.integers(0, n))
             got = algebra.commutator(k, creation(j_mode, species))
             expected = LadderPolynomial.zero()

@@ -30,7 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .algebra import LadderPolynomial, creation, multiply, reduce_to_ket
+from .algebra import LadderPolynomial, creation, multiply, reduce_to_ket, vacuum_ket
 from .circuit import (
     ANGLE,
     ANTISYMMETRIC,
@@ -186,6 +186,7 @@ class _Parser:
             "input": self._parse_input,
             "measure": self._parse_measure,
         }
+        declared = set()
         for lineno, raw in enumerate(self.lines, 1):
             line = raw.split("#", 1)[0]
             tokens = _tokenize(line)
@@ -201,6 +202,11 @@ class _Parser:
             if keyword in _BY_KEYWORD:
                 self._parse_element(_BY_KEYWORD[keyword], tokens, lineno, line)
             elif keyword in statements:
+                if keyword in declared:
+                    raise CircuitParseError(
+                        f"duplicate {keyword} declaration", lineno, col
+                    )
+                declared.add(keyword)
                 statements[keyword](tokens, lineno, line)
             else:
                 raise CircuitParseError(f"unknown element {keyword!r}", lineno, col)
@@ -209,8 +215,6 @@ class _Parser:
     # -- statements -----------------------------------------------------
 
     def _parse_system(self, tokens, lineno, line):
-        if self.system is not None:
-            raise CircuitParseError("duplicate system declaration", lineno, tokens[0][1])
         usage = "system bosons=<int> [fermions=<int>] cutoff=<int>"
         seen: dict[str, int] = {}
         for token, col in tokens[1:]:
@@ -239,8 +243,6 @@ class _Parser:
             raise CircuitParseError(str(exc), lineno, tokens[0][1])
 
     def _parse_input(self, tokens, lineno, line):
-        if self.input_poly is not None:
-            raise CircuitParseError("duplicate input declaration", lineno, tokens[0][1])
         if len(tokens) < 2:
             raise CircuitParseError(
                 "input requires 'create' or 'superpose'", lineno, len(line) + 1
@@ -329,11 +331,13 @@ class _Parser:
             element = syntax.element(*modes, **params)
         except ValueError as exc:
             raise CircuitParseError(str(exc), lineno, tokens[1][1])
-        self._add_element(element, lineno, tokens[0][1])
+        try:
+            element.validate(self.system)
+        except (ValueError, IndexError) as exc:
+            raise CircuitParseError(str(exc), lineno, tokens[0][1])
+        self.elements.append(element)
 
     def _parse_measure(self, tokens, lineno, line):
-        if self.measured is not None:
-            raise CircuitParseError("duplicate measure declaration", lineno, tokens[0][1])
         if len(tokens) < 2:
             raise CircuitParseError(
                 "measure requires 'all' or a mode list", lineno, len(line) + 1
@@ -346,20 +350,13 @@ class _Parser:
             modes.append(_parse_mode(text, self.system, lineno, col))
         self.measured = modes
 
-    def _add_element(self, element, lineno, col):
-        try:
-            element.validate(self.system)
-        except (ValueError, IndexError) as exc:
-            raise CircuitParseError(str(exc), lineno, col)
-        self.elements.append(element)
-
     def _finish(self) -> Circuit:
         if self.system is None:
             raise CircuitParseError(
                 "missing system declaration", max(1, len(self.lines)), 1
             )
         if self.input_poly is None:
-            ket = reduce_to_ket(LadderPolynomial.constant(1.0), self.system)
+            ket = vacuum_ket(self.system)
         else:
             ket = reduce_to_ket(self.input_poly, self.system)
             if ket.poly.is_zero:

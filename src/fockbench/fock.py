@@ -12,7 +12,7 @@ The truncated ladder rules live in one per-state kernel,
 cutoff level, fermionic operators carry Jordan-Wigner signs over the
 fermionic modes.  Two loops run it: the breadth-first search
 :func:`_reachable_generators`, which the numeric route runs from the
-input's support and :func:`ladder_matrix` from every state of the box,
+input's support and :func:`polynomial_matrix` from every state of the box,
 and :func:`_ket_amplitudes`, which reads an input ket.
 
 ``evolve_numeric`` is the explicit route: each element's generator
@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .algebra import KetExpression, LadderPolynomial, LadderSymbol
+from .algebra import KetExpression, LadderPolynomial, creation
 from .circuit import Circuit, CircuitElement, element_generator
 from .modes import ModeSystem
 
@@ -195,43 +195,17 @@ def _monomial_image(system: ModeSystem, factors, occ: tuple[int, ...]):
     return tuple(occ), weight
 
 
-def ladder_matrix(system: ModeSystem, terms: Mapping) -> sparse.csr_matrix:
-    """Sparse matrix of ``sum(coeff * monomial)`` over ``terms`` on the full box.
-
-    ``terms`` maps ladder monomials (tuples of symbols) to coefficients.
-    The entries come from :func:`_reachable_generators`, the numeric
-    route's search, run from every basis state in basis order: the box is
-    closed under truncated monomials, so the search finds no other state
-    and its indices are the basis indices.  Entries that meet in one cell
-    are summed in term order.
-    """
-    from scipy import sparse
-
-    _, images, _ = _reachable_generators(system, terms, system.occupations())
-    rows, cols, data = [], [], []
-    for factors, coeff in terms.items():
-        targets, sources, weights = images[factors]
-        rows += targets
-        cols += sources
-        data += [coeff * weight for weight in weights]
-    dim = system.basis_size
-    return sparse.coo_matrix(
-        (np.array(data, dtype=complex), (rows, cols)), shape=(dim, dim)
-    ).tocsr()
-
-
 @lru_cache(maxsize=None)
 def creation_op(system: ModeSystem, mode: int) -> sparse.csr_matrix:
     """Matrix of the creation operator on the truncated basis.
 
-    Built by :func:`ladder_matrix` from the single creation symbol on
+    Built by :func:`polynomial_matrix` from the single creation symbol on
     ``mode``, so its entries are the kernel's: ``sqrt(n+1)`` for a bosonic
     mode below the cutoff, a Jordan-Wigner sign for an empty fermionic
     mode.  Returned matrices are cached per (system, mode) and must not be
     mutated.
     """
-    symbol = LadderSymbol(mode, system.species(mode), True)
-    return ladder_matrix(system, {(symbol,): 1.0})
+    return polynomial_matrix(creation(mode, system.species(mode)), system)
 
 
 @lru_cache(maxsize=None)
@@ -258,14 +232,8 @@ def inner_product(left: FockVector, right: FockVector) -> complex:
     if left.system != right.system:
         raise ValueError("states live on different mode systems")
     l_amp, r_amp = left.amplitudes, right.amplitudes
-    if len(l_amp) <= len(r_amp):
-        return sum(
-            (amp.conjugate() * r_amp[occ] for occ, amp in l_amp.items() if occ in r_amp),
-            0j,
-        )
     return sum(
-        (l_amp[occ].conjugate() * amp for occ, amp in r_amp.items() if occ in l_amp),
-        0j,
+        (l_amp[occ].conjugate() * r_amp[occ] for occ in l_amp if occ in r_amp), 0j
     )
 
 
@@ -307,17 +275,31 @@ def mode_bipartition_entropy(state: FockVector, left_modes) -> float:
 
 
 def polynomial_matrix(poly: LadderPolynomial, system: ModeSystem) -> sparse.csr_matrix:
-    """Explicit sparse matrix of a ladder polynomial on the truncated basis.
+    """Explicit sparse matrix of a ladder polynomial on the full truncated box.
 
-    Built by :func:`~fockbench.fock.ladder_matrix`, which applies each
-    monomial to every basis state with the same per-state rule as the
-    numeric evolution.
+    The entries come from :func:`_reachable_generators`, the numeric
+    route's search, run from every basis state in basis order: the box is
+    closed under truncated monomials, so the search finds no other state
+    and its indices are the basis indices.  Entries that meet in one cell
+    are summed in term order.
     """
+    from scipy import sparse
+
     for factors in poly.terms:
         for symbol in factors:
             if system.species(symbol.mode) != symbol.species:
                 raise ValueError(f"symbol {symbol!r} has the wrong species for its mode")
-    return ladder_matrix(system, poly.terms)
+    _, images, _ = _reachable_generators(system, poly.terms, system.occupations())
+    rows, cols, data = [], [], []
+    for factors, coeff in poly.terms.items():
+        targets, sources, weights = images[factors]
+        rows += targets
+        cols += sources
+        data += [coeff * weight for weight in weights]
+    dim = system.basis_size
+    return sparse.coo_matrix(
+        (np.array(data, dtype=complex), (rows, cols)), shape=(dim, dim)
+    ).tocsr()
 
 
 def _ket_amplitudes(ket: KetExpression) -> tuple[dict, bool]:
@@ -412,9 +394,11 @@ def _block_plan(occupations: np.ndarray, rank, modes, images) -> _BlockPlan:
     ``occupations``.  States that agree on every mode outside ``modes``
     form a block that the generator maps into itself.  Blocks of one size
     whose cells receive the same weights of the same terms are equal for
-    any coefficients; the first of them represents the others.  A size
-    held by one block goes through the same comparison: plans are built
-    once per circuit shape, not once per run.
+    any coefficients: ``np.unique`` over those weight patterns picks the
+    first block of each pattern to represent the others, and orders the
+    representatives by pattern.  A size held by one block goes through the
+    same comparison: plans are built once per circuit shape, not once per
+    run.
     """
     n = len(occupations)
     outside = occupations[:, [m for m in range(occupations.shape[1]) if m not in modes]]
@@ -449,18 +433,15 @@ def _block_plan(occupations: np.ndarray, rank, modes, images) -> _BlockPlan:
         pairs, column = np.unique(term[mine] * size * size + inner, return_inverse=True)
         pattern = np.zeros((len(members), len(pairs)))
         pattern[where, column] = weights[mine]
-        # Each block's index, or that of the first block with its pattern.
-        firsts: dict[bytes, int] = {}
-        leader = [firsts.setdefault(p.tobytes(), i) for i, p in enumerate(pattern)]
-        count = len(firsts)
-        representative = np.full(len(members), -1)
-        representative[list(firsts.values())] = np.arange(count)
-        target = representative[where]
-        kept = target >= 0
+        _, firsts, same = np.unique(
+            pattern, axis=0, return_index=True, return_inverse=True
+        )
+        # Only the representatives' entries are kept, in their pattern's slot.
+        target = same[where]
+        kept = firsts[target] == where
         take, cells = mine[kept], target[kept] * size * size + inner[kept]
-        same = representative[leader]
         states = order[starts[members][:, np.newaxis] + np.arange(size)]
-        groups.append((size, take, cells, count, same, states))
+        groups.append((size, take, cells, len(firsts), same, states))
     return _BlockPlan(term, weights, tuple(groups))
 
 
@@ -593,8 +574,13 @@ def evolve_numeric(
     """
     system = circuit.system
     if system.basis_size > max_basis_size:
+        try:
+            size = str(system.basis_size)
+        except ValueError:  # more digits than Python converts to text
+            size = f"{system.cutoff + 1}**{system.boson_modes}"
+            size += f" * 2**{system.fermion_modes}"
         raise ValueError(
-            f"basis size {system.basis_size} exceeds the memory cap "
+            f"basis size {size} exceeds the memory cap "
             f"{max_basis_size}; lower the cutoff or raise max_basis_size"
         )
     amps, input_cut = _ket_amplitudes(circuit.input_state)

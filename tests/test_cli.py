@@ -228,6 +228,18 @@ def test_oversized_basis_is_evaluation_error(runner, tmp_path):
     assert "cap" in result.output
 
 
+@pytest.mark.parametrize("backend", ["numeric", "both"])
+def test_basis_too_large_to_print_is_refused_in_one_line(runner, tmp_path, backend):
+    # 2**20000 states: more digits than Python converts from int to text
+    path = tmp_path / "huge.fck"
+    path.write_text("system bosons=20000 cutoff=1\ninput create 1\n")
+    result = invoke(runner, ["run", str(path), "--backend", backend])
+    assert result.exit_code == 1
+    (line,) = result.stderr.splitlines()
+    assert "cap" in line
+    assert "int_max_str_digits" not in result.output
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_comparison_failure_exit_code(runner, tmp_path):
     # two photons at cutoff 1: the numeric route cannot represent the
@@ -599,6 +611,17 @@ def test_check_passes(runner):
     assert result.exit_code == 0
     assert "FAIL" not in result.output
     assert result.output.count("ok") >= 10
+
+
+def test_commutator_check_fails_a_transposed_quadratic_generator(monkeypatch):
+    build = fockbench.algebra.quadratic_generator
+    monkeypatch.setattr(
+        fockbench.algebra,
+        "quadratic_generator",
+        lambda c, modes, species_of: build(c.T, modes, species_of),
+    )
+    worst, bound = fockbench.checks.check_commutator_identity()
+    assert worst > bound
 
 
 def test_check_reports_a_raising_check_and_runs_the_rest(runner, monkeypatch):
