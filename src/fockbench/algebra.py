@@ -33,7 +33,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -343,12 +342,21 @@ def _gram_weight(factors: tuple[LadderSymbol, ...]) -> float:
 
     Equals the product of bosonic occupation factorials; fermionic factors
     contribute 1.  This is the contraction <0| a^m (adag)^n |0> = delta_mn n!
-    applied mode by mode.
+    applied mode by mode.  A canonical monomial holds each bosonic mode's
+    creators in one run, modes ascending, so the factorials are those of
+    the run lengths, multiplied in mode order; runs of one contribute an
+    exact factor 1 and are skipped.
     """
     weight = 1.0
-    counts = Counter(s.mode for s in factors if s._is_boson)
-    for count in counts.values():
-        weight *= math.factorial(count)
+    run = 1
+    for previous, s in zip(factors, factors[1:]):
+        if s is previous and s._is_boson:
+            run += 1
+        elif run > 1:
+            weight *= math.factorial(run)
+            run = 1
+    if run > 1:
+        weight *= math.factorial(run)
     return weight
 
 
@@ -361,15 +369,29 @@ class KetExpression:
     The constructor refuses any other; :func:`reduce_to_ket` reduces one.
     The attached mode system supplies mode count and species; its cutoff is
     irrelevant here and never used.
+
+    Every monomial that passes the check is remembered in the system's
+    instance dict, so a later ket on the same system skips the monomials
+    already seen, all of them with one ``set.issuperset``.  A monomial not
+    seen before is checked in full, in term order, and a refusal raises the
+    same exception with the same message as it would on a fresh system.
+    The memory lives and dies with the system instance; it is not keyed by
+    the system's hash, which would read the cutoff.
     """
 
     system: ModeSystem
     poly: LadderPolynomial
 
     def __post_init__(self):
+        passed = vars(self.system).setdefault("_ket_monomials_passed", set())
+        terms = self.poly._terms
+        if passed.issuperset(terms):
+            return
         boson_modes = self.system.boson_modes
         total_modes = self.system.total_modes
-        for factors in self.poly._terms:
+        for factors in terms:
+            if factors in passed:
+                continue
             # Canonical order: modes ascend, a fermionic mode at most once.
             lowest = 0
             for s in factors:
@@ -390,6 +412,7 @@ class KetExpression:
                         "use reduce_to_ket to build one"
                     )
                 lowest = s.mode if s._is_boson else s.mode + 1
+        passed.update(terms)
 
     def norm(self) -> float:
         return math.sqrt(ket_inner(self, self).real)
@@ -541,13 +564,14 @@ def _sort_creations(factors: tuple[LadderSymbol, ...]):
     return tuple(sorted(factors, key=_SORT_KEY)), negate
 
 
-def _expand_span(span: tuple[LadderSymbol, ...], replacements: dict):
+def _expand_span(span: tuple[LadderSymbol, ...], replacements: dict, orders: dict):
     """Every product of one replacement per substituted symbol of ``span``.
 
-    Returns the products and, for each substituted symbol in order, its
-    replacement weights.  Products come in the order of
-    ``itertools.product`` over the choices; symbols without replacements
-    stay as they are and carry no weight.
+    Returns the products, for each substituted symbol in order its
+    replacement weights, and for each product its canonical order and sign
+    from :func:`_sort_creations`, which ``orders`` remembers across spans.
+    Products come in the order of ``itertools.product`` over the choices;
+    symbols without replacements stay as they are and carry no weight.
     """
     words: list[tuple[LadderSymbol, ...]] = [()]
     levels = []
@@ -559,7 +583,10 @@ def _expand_span(span: tuple[LadderSymbol, ...], replacements: dict):
             symbols, weights = choice
             words = [w + (t,) for w in words for t in symbols]
             levels.append(weights)
-    return words, levels
+    for w in words:
+        if w not in orders:
+            orders[w] = _sort_creations(w)
+    return words, levels, [orders[w] for w in words]
 
 
 def substitute_modes(ket: KetExpression, matrix, modes) -> KetExpression:
@@ -571,15 +598,20 @@ def substitute_modes(ket: KetExpression, matrix, modes) -> KetExpression:
     quadratic generator; the convention was pinned against the explicit
     matrix representation once and is frozen here.
 
-    A ket monomial is split around the span from its first to its last
-    symbol on ``modes``.  Each distinct span is expanded once per call
-    (:func:`_expand_span`), and the weights are multiplied onto the
-    monomial's coefficient in factor order.  Equal products are summed in
-    the order they appear, then each product is sorted straight into
-    canonical order (:func:`_sort_creations`) and added to its canonical
-    monomial, again in order of appearance.  These are the sums, in the
-    order, that normal ordering the expanded polynomial would do, so the
-    coefficients are the same bit for bit; no normal ordering is run.
+    A ket monomial is split into ``head + span + tail`` around the span
+    from its first to its last symbol on ``modes``.  Each distinct span is
+    expanded once per call (:func:`_expand_span`), which also sorts each of
+    its words into canonical order once, and the weights are multiplied
+    onto the monomial's coefficient in factor order.  Equal products are
+    summed in the order they appear, then each product is added to its
+    canonical monomial, again in order of appearance.  The canonical form
+    of a product is ``head + sorted word + tail`` with the word's sign
+    when every head symbol sorts strictly before the word and every tail
+    symbol strictly after it; only a product whose head or tail interleaves
+    with its word is sorted whole by :func:`_sort_creations`.  These are the
+    sums, in the order, that normal ordering the expanded polynomial would
+    do, so the coefficients are the same bit for bit; no normal ordering is
+    run.
     """
     b = np.asarray(matrix, dtype=complex)
     modes = tuple(int(m) for m in modes)
@@ -602,28 +634,47 @@ def substitute_modes(ket: KetExpression, matrix, modes) -> KetExpression:
             [complex(b[q, p]) for q in rows],
         )
 
-    expansions: dict[tuple[LadderSymbol, ...], tuple[list, list]] = {}
-    products: dict[tuple[LadderSymbol, ...], complex] = {}
+    expansions: dict[tuple[LadderSymbol, ...], tuple[list, list, list]] = {}
+    word_orders: dict[tuple[LadderSymbol, ...], tuple | None] = {}
+    # each product's summed coefficient, and its canonical monomial and
+    # sign (None for a Pauli zero)
+    products: dict[tuple[LadderSymbol, ...], list] = {}
     for factors, coeff in ket.poly._terms.items():
         hits = [i for i, s in enumerate(factors) if s.mode in replacements]
-        start, stop = (hits[0], hits[-1] + 1) if hits else (0, 0)
+        if not hits:
+            # its own only product, already canonical; every other product
+            # holds a substituted mode, so none can share its key
+            products[factors] = [0.0 + 0.0j + coeff, (factors, False)]
+            continue
+        start, stop = hits[0], hits[-1] + 1
         span = factors[start:stop]
         expansion = expansions.get(span)
         if expansion is None:
-            expansion = expansions[span] = _expand_span(span, replacements)
-        words, levels = expansion
+            expansion = expansions[span] = _expand_span(span, replacements, word_orders)
+        words, levels, orders = expansion
         coeffs = [coeff]
         for weights in levels:
             coeffs = [c * w for c in coeffs for w in weights]
         head, tail = factors[:start], factors[stop:]
-        for word, c in zip(words, coeffs):
+        for word, c, order in zip(words, coeffs, orders):
             key = head + word + tail
-            products[key] = products.get(key, 0.0 + 0.0j) + c
+            entry = products.get(key)
+            if entry is not None:
+                entry[0] += c
+                continue
+            if order is not None:
+                sorted_word, negate = order
+                if (head and head[-1]._sort_key >= sorted_word[0]._sort_key) or (
+                    tail and tail[0]._sort_key <= sorted_word[-1]._sort_key
+                ):
+                    order = _sort_creations(key)
+                else:
+                    order = (head + sorted_word + tail, negate)
+            products[key] = [0.0 + 0.0j + c, order]
 
     terms: dict[tuple[LadderSymbol, ...], complex] = {}
-    for factors, c in products.items():
-        ordered = _sort_creations(factors) if c else None
-        if ordered is not None:
+    for c, ordered in products.values():
+        if c and ordered is not None:
             canon, negate = ordered
             terms[canon] = terms.get(canon, 0.0 + 0.0j) + (-c if negate else c)
     return KetExpression(
@@ -639,7 +690,10 @@ def apply_number_diagonal(phases: Mapping, ket: KetExpression) -> KetExpression:
     ``(i, j)`` to the coefficient of ``n_i * n_j``; any other key raises
     ``ValueError``.  A creation monomial has definite occupations
     (``N adag = adag (N + 1)``), so the exponential multiplies each monomial
-    by a phase; no series is needed.
+    by a phase; no series is needed.  The phase depends on the monomial
+    only through its counts on the keyed modes, so it is computed once per
+    distinct tuple of counts, with the same products and sums in the same
+    order, and reused for every monomial with those counts.
     """
     for key in phases:
         match key:
@@ -649,20 +703,27 @@ def apply_number_diagonal(phases: Mapping, ket: KetExpression) -> KetExpression:
             case _:
                 raise ValueError(f"phase key {key!r} is not a tuple of one or two modes")
     # A ket symbol on mode m is the creator of m, so its count is n_m.
+    counted = list(dict.fromkeys(m for key in phases for m in key))
+    position = {m: i for i, m in enumerate(counted)}
+    symbols = [LadderSymbol(m, ket.system.species(m), True) for m in counted]
     terms = [
-        ([LadderSymbol(m, ket.system.species(m), True) for m in key], float(value))
-        for key, value in phases.items()
+        ([position[m] for m in key], float(value)) for key, value in phases.items()
     ]
 
+    phase_of: dict[tuple[int, ...], complex] = {}
     out = {}
     for factors, coeff in ket.poly._terms.items():
-        angle = 0.0
-        for symbols, value in terms:
-            contribution = value
-            for s in symbols:
-                contribution *= factors.count(s)
-            angle += contribution
-        c = coeff * cmath.exp(1j * angle)
+        counts = tuple(map(factors.count, symbols))
+        phase = phase_of.get(counts)
+        if phase is None:
+            angle = 0.0
+            for positions, value in terms:
+                contribution = value
+                for i in positions:
+                    contribution *= counts[i]
+                angle += contribution
+            phase = phase_of[counts] = cmath.exp(1j * angle)
+        c = coeff * phase
         if c:
             out[factors] = c
     return KetExpression(ket.system, LadderPolynomial._from_merged(out))

@@ -286,9 +286,11 @@ def check_random_equivalence() -> tuple[float, float]:
 
 def check_number_conservation() -> tuple[float, float]:
     rng = np.random.default_rng(3)
+    # fermionic draws follow the bosonic ones, so those stay as they were
+    circuits = [random_circuit(rng) for _ in range(5)]
+    circuits += [random_fermion_circuit(rng) for _ in range(20)]
     worst = 0.0
-    for _ in range(5):
-        circuit = random_circuit(rng)
+    for circuit in circuits:
         modes = tuple(range(circuit.system.total_modes))
         start = sum(measure(circuit.input_state, modes).expectations.values())
         for state in (evolve_numeric(circuit), algebra.evolve_symbolic(circuit)):

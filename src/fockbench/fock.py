@@ -71,6 +71,16 @@ class TruncationWarning(UserWarning):
     """The input already exceeds what the truncated basis can hold."""
 
 
+def _basis_size_text(system: ModeSystem) -> str:
+    """``system.basis_size`` for a message, written as
+    ``(cutoff+1)**bosons * 2**fermions`` when it has more digits than
+    Python converts to text."""
+    try:
+        return str(system.basis_size)
+    except ValueError:
+        return f"{system.cutoff + 1}**{system.boson_modes} * 2**{system.fermion_modes}"
+
+
 @dataclass(frozen=True)
 class FockVector:
     """Sparse complex superposition of occupation basis states.
@@ -101,7 +111,7 @@ class FockVector:
         if vector.shape[0] != system.basis_size:
             raise ValueError(
                 f"dense vector has length {vector.shape[0]}, "
-                f"expected {system.basis_size}"
+                f"expected {_basis_size_text(system)}"
             )
         if not np.isfinite(vector).all():
             raise ValueError("dense vector has a non-finite amplitude")
@@ -574,13 +584,8 @@ def evolve_numeric(
     """
     system = circuit.system
     if system.basis_size > max_basis_size:
-        try:
-            size = str(system.basis_size)
-        except ValueError:  # more digits than Python converts to text
-            size = f"{system.cutoff + 1}**{system.boson_modes}"
-            size += f" * 2**{system.fermion_modes}"
         raise ValueError(
-            f"basis size {size} exceeds the memory cap "
+            f"basis size {_basis_size_text(system)} exceeds the memory cap "
             f"{max_basis_size}; lower the cutoff or raise max_basis_size"
         )
     amps, input_cut = _ket_amplitudes(circuit.input_state)

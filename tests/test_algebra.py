@@ -1,5 +1,6 @@
 """Ladder-operator calculus: ordering, commutators, kets, series."""
 
+import cmath
 import copy
 import math
 import pickle
@@ -14,6 +15,7 @@ from fockbench.algebra import (
     LadderPolynomial,
     LadderSymbol,
     SeriesConvergenceError,
+    _sort_creations,
     annihilation,
     _projector_weight,
     apply_exponential_series,
@@ -464,6 +466,36 @@ def test_ket_rejects_repeated_fermionic_mode():
     assert reduce_to_ket(pair, ModeSystem(0, 1, 1)).poly.is_zero
 
 
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        pytest.param(lambda: annihilation(0), ValueError, id="non-creation"),
+        pytest.param(lambda: creation(2), ValueError, id="wrong-species"),
+        pytest.param(lambda: creation(4, FERMION), IndexError, id="out-of-range"),
+        pytest.param(lambda: creation(1) * creation(0), ValueError, id="non-canonical"),
+        pytest.param(
+            lambda: creation(3, FERMION) * creation(3, FERMION),
+            ValueError,
+            id="repeated-fermion",
+        ),
+    ],
+)
+def test_remembered_ket_checks_still_refuse(bad, error):
+    # monomials that passed on a system are skipped on the next ket; a bad
+    # one after them is refused as it is on a system that has seen none
+    system = ModeSystem(2, 2, 3)
+    valid = basis_ket(system, (2, 1, 1, 0)).poly + ket_from_creations(system, (0, 3)).poly
+    KetExpression(system, valid)
+    with pytest.raises(error) as fresh:
+        KetExpression(ModeSystem(2, 2, 3), valid + bad())
+    with pytest.raises(error) as remembered:
+        KetExpression(system, valid + bad())
+    assert str(remembered.value) == str(fresh.value)
+    with pytest.raises(error) as alone:
+        KetExpression(system, bad())
+    assert str(alone.value) == str(fresh.value)
+
+
 # ---------------------------------------------------------------------------
 # Heisenberg substitution
 # ---------------------------------------------------------------------------
@@ -579,11 +611,8 @@ def _hex_terms(ket):
 _SUBSTITUTION_SYSTEMS = [(3, 2), (2, 3), (1, 3), (4, 0), (0, 4)]
 
 
-@st.composite
-def substitutions(draw):
-    """A random ket and a random unitary on a subset of one species' modes."""
-    bosons, fermions = draw(st.sampled_from(_SUBSTITUTION_SYSTEMS))
-    system = ModeSystem(bosons, fermions, 3)
+def _draw_ket(draw, system):
+    """A random ket of up to 8 canonical monomials; bosonic modes repeat."""
     parts = st.floats(-2.0, 2.0, allow_subnormal=False) | st.sampled_from([0.0, 1.0])
     terms = {}
     for _ in range(draw(st.integers(1, 8))):
@@ -595,7 +624,15 @@ def substitutions(draw):
             if system.is_boson(m) or modes[i - 1 : i] != [m]
         )
         terms[factors] = complex(draw(parts), draw(parts))
-    ket = KetExpression(system, LadderPolynomial(terms))
+    return KetExpression(system, LadderPolynomial(terms))
+
+
+@st.composite
+def substitutions(draw):
+    """A random ket and a random unitary on a subset of one species' modes."""
+    bosons, fermions = draw(st.sampled_from(_SUBSTITUTION_SYSTEMS))
+    system = ModeSystem(bosons, fermions, 3)
+    ket = _draw_ket(draw, system)
     species = [m for m in range(system.total_modes) if system.species(m) == BOSON]
     if not species or (fermions and draw(st.booleans())):
         species = [m for m in range(system.total_modes) if system.species(m) == FERMION]
@@ -644,6 +681,88 @@ def test_substitute_equals_normal_ordering_bit_for_bit(data):
     ]
 
 
+def _substitute_sorting_every_product(ket, matrix, modes):
+    # substitute_modes as it was before each word was sorted once: the same
+    # expansion and sums, with every product sorted whole by _sort_creations
+    b = np.asarray(matrix, dtype=complex)
+    spec = ket.system.species(modes[0])
+    replacements = {}
+    for p, mode in enumerate(modes):
+        rows = [q for q in range(len(modes)) if b[q, p] != 0]
+        replacements[mode] = (
+            [LadderSymbol(modes[q], spec, True) for q in rows],
+            [complex(b[q, p]) for q in rows],
+        )
+    products = {}
+    for factors, coeff in ket.poly.terms.items():
+        hits = [i for i, s in enumerate(factors) if s.mode in replacements]
+        start, stop = (hits[0], hits[-1] + 1) if hits else (0, 0)
+        words, coeffs = [()], [coeff]
+        for s in factors[start:stop]:
+            if s.mode in replacements:
+                symbols, weights = replacements[s.mode]
+                words = [w + (t,) for w in words for t in symbols]
+                coeffs = [c * w for c in coeffs for w in weights]
+            else:
+                words = [w + (s,) for w in words]
+        head, tail = factors[:start], factors[stop:]
+        for word, c in zip(words, coeffs):
+            key = head + word + tail
+            products[key] = products.get(key, 0.0 + 0.0j) + c
+    terms = {}
+    for factors, c in products.items():
+        ordered = _sort_creations(factors) if c else None
+        if ordered is not None:
+            canon, negate = ordered
+            terms[canon] = terms.get(canon, 0.0 + 0.0j) + (-c if negate else c)
+    return [(f, c.real.hex(), c.imag.hex()) for f, c in terms.items() if c]
+
+
+#: (bosons, fermions): at least three modes of the splitter's species, so a
+#: pair can be non-adjacent with ket symbols before, between and after it.
+_SPLITTER_SYSTEMS = [(4, 0), (0, 5), (3, 3), (1, 4), (5, 1)]
+
+
+@st.composite
+def splitter_substitutions(draw):
+    """A random ket and a random 2x2 unitary on two modes of one species,
+    adjacent or not, listed in either order."""
+    bosons, fermions = draw(st.sampled_from(_SPLITTER_SYSTEMS))
+    system = ModeSystem(bosons, fermions, 3)
+    ket = _draw_ket(draw, system)
+    species = BOSON if bosons >= 3 and (fermions < 3 or draw(st.booleans())) else FERMION
+    own = [m for m in range(system.total_modes) if system.species(m) == species]
+    modes = tuple(draw(st.lists(st.sampled_from(own), min_size=2, max_size=2, unique=True)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return ket, matrix, modes
+
+
+def _splitter_example(bosons, fermions, monomials, modes):
+    system = ModeSystem(bosons, fermions, 3)
+    terms = {
+        tuple(LadderSymbol(m, system.species(m), True) for m in monomial): complex(0.6, 0.1 * k)
+        for k, monomial in enumerate(monomials)
+    }
+    return KetExpression(system, LadderPolynomial(terms)), np.array([[0.6, -0.8j], [-0.8j, 0.6]]), modes
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(splitter_substitutions())
+# non-adjacent bosonic pair: the head a1 sorts after the word's a0, and
+# a1 a2 sits between the pair's modes
+@example(_splitter_example(4, 0, [(1, 2), (0, 1, 2, 3), (1, 3)], (0, 3)))
+# fermionic pair around an occupied f2: words with f1 or f3 twice vanish,
+# and a tail f2 interleaves with the word f3, which flips the sign
+@example(_splitter_example(0, 5, [(0, 1, 2), (1, 2, 3), (0, 1, 3, 4), (2, 3)], (1, 3)))
+# bosonic repeats inside and around the pair
+@example(_splitter_example(5, 1, [(0, 0, 1, 2, 2), (1, 1, 3, 5), (2, 2, 2, 4)], (1, 3)))
+def test_substitute_sorts_each_word_once_bit_for_bit(data):
+    ket, matrix, modes = data
+    got = substitute_modes(ket, matrix, modes)
+    assert _hex_terms(got) == _substitute_sorting_every_product(ket, matrix, modes)
+
+
 def test_substitute_drops_repeated_fermions():
     # a fermionic splitter on both occupied modes keeps the pair: the
     # products with one fermion twice vanish, and the determinant remains
@@ -686,6 +805,50 @@ def test_number_diagonal_scales_with_occupation():
     assert ket_inner(basis_ket(system, (3,)), out) == pytest.approx(
         np.exp(0.75j)
     )
+
+
+def _number_diagonal_per_monomial(phases, ket):
+    # apply_number_diagonal as it was before phases were shared: one
+    # cmath.exp per monomial, from the same products and sums
+    terms = [
+        ([LadderSymbol(m, ket.system.species(m), True) for m in key], float(value))
+        for key, value in phases.items()
+    ]
+    out = {}
+    for factors, coeff in ket.poly.terms.items():
+        angle = 0.0
+        for symbols, value in terms:
+            contribution = value
+            for s in symbols:
+                contribution *= factors.count(s)
+            angle += contribution
+        c = coeff * cmath.exp(1j * angle)
+        if c:
+            out[factors] = c
+    return [(f, c.real.hex(), c.imag.hex()) for f, c in out.items()]
+
+
+@st.composite
+def number_diagonals(draw):
+    """A random ket and a mix of phase ``(m,)`` and Kerr ``(i, j)`` keys,
+    self-Kerr ``(m, m)`` included."""
+    bosons, fermions = draw(st.sampled_from(_SUBSTITUTION_SYSTEMS))
+    system = ModeSystem(bosons, fermions, 3)
+    ket = _draw_ket(draw, system)
+    mode = st.integers(0, system.total_modes - 1)
+    keys = draw(
+        st.lists(st.tuples(mode) | st.tuples(mode, mode), min_size=1, max_size=6, unique=True)
+    )
+    values = st.floats(-7.0, 7.0, allow_subnormal=False)
+    return {key: draw(values) for key in keys}, ket
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(number_diagonals())
+def test_number_diagonal_shares_phases_bit_for_bit(data):
+    phases, ket = data
+    got = apply_number_diagonal(phases, ket)
+    assert _hex_terms(got) == _number_diagonal_per_monomial(phases, ket)
 
 
 @pytest.mark.parametrize("key", [0, (0, 1, 2)], ids=["bare int", "3-tuple"])

@@ -1,0 +1,28 @@
+"""tools/call_count.py: call counts of the first runs of a workload."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "call_count.py"
+_spec = importlib.util.spec_from_file_location("call_count", TOOL)
+call_count = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(call_count)
+
+
+def test_two_runs_of_one_list_count_the_same_calls():
+    first = call_count.count_calls("ladder_mesh", 3, 2)
+    second = call_count.count_calls("ladder_mesh", 3, 2)
+    assert first == second
+    total, per_function = first
+    assert per_function["algebra.substitute_modes"] > 0
+    assert sum(per_function.values()) < total
+
+
+def test_prints_the_total_then_the_fockbench_functions(capsys):
+    assert call_count.main(["--workload", "ladder_mesh", "--seed", "3", "--runs", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("total calls")
+    assert lines[1].endswith("fockbench calls")
+    counts = [int(line.split()[0]) for line in lines[2:]]
+    assert counts == sorted(counts, reverse=True)
+    assert int(lines[1].split()[0]) == sum(counts)

@@ -446,6 +446,12 @@ _REFUSAL_SYSTEM = ModeSystem(2, 0, 3)
             id="dense-length",
         ),
         pytest.param(
+            # 2**20000 states: more digits than Python converts from int to text
+            lambda: FockVector.from_dense(ModeSystem(20000, 0, 1), np.zeros(3)),
+            "dense vector has length 3, expected 2**20000 * 2**0",
+            id="dense-length-too-large-to-print",
+        ),
+        pytest.param(
             lambda: inner_product(
                 vacuum_state(_REFUSAL_SYSTEM), vacuum_state(ModeSystem(2, 0, 4))
             ),

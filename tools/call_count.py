@@ -1,0 +1,79 @@
+"""Count the Python calls that the first runs of a benchmark workload make.
+
+Builds the seeded manifest of ``perfbench/workloads.py`` (loaded by path,
+read only) in a temporary directory, invokes ``fockbench.cli.main``
+in-process on its first N measured runs once to warm the caches, then
+again under cProfile.  Prints the total number of calls, then the calls
+of each ``fockbench`` function, most called first::
+
+    PYTHONPATH=src python tools/call_count.py --workload ladder_mesh --seed 41 --runs 60
+
+``fockbench`` is imported from ``sys.path``, so pointing ``PYTHONPATH`` at
+another checkout's ``src`` counts that checkout's calls.  The counts are
+deterministic: the same list gives the same numbers on every run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import importlib.util
+import pstats
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+WORKLOADS_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_FILE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def count_calls(workload: str, seed: int, runs: int) -> tuple[int, Counter]:
+    """Total calls, and calls per ``module.function`` of ``fockbench``, made
+    by the first ``runs`` measured invocations of ``workload`` at ``seed``."""
+    from click.testing import CliRunner
+
+    from fockbench.cli import main
+
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = load_workloads().generate(workload, seed, Path(tmp))
+        invocations = [run["args"] for run in manifest["runs"][:runs]]
+        for args in invocations:
+            runner.invoke(main, args)
+        profile = cProfile.Profile()
+        for args in invocations:
+            profile.enable()
+            runner.invoke(main, args)
+            profile.disable()
+    stats = pstats.Stats(profile)
+    per_function = Counter()
+    for (filename, _, name), (_, calls, *_) in stats.stats.items():
+        path = Path(filename)
+        if path.parent.name == "fockbench":
+            per_function[f"{path.stem}.{name}"] += calls
+    return stats.total_calls, per_function
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--runs", type=int, required=True)
+    args = parser.parse_args(argv)
+    total, per_function = count_calls(args.workload, args.seed, args.runs)
+    print(f"{total:10d}  total calls")
+    print(f"{sum(per_function.values()):10d}  fockbench calls")
+    for name, calls in sorted(per_function.items(), key=lambda item: (-item[1], item[0])):
+        print(f"{calls:10d}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
