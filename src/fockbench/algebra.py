@@ -14,8 +14,10 @@ creation (or annihilation) on one mode collapses a monomial to zero.
 
 Normal ordering serves the vertex, input parsing and the operator calculus
 (commutators, vacuum expectations, the series reference).  Linear
-elements never run it: a ket holds only creators, so a substituted product
-is sorted into canonical order in one step (:func:`substitute_modes`).
+elements never run it: a ket holds only creators, so a canonical monomial
+times one creator is canonical again once that creator has moved left
+past the creators that sort after it (:func:`_insert_creator`), and
+:func:`substitute_modes` collects equal words after each creator.
 
 This module is also the symbolic route: :func:`evolve_symbolic` takes a
 circuit through its elements on these kets, and :func:`_measure_ket` reads
@@ -544,49 +546,41 @@ def _prune_ket_poly(poly: LadderPolynomial, atol: float) -> LadderPolynomial:
 _SORT_KEY = operator.attrgetter("_sort_key")
 
 
-def _sort_creations(factors: tuple[LadderSymbol, ...]):
-    """Canonical order of a product of creation symbols, and its sign.
+def _insert_creator(word: tuple[LadderSymbol, ...], t: LadderSymbol):
+    """``word * t`` for a canonical creation monomial ``word`` and a creator ``t``.
 
-    Returns ``(canonical factors, negate)``, or ``None`` when a fermionic
-    symbol repeats (Pauli exclusion).  Bosonic creators commute with every
-    creator and fermionic ones anticommute with each other, so sorting by
-    ``_sort_key`` flips the sign once per inverted pair of fermions: the
-    rewrite :func:`_reduce_factors` does swap by swap, in one step.
+    Returns ``(canonical monomial, negate)``, or ``None`` for a Pauli zero.
+    ``t`` moves left past the symbols that sort after it.  Bosonic creators
+    commute with every creator; a fermionic ``t`` passes fermions only,
+    each flips the sign, and a fermion already in ``word`` gives zero.
     """
-    fermions = [s for s in factors if not s._is_boson]
-    negate = False
-    for i, s in enumerate(fermions):
-        for t in fermions[i + 1 :]:
-            if t is s:
-                return None
-            if t._sort_key < s._sort_key:
-                negate = not negate
-    return tuple(sorted(factors, key=_SORT_KEY)), negate
+    key = t._sort_key
+    i = len(word)
+    while i and word[i - 1]._sort_key > key:
+        i -= 1
+    if t._is_boson:
+        return word[:i] + (t,) + word[i:], False
+    if i and word[i - 1] is t:
+        return None
+    return word[:i] + (t,) + word[i:], (len(word) - i) % 2 == 1
 
 
-def _expand_span(span: tuple[LadderSymbol, ...], replacements: dict, orders: dict):
-    """Every product of one replacement per substituted symbol of ``span``.
-
-    Returns the products, for each substituted symbol in order its
-    replacement weights, and for each product its canonical order and sign
-    from :func:`_sort_creations`, which ``orders`` remembers across spans.
-    Products come in the order of ``itertools.product`` over the choices;
-    symbols without replacements stay as they are and carry no weight.
-    """
-    words: list[tuple[LadderSymbol, ...]] = [()]
-    levels = []
-    for s in span:
-        choice = replacements.get(s.mode)
-        if choice is None:
-            words = [w + (s,) for w in words]
-        else:
-            symbols, weights = choice
-            words = [w + (t,) for w in words for t in symbols]
-            levels.append(weights)
-    for w in words:
-        if w not in orders:
-            orders[w] = _sort_creations(w)
-    return words, levels, [orders[w] for w in words]
+def _expand(creators: tuple[LadderSymbol, ...], replacements: dict) -> list:
+    """The product of the replacements of ``creators``, in order, as
+    ``(canonical word, weight)`` pairs.  Each creator is inserted by
+    :func:`_insert_creator` and equal words are summed before the next, so
+    n creators over k modes give at most C(n + k - 1, k - 1) words."""
+    words = {(): 1.0 + 0.0j}
+    for s in creators:
+        grown: dict[tuple[LadderSymbol, ...], complex] = {}
+        for word, c in words.items():
+            for t, w in replacements[s]:
+                inserted = _insert_creator(word, t)
+                if inserted is not None:
+                    canon, negate = inserted
+                    grown[canon] = grown.get(canon, 0.0 + 0.0j) + (-c * w if negate else c * w)
+        words = grown
+    return list(words.items())
 
 
 def substitute_modes(ket: KetExpression, matrix, modes) -> KetExpression:
@@ -598,20 +592,15 @@ def substitute_modes(ket: KetExpression, matrix, modes) -> KetExpression:
     quadratic generator; the convention was pinned against the explicit
     matrix representation once and is frozen here.
 
-    A ket monomial is split into ``head + span + tail`` around the span
-    from its first to its last symbol on ``modes``.  Each distinct span is
-    expanded once per call (:func:`_expand_span`), which also sorts each of
-    its words into canonical order once, and the weights are multiplied
-    onto the monomial's coefficient in factor order.  Equal products are
-    summed in the order they appear, then each product is added to its
-    canonical monomial, again in order of appearance.  The canonical form
-    of a product is ``head + sorted word + tail`` with the word's sign
-    when every head symbol sorts strictly before the word and every tail
-    symbol strictly after it; only a product whose head or tail interleaves
-    with its word is sorted whole by :func:`_sort_creations`.  These are the
-    sums, in the order, that normal ordering the expanded polynomial would
-    do, so the coefficients are the same bit for bit; no normal ordering is
-    run.
+    A ket monomial is the product of its kept creators and its creators on
+    ``modes``, moved to the right end.  The moved creators' product is
+    expanded once per call for each distinct tuple of them
+    (:func:`_expand`), and each of its words is sorted in among the kept
+    creators.  For fermions, moving the creators on ``modes`` out of the
+    monomial and sorting the word back in each flips the sign once per
+    kept fermion passed, which is read from their indices in the two
+    monomials.  A monomial with no creator on ``modes`` stays as it is.
+    No normal ordering is run.
     """
     b = np.asarray(matrix, dtype=complex)
     modes = tuple(int(m) for m in modes)
@@ -626,57 +615,39 @@ def substitute_modes(ket: KetExpression, matrix, modes) -> KetExpression:
         raise ValueError("substitution matrix is not unitary")
 
     spec = species.pop()
-    replacements = {}
-    for p, mode in enumerate(modes):
-        rows = [q for q in range(len(modes)) if b[q, p] != 0]
-        replacements[mode] = (
-            [LadderSymbol(modes[q], spec, True) for q in rows],
-            [complex(b[q, p]) for q in rows],
-        )
-
-    expansions: dict[tuple[LadderSymbol, ...], tuple[list, list, list]] = {}
-    word_orders: dict[tuple[LadderSymbol, ...], tuple | None] = {}
-    # each product's summed coefficient, and its canonical monomial and
-    # sign (None for a Pauli zero)
-    products: dict[tuple[LadderSymbol, ...], list] = {}
-    for factors, coeff in ket.poly._terms.items():
-        hits = [i for i, s in enumerate(factors) if s.mode in replacements]
-        if not hits:
-            # its own only product, already canonical; every other product
-            # holds a substituted mode, so none can share its key
-            products[factors] = [0.0 + 0.0j + coeff, (factors, False)]
-            continue
-        start, stop = hits[0], hits[-1] + 1
-        span = factors[start:stop]
-        expansion = expansions.get(span)
-        if expansion is None:
-            expansion = expansions[span] = _expand_span(span, replacements, word_orders)
-        words, levels, orders = expansion
-        coeffs = [coeff]
-        for weights in levels:
-            coeffs = [c * w for c in coeffs for w in weights]
-        head, tail = factors[:start], factors[stop:]
-        for word, c, order in zip(words, coeffs, orders):
-            key = head + word + tail
-            entry = products.get(key)
-            if entry is not None:
-                entry[0] += c
-                continue
-            if order is not None:
-                sorted_word, negate = order
-                if (head and head[-1]._sort_key >= sorted_word[0]._sort_key) or (
-                    tail and tail[0]._sort_key <= sorted_word[-1]._sort_key
-                ):
-                    order = _sort_creations(key)
-                else:
-                    order = (head + sorted_word + tail, negate)
-            products[key] = [0.0 + 0.0j + c, order]
-
+    replacements = {
+        LadderSymbol(mode, spec, True): [
+            (LadderSymbol(modes[q], spec, True), complex(b[q, p]))
+            for q in range(len(modes))
+            if b[q, p] != 0
+        ]
+        for p, mode in enumerate(modes)
+    }
+    substituted = set(replacements)
+    fermions = spec == FERMION
+    expansions: dict[tuple[LadderSymbol, ...], list] = {}
     terms: dict[tuple[LadderSymbol, ...], complex] = {}
-    for c, ordered in products.values():
-        if c and ordered is not None:
-            canon, negate = ordered
-            terms[canon] = terms.get(canon, 0.0 + 0.0j) + (-c if negate else c)
+    for factors, coeff in ket.poly._terms.items():
+        if substituted.isdisjoint(factors):
+            # every other product holds a creator on ``modes``
+            terms[factors] = coeff
+            continue
+        kept = tuple([s for s in factors if s not in substituted])
+        moved = tuple(filter(substituted.__contains__, factors))
+        expansion = expansions.get(moved)
+        if expansion is None:
+            expansion = expansions[moved] = _expand(moved, replacements)
+        # The j-th creator on ``modes`` at index i of a monomial has
+        # len(kept) - (i - j) kept creators after it, all fermions.  Pulling
+        # the creators out of ``factors`` and sorting a word into ``canon``
+        # passes each of those once: the sign is the two index sums' parity.
+        pulled = sum(map(factors.index, moved)) if fermions else 0
+        for word, weight in expansion:
+            canon = tuple(sorted(kept + word, key=_SORT_KEY))
+            c = coeff * weight
+            if fermions and (pulled + sum(map(canon.index, word))) % 2:
+                c = -c
+            terms[canon] = terms.get(canon, 0.0 + 0.0j) + c
     return KetExpression(
         ket.system, LadderPolynomial._from_merged({f: c for f, c in terms.items() if c})
     )

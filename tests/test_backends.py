@@ -1151,6 +1151,18 @@ def test_compare_detects_truncation_mismatch():
     assert report.max_deviation > 0.1
 
 
+def test_compare_ten_bunched_photons_through_a_three_mode_custom_element():
+    # the symbolic route collects after each creator: C(12, 2) = 66 words
+    # instead of the 3**10 products of the expanded power
+    system = ModeSystem(3, 0, 10)
+    c = generator_from_unitary(unitary_group.rvs(3, random_state=5))
+    element = QuadraticCustom.from_matrix((0, 1, 2), c)
+    circuit = Circuit(system, (element,), basis_ket(system, (5, 3, 2)), (0, 1, 2))
+    report = compare_backends(circuit, 1e-9)
+    assert report.max_deviation <= 1e-12
+    assert len(report.deviations) == 3 + 66
+
+
 def test_compare_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         compare_backends(build_experiment("single_photon_bs_sym"), 0.0)

@@ -1,6 +1,9 @@
 """tools/call_count.py: call counts of the first runs of a workload."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "call_count.py"
@@ -26,3 +29,16 @@ def test_prints_the_total_then_the_fockbench_functions(capsys):
     counts = [int(line.split()[0]) for line in lines[2:]]
     assert counts == sorted(counts, reverse=True)
     assert int(lines[1].split()[0]) == sum(counts)
+
+
+def test_stops_quietly_when_stdout_closes_early():
+    # as under ``| head``: no traceback and no "Exception ignored" line
+    command = [sys.executable, str(TOOL), "--workload", "ladder_mesh", "--seed", "3", "--runs", "1"]
+    paths = [str(TOOL.parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert stderr == b""

@@ -351,6 +351,29 @@ def test_mesh_circuits_match_golden_bytes(runner, tmp_path, name, backend):
     assert result.stdout_bytes == golden.read_bytes()
 
 
+def test_forty_photons_through_one_splitter_follow_the_binomial_law(runner, tmp_path):
+    # (cos t a1^ + sin t a2^)^40 collects into 41 words; its 2^40 products
+    # are never formed
+    n, theta = 40, 0.3
+    path = tmp_path / "bs40.fck"
+    path.write_text(
+        f"system bosons=2 cutoff={n}\ninput create {' '.join(['1'] * n)}\n"
+        f"bs 1 2 angle={theta}\nmeasure all\n"
+    )
+    result = invoke(runner, ["run", str(path), "--backend", "both", "--format", "json"])
+    assert result.exit_code == 0
+    report = json.loads(result.stdout)
+    assert report["comparison"]["max_deviation"] <= 1e-12
+    rows = {tuple(row["occ"]): row["prob"] for row in report["distribution"]}
+    binomial = {
+        (k, n - k): math.comb(n, k) * math.cos(theta) ** (2 * k) * math.sin(theta) ** (2 * (n - k))
+        for k in range(n + 1)
+    }
+    assert set(rows) <= set(binomial)  # rows far below 1e-12 may be left out
+    for occ, prob in binomial.items():
+        assert abs(rows.get(occ, 0.0) - prob) <= 1e-12, occ
+
+
 @pytest.mark.parametrize(
     "name", [*(p.stem for p in CIRCUIT_FILES), "mesh6"], ids=lambda name: name
 )

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import importlib.util
+import os
 import pstats
 import sys
 import tempfile
@@ -48,10 +50,17 @@ def count_calls(workload: str, seed: int, runs: int) -> tuple[int, Counter]:
         for args in invocations:
             runner.invoke(main, args)
         profile = cProfile.Profile()
-        for args in invocations:
-            profile.enable()
-            runner.invoke(main, args)
-            profile.disable()
+        # a collection would run gc callbacks (hypothesis installs one) that
+        # the profile counts, so none runs while it is enabled
+        gc.collect()
+        gc.disable()
+        try:
+            for args in invocations:
+                profile.enable()
+                runner.invoke(main, args)
+                profile.disable()
+        finally:
+            gc.enable()
     stats = pstats.Stats(profile)
     per_function = Counter()
     for (filename, _, name), (_, calls, *_) in stats.stats.items():
@@ -76,4 +85,12 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        status = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout closed early, as by ``| head``: stop quietly, and send the
+        # flush at exit to devnull so that it does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
