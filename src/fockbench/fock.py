@@ -18,9 +18,11 @@ and :func:`_ket_amplitudes`, which reads an input ket.
 ``evolve_numeric`` is the explicit route: each element's generator
 becomes a matrix on the occupations reachable from the input, and the
 state vector is pushed through its exponential, computed densely on the
-blocks the generator leaves invariant (:func:`expm_multiply`).  The
-route reads the algebra only to build generators and input kets; its
-statistics go into the reports of :mod:`fockbench.backends`.
+blocks the generator leaves invariant (:func:`expm_blocks`, numpy only,
+all blocks of a circuit before the first is applied) and applied by
+:func:`expm_multiply`.  The route reads the algebra only to build
+generators and input kets; its statistics go into the reports of
+:mod:`fockbench.backends`.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping
@@ -54,8 +57,8 @@ DEFAULT_BASIS_CAP = 1_000_000
 #: The numeric route refuses an element whose restricted generator has an
 #: entry of larger modulus.  The dense exponential of the vertex's rotation
 #: block [[0, -t], [t, 0]] loses precision as t grows: its worst deviation
-#: from the exact route, over 400 random t per band, is 3.3e-10 in
-#: [1e6, 2e6], 9.8e-10 in [2e6, 5e6] and 1.5e-9 in [5e6, 1e7], against the
+#: from the exact route, over 400 random t per band, is 1.9e-10 in
+#: [1e6, 2e6], 5.8e-10 in [2e6, 5e6] and 1.2e-9 in [5e6, 1e7], against the
 #: default comparison tolerance of 1e-9.
 MAX_GENERATOR_ENTRY = 2e6
 
@@ -455,27 +458,153 @@ def _block_plan(occupations: np.ndarray, rank, modes, images) -> _BlockPlan:
     return _BlockPlan(term, weights, tuple(groups))
 
 
-def expm_multiply(plan: _BlockPlan, values: np.ndarray, vec) -> np.ndarray:
-    """exp(K) @ ``vec`` for a generator K with the block structure ``plan``.
+#: Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+#: (2005), Table 2.3): the largest 1-norm theta_m at which the Padé
+#: approximant of degree m = 3, 5, 7, 9, 13 meets double precision.
+_PADE_THETA = (
+    1.495585217958292e-2,
+    2.539398330063230e-1,
+    9.504178996162932e-1,
+    2.097847961257068e0,
+    5.371920351148152e0,
+)
 
-    ``values`` holds K's entries in the plan's entry order.  K maps each
-    block of the plan into itself, so exp(K) is block diagonal.  Only the
-    representative blocks are filled and exponentiated, by scaling and
-    squaring (:func:`scipy.linalg.expm`, all blocks of one size in one
-    batched call), whose cost grows with log ||K|| where a Taylor series
-    grows with ||K||; each block's states are then multiplied by its
-    representative's exponential, one batched product per size.  The
-    benchmark tracer (``perfbench/tracer.py``) times the numeric
-    exponential under the name ``backends.expm_multiply``.
+#: Numerator coefficients b_0, b_1, ... of each Padé degree; the
+#: denominator's are b_j (-1)^j.
+_PADE_COEFFICIENTS = (
+    (120, 60, 12, 1),
+    (30240, 15120, 3360, 420, 30, 1),
+    (17297280, 8648640, 1995840, 277200, 25200, 1512, 56, 1),
+    (17643225600, 8821612800, 2075673600, 302702400, 30270240, 2162160, 110880,
+     3960, 90, 1),
+    (64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
+     129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
+     40840800, 960960, 16380, 182, 1),
+)
+
+#: Most squarings the exponential makes.  Each doubles the rounding error,
+#: so past this many the result has no correct digit; a block of 1-norm
+#: above theta_13 * 2**MAX_SQUARINGS comes back as nan.
+MAX_SQUARINGS = 52
+
+
+@lru_cache(maxsize=None)
+def _pade_sums(level: int, squarings: int) -> np.ndarray:
+    """Coefficients of the sums of even powers (I, A^2, A^4, ...) that the
+    Padé approximant of ``_PADE_COEFFICIENTS[level]`` needs at A / 2**s,
+    ``s = squarings``, one row per sum.
+
+    With U and V the odd and even parts of the numerator, p(A) = V + U and
+    p(-A) = V - U.  Below degree 13, U = A (row 0) and V = row 1.  For
+    degree 13 (Higham 2005, eq. 2.11), U = A (A^6 (row 0) + row 1) and
+    V = A^6 (row 2) + row 3.  The scaling is folded into the coefficients:
+    b_k, which multiplies A^k in these products, carries 2**(-s k), so
+    the powers of the unscaled A serve every s.  Each factor is a power of
+    two, so the sums equal those of the scaled matrix bit for bit.
     """
-    from scipy.linalg import expm
+    c = [b * 2.0 ** (-squarings * k) for k, b in enumerate(_PADE_COEFFICIENTS[level])]
+    if len(c) == 14:
+        rows = [[0.0, c[9], c[11], c[13]], c[1:9:2], [0.0, c[8], c[10], c[12]], c[0:8:2]]
+    else:
+        rows = [c[1::2], c[0::2]]
+    sums = np.array(rows)
+    sums.flags.writeable = False
+    return sums
 
+
+@lru_cache(maxsize=None)
+def _identity(size: int) -> np.ndarray:
+    eye = np.eye(size, dtype=complex)
+    eye.flags.writeable = False
+    return eye
+
+
+def _pade(mats: np.ndarray, level: int, squarings: list[int]) -> np.ndarray:
+    """exp of each matrix by the Padé approximant of ``level`` at the
+    matrix scaled by 2**-s, squared s times, s from ``squarings``."""
+    count, size, _ = mats.shape
+    if len(set(squarings)) == 1:
+        sums = _pade_sums(level, squarings[0])
+    else:
+        sums = np.array([_pade_sums(level, s) for s in squarings])
+    terms = sums.shape[-1]
+    powers = np.empty((count, terms, size, size), dtype=complex)
+    powers[:, 0] = _identity(size)
+    powers[:, 1] = power = square = np.matmul(mats, mats)
+    for j in range(2, terms):
+        powers[:, j] = power = np.matmul(power, square)
+    # real coefficients times complex powers: one real product on the float view
+    flat = powers.view(float).reshape(count, terms, 2 * size * size)
+    parts = np.matmul(sums, flat).view(complex).reshape(count, -1, size, size)
+    if sums.shape[-2] == 4:  # degree 13
+        parts = np.matmul(powers[:, 3:4], parts[:, 0::2]) + parts[:, 1::2]
+    odd = np.matmul(mats, parts[:, 0])
+    even = parts[:, 1]
+    out = np.linalg.solve(even - odd, even + odd)
+    for i in range(max(squarings)):
+        if min(squarings) > i:
+            out = np.matmul(out, out)
+        else:
+            todo = [s > i for s in squarings]
+            out[todo] = np.matmul(out[todo], out[todo])
+    return out
+
+
+def expm_blocks(mats: np.ndarray) -> np.ndarray:
+    """exp of each matrix of a stack ``mats`` of shape (count, n, n).
+
+    Scaling and squaring with the Padé degree chosen from each matrix's
+    1-norm (Higham 2005): the smallest m in 3, 5, 7, 9, 13 whose theta_m
+    bounds the norm, and above theta_13 degree 13 at the matrix scaled by
+    2**-s, squared s times, s = ceil(log2(norm / theta_13)).  The matrices
+    of one degree and scaling go through one stacked evaluation, and each
+    result depends on its own matrix only: a stack gives, bit for bit, what
+    its matrices give one at a time.  A matrix with a non-finite entry, or
+    one that would need more than :data:`MAX_SQUARINGS` squarings, gives
+    nan; 1 x 1 matrices give ``np.exp``.
+    """
+    count, size, _ = mats.shape
+    if size == 1:
+        return np.exp(mats, out=np.full_like(mats, np.nan), where=np.isfinite(mats))
+    top = len(_PADE_THETA) - 1
+    levels, squarings = [], []
+    for column_sums in np.abs(mats).sum(axis=1).tolist():
+        norm = max(column_sums)
+        level = bisect_left(_PADE_THETA, norm)
+        s = 0
+        if level > top:
+            s = math.ceil(math.log2(norm / _PADE_THETA[-1])) if math.isfinite(norm) else -1
+            level = top if 0 <= s <= MAX_SQUARINGS else -1
+        levels.append(level)
+        squarings.append(s)
+    if len(set(levels)) == 1 and levels[0] >= 0:
+        return _pade(mats, levels[0], squarings)
+    picks = np.array(levels)
+    out = np.full_like(mats, np.nan)
+    for level in set(levels) - {-1}:
+        rows = picks == level
+        out[rows] = _pade(mats[rows], level, [s for lv, s in zip(levels, squarings) if lv == level])
+    return out
+
+
+def expm_multiply(groups, blocks: dict, vec: np.ndarray) -> np.ndarray:
+    """exp(K) @ ``vec`` for one element's generator K, from its block
+    exponentials.
+
+    K maps each block of its plan into itself, so exp(K) is block diagonal.
+    ``blocks`` maps each block size to the stack of the circuit's
+    representative block exponentials of that size (:func:`expm_blocks`,
+    computed once per circuit by :func:`evolve_numeric`); ``groups`` holds
+    one ``(size, index, states)`` per block size of this element: block
+    ``i`` equals ``blocks[size][index[i]]`` and its rows are ``states[i]``.
+    Each block's states are multiplied by its exponential, one batched
+    product per size.  The benchmark tracer (``perfbench/tracer.py``)
+    times this function under the name ``backends.expm_multiply``; the
+    exponentials themselves count in ``evolve_numeric``.
+    """
     out = np.empty_like(vec)
-    for size, take, cells, count, same, states in plan.groups:
-        mats = np.zeros(count * size * size, dtype=complex)
-        np.add.at(mats, cells, values[take])
-        mats = expm(mats.reshape(count, size, size))
-        out[states] = np.matmul(mats[same], vec[states][..., np.newaxis])[..., 0]
+    for size, index, states in groups:
+        out[states] = np.matmul(blocks[size][index], vec[states][..., np.newaxis])[..., 0]
     return out
 
 
@@ -495,14 +624,26 @@ class _Layout:
     row each, and is the route's only table of them; ``support_rows`` are
     the rows of the input support, in its order; ``plans`` holds one
     :class:`_BlockPlan` per element without ``number_phases``, in element
-    order, shared by elements of one shape.  Every array is read-only,
-    since a cached layout serves every later circuit of its shape.
+    order, shared by elements of one shape.  The plans laid end to end give
+    the circuit's entries: entry ``e`` has the value ``coefficients[term[e]]
+    * weights[e]``, where ``coefficients`` lists each such element's
+    generator coefficients in element order.  ``fills`` holds one ``(size,
+    take, cells, count)`` per block size: the entries ``take`` go to the
+    flat ``cells`` of the ``count`` representative blocks of that size of
+    the whole circuit.  ``steps`` holds, per element, its entries ``(lo,
+    hi)`` and the ``(size, index, states)`` that :func:`expm_multiply`
+    reads.  Every array is read-only, since a cached layout serves every
+    later circuit of its shape.
     """
 
     cut: bool
     occ_array: np.ndarray
     support_rows: np.ndarray
     plans: tuple
+    term: np.ndarray
+    weights: np.ndarray
+    fills: tuple
+    steps: tuple
 
 
 @lru_cache(maxsize=LAYOUT_CACHE_SIZE)
@@ -529,15 +670,49 @@ def _compile_layout(system: ModeSystem, support: tuple, shapes: tuple) -> _Layou
             plans[modes, terms] = _block_plan(
                 occ_array, rank, modes, [images[f] for f in terms]
             )
-    arrays = [occ_array, rank]
+    # The circuit's representative blocks, one stack per size, in element order.
+    element_plans = tuple(plans[shape] for shape in shapes)
+    term, weights, steps = [np.empty(0, dtype=np.int64)], [np.empty(0)], []
+    takes, cell_lists, counts = {}, {}, {}
+    lo = first_term = 0
+    for (_, terms), plan in zip(shapes, element_plans):
+        term.append(plan.term + first_term)
+        weights.append(plan.weights)
+        groups = []
+        for size, take, cells, count, same, block_states in plan.groups:
+            done = counts.get(size, 0)
+            takes.setdefault(size, []).append(take + lo)
+            cell_lists.setdefault(size, []).append(cells + done * size * size)
+            groups.append((size, same + done, block_states))
+            counts[size] = done + count
+        hi = lo + len(plan.weights)
+        steps.append(((lo, hi), tuple(groups)))
+        lo, first_term = hi, first_term + len(terms)
+    fills = tuple(
+        (size, np.concatenate(takes[size]), np.concatenate(cell_lists[size]), counts[size])
+        for size in sorted(counts)
+    )
+    layout = _Layout(
+        cut,
+        occ_array,
+        rank[: len(support)],
+        element_plans,
+        np.concatenate(term),
+        np.concatenate(weights),
+        fills,
+        tuple(steps),
+    )
+    arrays = [occ_array, rank, layout.support_rows, layout.term, layout.weights]
     for plan in plans.values():
         arrays += [plan.term, plan.weights]
         arrays += [a for group in plan.groups for a in group if isinstance(a, np.ndarray)]
+    for _, take, cells, _ in fills:
+        arrays += [take, cells]
+    for _, groups in steps:
+        arrays += [a for group in groups for a in group[1:]]
     for array in arrays:
         array.flags.writeable = False
-    return _Layout(
-        cut, occ_array, rank[: len(support)], tuple(plans[shape] for shape in shapes)
-    )
+    return layout
 
 
 def evolve_numeric(
@@ -552,14 +727,18 @@ def evolve_numeric(
     amplitude.  Elements with ``number_phases`` have number-diagonal
     generators, so their exponentials are applied as exact phases read
     from the set's occupations; all other elements go through
-    :func:`expm_multiply`, dense scaling-and-squaring exponentials of the
-    generator's invariant blocks on the set.  The blocks depend only on the
-    element's shape, its modes and ladder monomials, not on its
-    coefficients: elements of one shape share one :func:`_block_plan`, and
-    each element exponentiates one representative block per weight pattern.
-    The blocks it skips are bitwise equal to their representative, and
-    each cell sums its values in term order, so sharing moves no amplitude
-    bit.
+    :func:`expm_multiply`, dense exponentials of the generator's invariant
+    blocks on the set.  The blocks depend only on the element's shape, its
+    modes and ladder monomials, not on its coefficients: elements of one
+    shape share one :func:`_block_plan`, and each element needs one
+    representative block per weight pattern.  The blocks it skips are
+    bitwise equal to their representative, and each cell sums its values
+    in term order, so sharing moves no amplitude bit.  No exponential
+    reads the state, so the representative blocks of every element are
+    filled first and exponentiated by :func:`expm_blocks`, one call per
+    block size for the whole circuit; the loop over the elements then only
+    applies them.  :func:`expm_blocks` gives each block what it would give
+    that block alone, so the batching moves no amplitude bit either.
 
     The search and the plans are compiled once per circuit shape and kept
     in a cache of :data:`LAYOUT_CACHE_SIZE` shapes, least recently used
@@ -608,9 +787,21 @@ def evolve_numeric(
         )
     vec = np.zeros(len(layout.occ_array), dtype=complex)
     vec[layout.support_rows] = list(start.values())
-    plans = dict(zip(generators, layout.plans))
+    steps = dict(zip(generators, layout.steps))
     # An overflow shows as a non-finite amplitude, reported by _require_finite.
     with np.errstate(over="ignore", invalid="ignore"):
+        coefficients = np.array(
+            [c for terms in generators.values() for c in terms.values()], dtype=complex
+        )
+        values = coefficients[layout.term] * layout.weights
+        moduli = np.abs(values)
+        # the entries are read element by element only when one is too large
+        too_large = moduli.max(initial=0.0) > MAX_GENERATOR_ENTRY
+        blocks = {}
+        for size, take, cells, count in layout.fills:
+            mats = np.zeros(count * size * size, dtype=complex)
+            np.add.at(mats, cells, values[take])
+            blocks[size] = expm_blocks(mats.reshape(count, size, size))
         for k, element in enumerate(circuit.elements):
             if element.number_phases is not None:
                 for key, value in element.number_phases.items():
@@ -620,11 +811,9 @@ def evolve_numeric(
                     vec = vec * np.exp(1j * angle)
                 largest = 0.0
             else:
-                plan = plans[k]
-                coefficients = np.array(list(generators[k].values()), dtype=complex)
-                values = coefficients[plan.term] * plan.weights
-                vec = expm_multiply(plan, values, vec)
-                largest = np.abs(values).max(initial=0.0)
+                (lo, hi), groups = steps[k]
+                vec = expm_multiply(groups, blocks, vec)
+                largest = moduli[lo:hi].max(initial=0.0) if too_large else 0.0
             _require_finite(np.isfinite(vec).all(), k, element)
             if largest > MAX_GENERATOR_ENTRY:
                 raise ValueError(
@@ -635,7 +824,7 @@ def evolve_numeric(
     (hits,) = np.nonzero(np.abs(vec) >= PRUNE_THRESHOLD)
     occupations = layout.occ_array[hits].tolist()
     return FockVector(
-        system, {tuple(occ): complex(vec[i]) for occ, i in zip(occupations, hits)}
+        system, {tuple(occ): amp for occ, amp in zip(occupations, vec[hits].tolist())}
     )
 
 

@@ -8,7 +8,6 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
@@ -385,16 +384,16 @@ def test_numeric_matches_full_box_reference(build):
 
 def test_identical_blocks_exponentiated_once(monkeypatch):
     exponentiated = []
-    original = scipy.linalg.expm
+    original = fockbench.fock.expm_blocks
 
     def recording(mats):
         exponentiated.append(mats.shape)
         return original(mats)
 
-    # expm_multiply imports expm at each call, so the spy sits on scipy.linalg
-    monkeypatch.setattr(scipy.linalg, "expm", recording)
+    # one representative per splitter, both in the circuit's one 2x2 stack
+    monkeypatch.setattr(fockbench.fock, "expm_blocks", recording)
     evolve_numeric(_identical_blocks())
-    assert exponentiated == [(1, 2, 2), (1, 2, 2)]
+    assert exponentiated == [(2, 2, 2)]
 
 
 @pytest.mark.parametrize(
@@ -639,7 +638,7 @@ def _reference_expm_multiply(entries, occupations, modes, vec):
         firsts: dict[bytes, int] = {}
         same = [firsts.setdefault(mat.tobytes(), i) for i, mat in enumerate(mats)]
         distinct = list(firsts.values())
-        mats[distinct] = expm(mats[distinct])
+        mats[distinct] = fockbench.fock.expm_blocks(mats[distinct])
         states = order[starts[members][:, np.newaxis] + np.arange(size)]
         out[states] = np.matmul(mats[same], vec[states][..., np.newaxis])[..., 0]
     return out

@@ -619,14 +619,21 @@ def test_symbolic_run_loads_no_scipy():
     assert stdout.encode() == golden.read_bytes()
 
 
-def test_numeric_run_loads_scipy_linalg_but_no_sparse_matrices():
-    path = ROOT / "circuits" / "cnot_dualrail.fck"
-    code, _, loaded = _fresh_scipy_modules(
-        RUN_CLI, "run", str(path), "--backend", "numeric", "--format", "json"
+@pytest.mark.parametrize("backend", ["numeric", "both"])
+@pytest.mark.parametrize("name", ["cnot_dualrail", "mesh_m6"])
+def test_numeric_run_loads_no_scipy(tmp_path, name, backend):
+    # the block exponentials are numpy's; only the box matrices need scipy
+    if name == "mesh_m6":
+        path = tmp_path / "mesh_m6.fck"
+        path.write_text(_mesh_program(*MESH_GOLDENS[name][0]))
+    else:
+        path = ROOT / "circuits" / f"{name}.fck"
+    code, stdout, loaded = _fresh_scipy_modules(
+        RUN_CLI, "run", str(path), "--backend", backend, "--format", "json"
     )
-    assert code == 0
-    assert "scipy.linalg" in loaded
-    assert not [m for m in loaded if m.split(".")[:2] == ["scipy", "sparse"]]
+    assert (code, loaded) == (0, [])
+    golden = ROOT / "tests" / "golden" / f"{name}.{backend}.json"
+    assert stdout.encode() == golden.read_bytes()
 
 
 def test_check_passes(runner):

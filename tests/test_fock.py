@@ -6,12 +6,16 @@ import time
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import expm
 
+import fockbench.fock
 from fockbench.circuit import BeamSplitter
 from fockbench.fock import (
+    MAX_SQUARINGS,
     FockVector,
     annihilation_op,
     creation_op,
+    expm_blocks,
     heisenberg_residual,
     inner_product,
     mode_bipartition_entropy,
@@ -594,3 +598,87 @@ def test_entropy_schmidt_matrix_spans_the_support(monkeypatch):
     assert time.perf_counter() - start < 1.0
     assert entropy == pytest.approx(math.log(2), abs=1e-12)
     assert shapes == [(7, 7)]
+
+
+# ---------------------------------------------------------------------------
+# Block exponentials, against scipy.linalg.expm
+# ---------------------------------------------------------------------------
+
+
+def _anti_hermitian_stack(rng, size, norms):
+    """Random anti-Hermitian matrices with the given 1-norms."""
+    shape = (len(norms), size, size)
+    h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    k = h - h.conj().transpose(0, 2, 1)
+    return k / np.abs(k).sum(axis=1).max(axis=1)[:, None, None] * np.array(norms)[:, None, None]
+
+
+def _mixed_norms(rng):
+    # every Padé degree and scalings up to the refusal bound, shuffled in one stack
+    return rng.permutation(10.0 ** np.concatenate([np.linspace(-3, 6.3, 12), rng.uniform(-3, 6.3, 12)]))
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_block_exponentials_match_scipy_expm(size):
+    rng = np.random.default_rng(size)
+    norms = _mixed_norms(rng)
+    mats = _anti_hermitian_stack(rng, size, norms)
+    got = expm_blocks(mats)
+    rounding = np.finfo(float).eps * np.maximum(1.0, norms)
+    error = np.abs(got - expm(mats)).max(axis=(1, 2))
+    assert (error <= 8 * rounding).all(), (error / rounding).max()
+    unitarity = np.abs(got @ got.conj().transpose(0, 2, 1) - np.eye(size)).max(axis=(1, 2))
+    assert (unitarity <= 8 * rounding).all(), (unitarity / rounding).max()
+
+
+def test_stacked_block_exponentials_equal_one_at_a_time_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for size in range(1, 7):
+        mats = _anti_hermitian_stack(rng, size, _mixed_norms(rng))
+        stacked = expm_blocks(mats)
+        for i in range(len(mats)):
+            assert expm_blocks(mats[i : i + 1]).tobytes() == stacked[i : i + 1].tobytes()
+
+
+def test_one_stacked_evaluation_per_degree_and_scaling(monkeypatch):
+    # norms 0.01, 0.2, 0.9, 2, 5 pick degrees 3, 5, 7, 9, 13 (0.015 is just
+    # above theta_3); 6 and 100 are scaled by 2 and 2**5 and share the
+    # degree-13 evaluation of 5
+    evaluations = []
+    original = fockbench.fock._pade
+
+    def recording(mats, level, squarings):
+        evaluations.append((len(mats), level, squarings))
+        return original(mats, level, squarings)
+
+    monkeypatch.setattr(fockbench.fock, "_pade", recording)
+    norms = [100.0, 0.01, 0.2, 0.9, 2.0, 5.0, 6.0, 0.015]
+    expm_blocks(_anti_hermitian_stack(np.random.default_rng(2), 3, norms))
+    assert sorted(evaluations) == [
+        (1, 0, [0]),
+        (1, 2, [0]),
+        (1, 3, [0]),
+        (2, 1, [0, 0]),
+        (3, 4, [5, 0, 1]),
+    ]
+
+
+@pytest.mark.parametrize("size", [1, 3])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_block_with_a_non_finite_entry_gives_a_non_finite_result(size, bad):
+    # no exception and no numpy warning (warnings are errors in this suite);
+    # the other blocks of the stack are untouched
+    mats = _anti_hermitian_stack(np.random.default_rng(3), size, [0.5, 2.0, 40.0])
+    mats[1, 0, size - 1] = bad
+    got = expm_blocks(mats)
+    assert not np.isfinite(got[1]).all()
+    assert got[[0, 2]].tobytes() == expm_blocks(mats[[0, 2]]).tobytes()
+
+
+def test_block_beyond_the_squaring_bound_gives_nan():
+    # past MAX_SQUARINGS squarings no digit of the result is right
+    limit = fockbench.fock._PADE_THETA[-1] * 2.0**MAX_SQUARINGS
+    mats = _anti_hermitian_stack(np.random.default_rng(4), 2, [limit, 2.0 * limit])
+    got = expm_blocks(mats)
+    assert np.isfinite(got[0]).all()
+    assert np.isnan(got[1]).all()

@@ -4,9 +4,18 @@ Builds the seeded manifest of ``perfbench/workloads.py`` (loaded by path,
 read only) in a temporary directory, invokes ``fockbench.cli.main``
 in-process on its first N measured runs once to warm the caches, then
 again under cProfile.  Prints the total number of calls, then the calls
-of each ``fockbench`` function, most called first::
+of each ``fockbench`` function, most called first, then the calls that
+``fockbench`` functions make into numpy and scipy, per callee, most
+called first::
 
     PYTHONPATH=src python tools/call_count.py --workload ladder_mesh --seed 41 --runs 60
+
+A numpy or scipy callee is a Python function defined in either package
+(``scipy.linalg._matfuncs.expm``) or a built-in that cProfile labels with
+either name (``<built-in method numpy.zeros>``, ``<method 'at' of
+'numpy.ufunc' objects>``).  Calling a ufunc (``np.matmul``, ``np.abs``,
+array arithmetic) is not a function call that cProfile records, so those
+are not counted.
 
 ``fockbench`` is imported from ``sys.path``, so pointing ``PYTHONPATH`` at
 another checkout's ``src`` counts that checkout's calls.  The counts are
@@ -36,9 +45,21 @@ def load_workloads():
     return module
 
 
-def count_calls(workload: str, seed: int, runs: int) -> tuple[int, Counter]:
-    """Total calls, and calls per ``module.function`` of ``fockbench``, made
-    by the first ``runs`` measured invocations of ``workload`` at ``seed``."""
+def _library_callee(filename: str, name: str) -> str | None:
+    """The label of a numpy or scipy callee, or None for any other function."""
+    if filename == "~":
+        return name if "numpy" in name or "scipy" in name else None
+    parts = Path(filename).with_suffix("").parts
+    for package in ("numpy", "scipy"):
+        if package in parts:
+            return ".".join(parts[parts.index(package) :] + (name,))
+    return None
+
+
+def count_calls(workload: str, seed: int, runs: int) -> tuple[int, Counter, Counter]:
+    """Total calls, calls per ``module.function`` of ``fockbench``, and calls
+    from ``fockbench`` functions per numpy or scipy callee, made by the
+    first ``runs`` measured invocations of ``workload`` at ``seed``."""
     from click.testing import CliRunner
 
     from fockbench.cli import main
@@ -62,12 +83,17 @@ def count_calls(workload: str, seed: int, runs: int) -> tuple[int, Counter]:
         finally:
             gc.enable()
     stats = pstats.Stats(profile)
-    per_function = Counter()
-    for (filename, _, name), (_, calls, *_) in stats.stats.items():
+    per_function, library = Counter(), Counter()
+    for (filename, _, name), (_, calls, _, _, callers) in stats.stats.items():
         path = Path(filename)
         if path.parent.name == "fockbench":
             per_function[f"{path.stem}.{name}"] += calls
-    return stats.total_calls, per_function
+        callee = _library_callee(filename, name)
+        if callee is not None:
+            for (caller_file, _, _), (_, caller_calls, *_) in callers.items():
+                if Path(caller_file).parent.name == "fockbench":
+                    library[callee] += caller_calls
+    return stats.total_calls, per_function, library
 
 
 def main(argv: list[str]) -> int:
@@ -76,11 +102,15 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--runs", type=int, required=True)
     args = parser.parse_args(argv)
-    total, per_function = count_calls(args.workload, args.seed, args.runs)
+    total, per_function, library = count_calls(args.workload, args.seed, args.runs)
     print(f"{total:10d}  total calls")
-    print(f"{sum(per_function.values()):10d}  fockbench calls")
-    for name, calls in sorted(per_function.items(), key=lambda item: (-item[1], item[0])):
-        print(f"{calls:10d}  {name}")
+    for heading, counts in (
+        ("fockbench calls", per_function),
+        ("numpy and scipy calls from fockbench", library),
+    ):
+        print(f"{sum(counts.values()):10d}  {heading}")
+        for name, calls in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
+            print(f"{calls:10d}  {name}")
     return 0
 
 
