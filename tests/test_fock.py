@@ -615,7 +615,8 @@ def _anti_hermitian_stack(rng, size, norms):
 
 def _mixed_norms(rng):
     # every Padé degree and scalings up to the refusal bound, shuffled in one stack
-    return rng.permutation(10.0 ** np.concatenate([np.linspace(-3, 6.3, 12), rng.uniform(-3, 6.3, 12)]))
+    exponents = np.concatenate([np.linspace(-3, 6.3, 12), rng.uniform(-3, 6.3, 12)])
+    return rng.permutation(10.0**exponents)
 
 
 @pytest.mark.parametrize("size", range(1, 7))
