@@ -306,21 +306,28 @@ def vacuum_expectation(p: LadderPolynomial) -> complex:
 
 
 def quadratic_generator(coefficients, modes, species_of) -> LadderPolynomial:
-    """Build ``sum_pq c[p, q] adag_modes[p] a_modes[q]``."""
-    c = np.asarray(coefficients, dtype=complex)
-    modes = tuple(int(m) for m in modes)
-    if c.shape != (len(modes), len(modes)):
+    """Build ``sum_pq c[p, q] adag_modes[p] a_modes[q]``.
+
+    ``coefficients`` holds the rows of c, one per mode: a 2-d array, read
+    through ``tolist``, or nested sequences of numbers, read as they are.
+    """
+    modes = tuple(map(int, modes))
+    n = len(modes)
+    if isinstance(coefficients, np.ndarray):
+        square = coefficients.shape == (n, n)
+        coefficients = coefficients.tolist()
+    else:
+        square = len(coefficients) == n and all(len(row) == n for row in coefficients)
+    if not square:
         raise ValueError("coefficient matrix shape does not match the mode list")
+    creators = [LadderSymbol(m, species_of(m), True) for m in modes]
+    annihilators = [symbol.adjoint() for symbol in creators]
     terms = {}
-    for p_idx, mp in enumerate(modes):
-        for q_idx, mq in enumerate(modes):
-            if c[p_idx, q_idx] == 0:
-                continue
-            factors = (
-                LadderSymbol(mp, species_of(mp), True),
-                LadderSymbol(mq, species_of(mq), False),
-            )
-            terms[factors] = terms.get(factors, 0.0 + 0.0j) + c[p_idx, q_idx]
+    for creator, row in zip(creators, coefficients):
+        for annihilator, c in zip(annihilators, row):
+            if c != 0:
+                factors = (creator, annihilator)
+                terms[factors] = terms.get(factors, 0.0 + 0.0j) + c
     return LadderPolynomial(terms)
 
 

@@ -117,10 +117,11 @@ class BeamSplitter(CircuitElement):
 
     def generator(self, system: ModeSystem) -> LadderPolynomial:
         if self.variant == SYMMETRIC:
-            c = 0.25j * math.pi * np.array([[0.0, 1.0], [1.0, 0.0]])
+            t = 0.25j * math.pi
+            c = ((0.0, t), (t, 0.0))
         else:
             theta = 0.25 * math.pi if self.variant == ANTISYMMETRIC else self.theta
-            c = theta * np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+            c = ((0.0, -theta), (theta, 0.0))
         return quadratic_generator(c, self.modes, system.species)
 
 
@@ -248,7 +249,7 @@ class QuadraticCustom(CircuitElement):
         return expm(self.matrix)
 
     def generator(self, system: ModeSystem) -> LadderPolynomial:
-        return quadratic_generator(self.matrix, self.modes, system.species)
+        return quadratic_generator(self.coefficients, self.modes, system.species)
 
 
 def element_generator(element: CircuitElement, system: ModeSystem) -> LadderPolynomial:

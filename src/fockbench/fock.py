@@ -389,9 +389,11 @@ class _BlockPlan:
 
     Entry ``e`` has the value ``coefficient[term[e]] * weights[e]``.
     ``groups`` holds one ``(size, take, cells, count, same, states)`` per
-    block size: the entries ``take`` go to the flat ``cells`` of ``count``
-    representative blocks, block ``i`` of that size equals representative
-    ``same[i]``, and ``states[i]`` are its rows in basis order.
+    size of the blocks that receive an entry: the entries ``take`` go to
+    the flat ``cells`` of ``count`` representative blocks, block ``i`` of
+    that size equals representative ``same[i]``, and ``states[i]`` are its
+    rows in basis order.  The states of a block without entries are in no
+    group.
     """
 
     term: np.ndarray
@@ -405,13 +407,14 @@ def _block_plan(occupations: np.ndarray, rank, modes, images) -> _BlockPlan:
     ``images`` holds, per monomial in term order, its (rows, columns,
     weights) lists in discovery order, which ``rank`` maps to the rows of
     ``occupations``.  States that agree on every mode outside ``modes``
-    form a block that the generator maps into itself.  Blocks of one size
-    whose cells receive the same weights of the same terms are equal for
-    any coefficients: ``np.unique`` over those weight patterns picks the
-    first block of each pattern to represent the others, and orders the
-    representatives by pattern.  A size held by one block goes through the
-    same comparison: plans are built once per circuit shape, not once per
-    run.
+    form a block that the generator maps into itself.  A block that
+    receives no entry is left out: its exponential is the identity.  Blocks
+    of one size whose cells receive the same weights of the same terms are
+    equal for any coefficients: ``np.unique`` over those weight patterns
+    picks the first block of each pattern to represent the others, and
+    orders the representatives by pattern.  A size held by one block goes
+    through the same comparison: plans are built once per circuit shape,
+    not once per run.
     """
     n = len(occupations)
     outside = occupations[:, [m for m in range(occupations.shape[1]) if m not in modes]]
@@ -435,9 +438,11 @@ def _block_plan(occupations: np.ndarray, rank, modes, images) -> _BlockPlan:
     slot = np.empty(len(starts), dtype=np.int64)
     entry_blocks = block[rows]
     entry_sizes = sizes[entry_blocks]
+    filled = np.zeros(len(starts), dtype=bool)
+    filled[entry_blocks] = True
     groups = []
-    for size in sorted(set(sizes.tolist())):
-        (members,) = np.nonzero(sizes == size)
+    for size in sorted(set(sizes[filled].tolist())):
+        (members,) = np.nonzero((sizes == size) & filled)
         (mine,) = np.nonzero(entry_sizes == size)
         inner = position[rows[mine]] * size + position[cols[mine]]
         slot[members] = np.arange(len(members))
@@ -597,12 +602,15 @@ def expm_multiply(groups, blocks: dict, vec: np.ndarray) -> np.ndarray:
     computed once per circuit by :func:`evolve_numeric`); ``groups`` holds
     one ``(size, index, states)`` per block size of this element: block
     ``i`` equals ``blocks[size][index[i]]`` and its rows are ``states[i]``.
-    Each block's states are multiplied by its exponential, one batched
-    product per size.  The benchmark tracer (``perfbench/tracer.py``)
-    times this function under the name ``backends.expm_multiply``; the
-    exponentials themselves count in ``evolve_numeric``.
+    The result starts as a copy of ``vec``, and each block's states are
+    replaced by their product with its exponential, one batched product
+    per size; states in no block of the plan, on which K has no entry,
+    keep their amplitudes bit for bit.  The benchmark tracer
+    (``perfbench/tracer.py``) times this function under the name
+    ``backends.expm_multiply``; the exponentials themselves count in
+    ``evolve_numeric``.
     """
-    out = np.empty_like(vec)
+    out = vec.copy()
     for size, index, states in groups:
         out[states] = np.matmul(blocks[size][index], vec[states][..., np.newaxis])[..., 0]
     return out
@@ -733,12 +741,17 @@ def evolve_numeric(
     shape share one :func:`_block_plan`, and each element needs one
     representative block per weight pattern.  The blocks it skips are
     bitwise equal to their representative, and each cell sums its values
-    in term order, so sharing moves no amplitude bit.  No exponential
-    reads the state, so the representative blocks of every element are
-    filled first and exponentiated by :func:`expm_blocks`, one call per
-    block size for the whole circuit; the loop over the elements then only
-    applies them.  :func:`expm_blocks` gives each block what it would give
-    that block alone, so the batching moves no amplitude bit either.
+    in term order, so sharing moves no amplitude bit.  A block that
+    receives no entry is in no plan, and its states keep their amplitudes
+    bit for bit.  No exponential reads the state, so the representative
+    blocks of every element are filled first and exponentiated by
+    :func:`expm_blocks`, one call per block size for the whole circuit;
+    the loop over the elements then only applies them.
+    :func:`expm_blocks` gives each block what it would give that block
+    alone, so the batching moves no amplitude bit either.
+    Each element's generator is built once per call, by
+    :func:`~fockbench.circuit.element_generator`, and its coefficients are
+    read in the order of its terms, which is the layout's monomial order.
 
     The search and the plans are compiled once per circuit shape and kept
     in a cache of :data:`LAYOUT_CACHE_SIZE` shapes, least recently used

@@ -1,5 +1,6 @@
 """Backends: numeric and symbolic evolution, measurement, comparison."""
 
+import cmath
 import math
 import random
 import time
@@ -394,6 +395,49 @@ def test_identical_blocks_exponentiated_once(monkeypatch):
     monkeypatch.setattr(fockbench.fock, "expm_blocks", recording)
     evolve_numeric(_identical_blocks())
     assert exponentiated == [(2, 2, 2)]
+
+
+def _recording_expm_blocks(monkeypatch) -> list:
+    stacks = []
+    original = fockbench.fock.expm_blocks
+
+    def recording(mats):
+        stacks.append(mats.copy())
+        return original(mats)
+
+    monkeypatch.setattr(fockbench.fock, "expm_blocks", recording)
+    return stacks
+
+
+def test_blocks_without_entries_are_left_out(monkeypatch):
+    # each splitter of the mesh holds the states with no photon on its two
+    # modes in 1x1 blocks without entries; none reaches the kernel
+    fockbench.fock._compile_layout.cache_clear()
+    stacks = _recording_expm_blocks(monkeypatch)
+    state = evolve_numeric(_linear_circuits()["bs_phase_mesh"])
+    assert len(state.amplitudes) == 56
+    assert sorted(mats.shape[1] for mats in stacks) == [2, 3, 4]
+
+
+def test_one_by_one_blocks_with_entries_evolve_to_their_phases(monkeypatch):
+    # c n_0 on mode 0 of two modes: (1, 0) and (2, 1) are 1x1 blocks with the
+    # entries c and 2c; (0, 2) is one without, and keeps its amplitude's bits
+    system = ModeSystem(2, 0, 3)
+    amplitudes = {(1, 0): 0.6, (2, 1): -0.48j, (0, 2): 0.64}
+    poly = None
+    for occ, amp in amplitudes.items():
+        term = basis_ket(system, occ).poly * amp
+        poly = term if poly is None else poly + term
+    ket = KetExpression(system, poly)
+    element = QuadraticCustom.from_matrix((0,), [[0.7j]])
+    stacks = _recording_expm_blocks(monkeypatch)
+    state = evolve_numeric(Circuit(system, (element,), ket, (0, 1)))
+    assert [mats.shape for mats in stacks] == [(2, 1, 1)]
+    assert stacks[0].ravel() == pytest.approx([0.7j, 1.4j], abs=1e-15)
+    start = ket_to_fock(ket).amplitudes
+    for occ, phase in [((1, 0), 0.7j), ((2, 1), 1.4j)]:
+        assert state.amplitudes[occ] == pytest.approx(start[occ] * cmath.exp(phase), abs=1e-15)
+    assert state.amplitudes[(0, 2)] == start[(0, 2)]
 
 
 @pytest.mark.parametrize(
