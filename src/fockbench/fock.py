@@ -18,11 +18,12 @@ and :func:`_ket_amplitudes`, which reads an input ket.
 ``evolve_numeric`` is the explicit route: each element's generator
 becomes a matrix on the occupations reachable from the input, and the
 state vector is pushed through its exponential, computed densely on the
-blocks the generator leaves invariant (:func:`expm_blocks`, numpy only,
-all blocks of a circuit before the first is applied) and applied by
-:func:`expm_multiply`.  The route reads the algebra only to build
-generators and input kets; its statistics go into the reports of
-:mod:`fockbench.backends`.
+blocks the generator leaves invariant and fills (:func:`expm_blocks`,
+no scipy, all blocks of a circuit before the first is applied; 2 x 2
+blocks in closed form) and applied by :func:`expm_multiply`; states in
+no such block keep their amplitudes.  The route reads the algebra only
+to build generators and input kets; its statistics go into the reports
+of :mod:`fockbench.backends`.
 """
 
 from __future__ import annotations
@@ -55,11 +56,14 @@ NORMALIZED_ATOL = 1e-12
 DEFAULT_BASIS_CAP = 1_000_000
 
 #: The numeric route refuses an element whose restricted generator has an
-#: entry of larger modulus.  The dense exponential of the vertex's rotation
-#: block [[0, -t], [t, 0]] loses precision as t grows: its worst deviation
-#: from the exact route, over 400 random t per band, is 1.9e-10 in
-#: [1e6, 2e6], 5.8e-10 in [2e6, 5e6] and 1.2e-9 in [5e6, 1e7], against the
-#: default comparison tolerance of 1e-9.
+#: entry of larger modulus.  Blocks of three or more states are
+#: exponentiated by scaling and squaring, which loses precision as the
+#: entries grow: one splitter on two or three photons (3 x 3 and 4 x 4
+#: blocks) deviates from the exact route, at worst over 200 random angles
+#: per band of its largest entry, by 9.4e-10 in [1e6, 2e6], 1.9e-9 in
+#: [2e6, 5e6] and 3.8e-9 in [5e6, 1e7], against the default comparison
+#: tolerance of 1e-9.  The 2 x 2 blocks (the vertex, one photon on a
+#: splitter) are exact at any entry, but are refused all the same.
 MAX_GENERATOR_ENTRY = 2e6
 
 #: Circuit shapes whose numeric layout (reachable set and block plans)
@@ -555,22 +559,69 @@ def _pade(mats: np.ndarray, level: int, squarings: list[int]) -> np.ndarray:
     return out
 
 
+def _expm_2x2(mats: np.ndarray) -> np.ndarray:
+    """exp of each matrix of a stack of 2 x 2 matrices, in closed form from
+    its own entries (Cayley-Hamilton; Bernstein & So, IEEE Trans. Automat.
+    Control 38, 1228 (1993)).
+
+    With mu half the trace and B = A - mu I, B^2 = delta^2 I for delta^2 =
+    -det B, so exp(A) = e^mu (cosh(delta) I + sinh(delta) B / delta); at
+    delta = 0 the last term is B.  Each matrix is computed on its own in
+    Python complex arithmetic: a circuit has a few dozen such blocks at
+    most, and one numpy call per step would cost more than the loop.  For
+    the rotation block [[0, -t], [t, 0]], B / delta is exactly i and the
+    result is cos t and sin t as the math library gives them, at any t.
+    A matrix with a non-finite entry, with a 1-norm (taken as numpy takes
+    it) above theta_13 * 2**MAX_SQUARINGS, or whose exponential overflows
+    in ``cmath`` comes back as nan; one that overflows in a product comes
+    back with inf and nan entries.
+    """
+    limit = _PADE_THETA[-1] * 2.0**MAX_SQUARINGS
+    nan = complex(math.nan, 0.0)
+    out = []
+    moduli = np.abs(mats).tolist()
+    for ((a, b), (c, d)), ((na, nb), (nc, nd)) in zip(mats.tolist(), moduli):
+        block = ((nan, nan), (nan, nan))
+        if na + nc <= limit and nb + nd <= limit:  # false for nan too
+            try:
+                mu = 0.5 * (a + d)
+                h, k = a - mu, d - mu
+                delta = cmath.sqrt(b * c - h * k)
+                sinh = 1.0
+                if delta:
+                    sinh = cmath.sinh(delta)
+                    h, b, c, k = h / delta, b / delta, c / delta, k / delta
+                scale = cmath.exp(mu)
+                diag = scale * cmath.cosh(delta)
+                scale *= sinh
+                block = ((scale * h + diag, scale * b), (scale * c, scale * k + diag))
+            except OverflowError:  # cmath refuses a result beyond the floats
+                pass
+        out.append(block)
+    return np.array(out, dtype=complex).reshape(mats.shape)
+
+
 def expm_blocks(mats: np.ndarray) -> np.ndarray:
     """exp of each matrix of a stack ``mats`` of shape (count, n, n).
 
-    Scaling and squaring with the Padé degree chosen from each matrix's
-    1-norm (Higham 2005): the smallest m in 3, 5, 7, 9, 13 whose theta_m
-    bounds the norm, and above theta_13 degree 13 at the matrix scaled by
-    2**-s, squared s times, s = ceil(log2(norm / theta_13)).  The matrices
-    of one degree and scaling go through one stacked evaluation, and each
-    result depends on its own matrix only: a stack gives, bit for bit, what
-    its matrices give one at a time.  A matrix with a non-finite entry, or
-    one that would need more than :data:`MAX_SQUARINGS` squarings, gives
-    nan; 1 x 1 matrices give ``np.exp``.
+    1 x 1 matrices give ``np.exp`` and 2 x 2 ones their closed form
+    (:func:`_expm_2x2`).  Larger ones go through scaling and squaring with
+    the Padé degree chosen from each matrix's 1-norm (Higham 2005): the
+    smallest m in 3, 5, 7, 9, 13 whose theta_m bounds the norm, and above
+    theta_13 degree 13 at the matrix scaled by 2**-s, squared s times, s =
+    ceil(log2(norm / theta_13)); the matrices of one degree and scaling go
+    through one stacked evaluation.  At every size each result depends on
+    its own matrix only: a stack gives, bit for bit, what its matrices give
+    one at a time.  A matrix with a non-finite entry gives nan, and so does
+    one of size 2 or more whose 1-norm is above theta_13 *
+    2**:data:`MAX_SQUARINGS`, where scaling and squaring would need more
+    than that many squarings.
     """
     count, size, _ = mats.shape
     if size == 1:
         return np.exp(mats, out=np.full_like(mats, np.nan), where=np.isfinite(mats))
+    if size == 2:
+        return _expm_2x2(mats)
     top = len(_PADE_THETA) - 1
     levels, squarings = [], []
     for column_sums in np.abs(mats).sum(axis=1).tolist():

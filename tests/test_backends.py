@@ -7,6 +7,7 @@ import time
 import warnings
 from dataclasses import FrozenInstanceError, replace
 
+import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -451,6 +452,17 @@ def test_numeric_vertex_exact_at_any_angle(theta):
     assert time.perf_counter() - start < 1.0
     assert report.expectations[0] == pytest.approx(math.sin(theta) ** 2, abs=1e-9)
     assert compare_backends(circuit, 1e-9).passed
+
+
+@pytest.mark.parametrize("theta", [1e4, 1e5, 1e6, 1.9e6])
+def test_numeric_vertex_matches_the_40_digit_sine_at_large_angles(theta):
+    # the 2x2 vertex block is exponentiated in closed form: its rotation is
+    # as exact as the sine and cosine of the angle
+    circuit = build_experiment("hardy_vertex", theta=theta)
+    report = measure(evolve_numeric(circuit), circuit.measured_modes)
+    with mpmath.workdps(40):
+        exact = mpmath.sin(mpmath.mpf(theta)) ** 2
+        assert abs(report.expectations[0] - exact) <= 1e-15
 
 
 def test_numeric_vertex_rejects_nan_angle():

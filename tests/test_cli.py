@@ -490,6 +490,15 @@ def test_large_vertex_angle_is_one_error_line(runner, theta, backend):
     )
 
 
+def test_vertex_at_a_large_angle_agrees_at_a_tight_tolerance(runner):
+    # the vertex block's exponential is cos and sin of the angle, so the
+    # routes agree far below 1e-12 even at 1e6
+    args = ["run", "--experiment", "hardy_vertex:1000000.0", "--backend", "both"]
+    result = invoke(runner, [*args, "--tol", "1e-12", "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["comparison"]["verdict"] == "pass"
+
+
 # ---------------------------------------------------------------------------
 # cutoff resolution
 # ---------------------------------------------------------------------------

@@ -664,7 +664,7 @@ def test_one_stacked_evaluation_per_degree_and_scaling(monkeypatch):
     ]
 
 
-@pytest.mark.parametrize("size", [1, 3])
+@pytest.mark.parametrize("size", [1, 2, 3])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
 def test_block_with_a_non_finite_entry_gives_a_non_finite_result(size, bad):
     # no exception and no numpy warning (warnings are errors in this suite);
