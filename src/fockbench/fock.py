@@ -139,18 +139,57 @@ class FockVector:
         )
         return vec
 
+    def _scaled_norm(self) -> tuple[float, int]:
+        """``(r, s)`` with ``r * 2**-s`` the norm of the amplitudes.
+
+        ``s`` is 0 unless the plain sum of the squared moduli overflows or
+        falls below the normal range.  Then each amplitude is scaled by the
+        power of two ``2**s`` that puts the largest real or imaginary part
+        in [0.5, 1), as :meth:`KetExpression.normalized
+        <fockbench.algebra.KetExpression.normalized>` does.  The scaling is
+        exact, and in the normal range ``r`` is the plain norm, bit for bit.
+        """
+        amplitudes = self.amplitudes.values()
+        try:
+            total = sum(abs(a) ** 2 for a in amplitudes)
+        except OverflowError:
+            total = math.inf
+        if 2.0**-1022 <= total < math.inf or math.isnan(total):  # normal range, or nan
+            return math.sqrt(total), 0
+        parts = [abs(x) for a in amplitudes for x in (a.real, a.imag)]
+        largest = max(parts, default=0.0)
+        if largest in (0.0, math.inf):  # the zero vector, or an infinite amplitude
+            return math.sqrt(total), 0
+        shift = -math.frexp(largest)[1]
+        total = sum(
+            abs(complex(math.ldexp(a.real, shift), math.ldexp(a.imag, shift))) ** 2
+            for a in amplitudes
+        )
+        return math.sqrt(total), shift
+
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
+        """Euclidean norm of the amplitudes; inf if it is beyond the floats."""
+        scaled, shift = self._scaled_norm()
+        try:
+            return math.ldexp(scaled, -shift)
+        except OverflowError:
+            return math.inf
 
     @property
     def is_normalized(self) -> bool:
         return abs(self.norm() - 1.0) < NORMALIZED_ATOL
 
     def normalized(self) -> "FockVector":
-        n = self.norm()
+        n, shift = self._scaled_norm()
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return FockVector(self.system, {o: a / n for o, a in self.amplitudes.items()})
+        amplitudes = self.amplitudes
+        if shift:
+            amplitudes = {
+                o: complex(math.ldexp(a.real, shift), math.ldexp(a.imag, shift))
+                for o, a in amplitudes.items()
+            }
+        return FockVector(self.system, {o: a / n for o, a in amplitudes.items()})
 
     def allclose(self, other: "FockVector", atol: float = 1e-12) -> bool:
         if self.system != other.system:

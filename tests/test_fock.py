@@ -9,6 +9,7 @@ from scipy import sparse
 from scipy.linalg import expm
 
 import fockbench.fock
+from fockbench.backends import measure
 from fockbench.circuit import BeamSplitter
 from fockbench.fock import (
     MAX_SQUARINGS,
@@ -479,6 +480,37 @@ def test_normalize_zero_vector():
     system = ModeSystem(1, 0, 2)
     with pytest.raises(ValueError):
         FockVector.from_amplitudes(system, {}).normalized()
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e308, 1e-170, 1e-300])
+def test_norm_scales_amplitudes_whose_squares_leave_the_floats(scale):
+    # |1e200|**2 overflows and |1e-170|**2 underflows to 0
+    system = ModeSystem(2, 0, 2)
+    state = FockVector(system, {(1, 0): 0.6 * scale, (0, 1): 0.8j * scale})
+    assert state.norm() == pytest.approx(scale, rel=1e-15)
+    unit = state.normalized()
+    assert unit.amplitudes[(1, 0)] == pytest.approx(0.6, abs=1e-15)
+    assert unit.amplitudes[(0, 1)] == pytest.approx(0.8j, abs=1e-15)
+    assert unit.is_normalized
+    with pytest.raises(ValueError, match="measurement requires a normalized state"):
+        measure(state, (0, 1))
+
+
+def test_norm_beyond_the_floats_is_inf_and_still_normalizes():
+    system = ModeSystem(2, 0, 2)
+    state = FockVector(system, {(1, 0): 1.5e308, (0, 1): 1.5e308j})
+    assert state.norm() == math.inf
+    halves = state.normalized().amplitudes
+    assert halves == pytest.approx({(1, 0): 0.5**0.5, (0, 1): 0.5**0.5 * 1j}, abs=1e-16)
+
+
+def test_ordinary_norm_is_the_plain_sum():
+    amplitudes = {(0, 0): 0.1 + 0.3j, (1, 0): -0.2, (0, 2): 0.7j, (2, 1): 0.35 - 0.05j}
+    state = FockVector(ModeSystem(2, 0, 2), amplitudes)
+    plain = math.sqrt(sum(abs(a) ** 2 for a in amplitudes.values()))
+    assert state.norm() == plain
+    unit = state.normalized().amplitudes
+    assert unit == {o: a / plain for o, a in amplitudes.items()}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
