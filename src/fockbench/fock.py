@@ -691,7 +691,9 @@ def expm_multiply(groups, blocks: dict, vec: np.ndarray) -> np.ndarray:
     representative block exponentials of that size (:func:`expm_blocks`,
     computed once per circuit by :func:`evolve_numeric`); ``groups`` holds
     one ``(size, index, states)`` per block size of this element: block
-    ``i`` equals ``blocks[size][index[i]]`` and its rows are ``states[i]``.
+    ``i`` equals ``blocks[size][index[i]]`` and its rows are the column
+    ``states[i]`` (shape (size, 1)), so that gathering them gives the
+    operand of the product and scattering takes the product as it comes.
     The result starts as a copy of ``vec``, and each block's states are
     replaced by their product with its exponential, one batched product
     per size; states in no block of the plan, on which K has no entry,
@@ -702,7 +704,7 @@ def expm_multiply(groups, blocks: dict, vec: np.ndarray) -> np.ndarray:
     """
     out = vec.copy()
     for size, index, states in groups:
-        out[states] = np.matmul(blocks[size][index], vec[states][..., np.newaxis])[..., 0]
+        out[states] = np.matmul(blocks[size][index], vec[states])
     return out
 
 
@@ -781,7 +783,7 @@ def _compile_layout(system: ModeSystem, support: tuple, shapes: tuple) -> _Layou
             done = counts.get(size, 0)
             takes.setdefault(size, []).append(take + lo)
             cell_lists.setdefault(size, []).append(cells + done * size * size)
-            groups.append((size, same + done, block_states))
+            groups.append((size, same + done, block_states[..., np.newaxis]))
             counts[size] = done + count
         hi = lo + len(plan.weights)
         steps.append(((lo, hi), tuple(groups)))
@@ -856,7 +858,10 @@ def evolve_numeric(
     The resulting norm stays within 1e-10 of the input norm because every
     generator is anti-Hermitian; a ``ValueError`` names the first element,
     if any, that makes an amplitude inf or nan, or whose generator on the
-    set has an entry above :data:`MAX_GENERATOR_ENTRY`.
+    set has an entry above :data:`MAX_GENERATOR_ENTRY`.  A non-finite
+    amplitude stays non-finite through every later element, so the
+    elements are applied once without a check, and again one by one with
+    the checks only when the result is not finite or an entry too large.
 
     ``max_basis_size`` caps the full box, ``system.basis_size``, not the
     reachable set.  A :class:`TruncationWarning` is raised, on every call,
@@ -898,36 +903,43 @@ def evolve_numeric(
         )
         values = coefficients[layout.term] * layout.weights
         moduli = np.abs(values)
-        # the entries are read element by element only when one is too large
-        too_large = moduli.max(initial=0.0) > MAX_GENERATOR_ENTRY
         blocks = {}
         for size, take, cells, count in layout.fills:
             mats = np.zeros(count * size * size, dtype=complex)
             np.add.at(mats, cells, values[take])
             blocks[size] = expm_blocks(mats.reshape(count, size, size))
-        for k, element in enumerate(circuit.elements):
-            if element.number_phases is not None:
-                for key, value in element.number_phases.items():
-                    angle = value
-                    for m in key:
-                        angle = angle * layout.occ_array[:, m]
-                    vec = vec * np.exp(1j * angle)
-                largest = 0.0
-            else:
-                (lo, hi), groups = steps[k]
-                vec = expm_multiply(groups, blocks, vec)
-                largest = moduli[lo:hi].max(initial=0.0) if too_large else 0.0
-            _require_finite(np.isfinite(vec).all(), k, element)
-            if largest > MAX_GENERATOR_ENTRY:
-                raise ValueError(
-                    f"element {k + 1} ({type(element).__name__}) has a generator "
-                    f"entry of modulus {largest:.3g}, above {MAX_GENERATOR_ENTRY:.0e}, "
-                    "where the numeric exponential loses precision"
-                )
-    (hits,) = np.nonzero(np.abs(vec) >= PRUNE_THRESHOLD)
+
+        def apply(vec: np.ndarray, check: bool) -> np.ndarray:
+            for k, element in enumerate(circuit.elements):
+                if element.number_phases is not None:
+                    for key, value in element.number_phases.items():
+                        angle = value
+                        for m in key:
+                            angle = angle * layout.occ_array[:, m]
+                        vec = vec * np.exp(1j * angle)
+                    largest = 0.0
+                else:
+                    (lo, hi), groups = steps[k]
+                    vec = expm_multiply(groups, blocks, vec)
+                    largest = moduli[lo:hi].max(initial=0.0) if check else 0.0
+                if check:
+                    _require_finite(np.isfinite(vec).all(), k, element)
+                    if largest > MAX_GENERATOR_ENTRY:
+                        raise ValueError(
+                            f"element {k + 1} ({type(element).__name__}) has a "
+                            f"generator entry of modulus {largest:.3g}, above "
+                            f"{MAX_GENERATOR_ENTRY:.0e}, where the numeric "
+                            "exponential loses precision"
+                        )
+            return vec
+
+        out = apply(vec, check=False)
+        if moduli.max(initial=0.0) > MAX_GENERATOR_ENTRY or not np.isfinite(out).all():
+            apply(vec, check=True)  # raises at the first element at fault
+    (hits,) = np.nonzero(np.abs(out) >= PRUNE_THRESHOLD)
     occupations = layout.occ_array[hits].tolist()
     return FockVector(
-        system, {tuple(occ): amp for occ, amp in zip(occupations, vec[hits].tolist())}
+        system, {tuple(occ): amp for occ, amp in zip(occupations, out[hits].tolist())}
     )
 
 

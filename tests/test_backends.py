@@ -496,6 +496,28 @@ def test_numeric_refuses_imprecise_splitter():
         evolve_numeric(circuit)
 
 
+@pytest.mark.parametrize(
+    "elements, fault",
+    [
+        (
+            ["bs 1 2 sym", "bs 1 2 angle=3e6", "kerr 1 2 strength=1e308"],
+            "element 2 (BeamSplitter) has a generator entry",
+        ),
+        (
+            ["bs 1 2 sym", "kerr 1 2 strength=1e308", "bs 1 2 angle=3e6"],
+            "element 2 (KerrMedium) makes an amplitude non-finite",
+        ),
+    ],
+)
+def test_numeric_refusal_names_the_first_element_at_fault(elements, fault):
+    # the elements are checked one by one only after a pass without checks
+    # has failed; the checked pass stops at the first fault, in element order
+    text = "system bosons=2 cutoff=4\ninput create 1 1 2 2\n" + "\n".join(elements)
+    with pytest.raises(ValueError) as err:
+        evolve_numeric(parse_circuit(text + "\nmeasure all\n"))
+    assert str(err.value).startswith(fault)
+
+
 def test_numeric_norm_preserved_through_elements():
     rng = np.random.default_rng(8)
     for _ in range(5):
