@@ -426,38 +426,26 @@ def _reachable_generators(
     return states, images, cut
 
 
-@dataclass(frozen=True)
-class _BlockPlan:
-    """Where the entries of a generator fall in its invariant blocks.
-
-    Entry ``e`` has the value ``coefficient[term[e]] * weights[e]``.
-    ``groups`` holds one ``(size, take, cells, count, same, states)`` per
-    size of the blocks that receive an entry: the entries ``take`` go to
-    the flat ``cells`` of ``count`` representative blocks, block ``i`` of
-    that size equals representative ``same[i]``, and ``states[i]`` are its
-    rows in basis order.  The states of a block without entries are in no
-    group.
-    """
-
-    term: np.ndarray
-    weights: np.ndarray
-    groups: tuple
-
-
-def _block_plan(occupations: np.ndarray, rank, modes, images) -> _BlockPlan:
-    """Block plan shared by every generator on ``modes`` with these monomials.
+def _block_plan(occupations: np.ndarray, rank, modes, images) -> tuple:
+    """Where the entries of every generator on ``modes`` with these
+    monomials fall in its invariant blocks, as ``(term, weights, groups)``.
 
     ``images`` holds, per monomial in term order, its (rows, columns,
     weights) lists in discovery order, which ``rank`` maps to the rows of
-    ``occupations``.  States that agree on every mode outside ``modes``
-    form a block that the generator maps into itself.  A block that
-    receives no entry is left out: its exponential is the identity.  Blocks
-    of one size whose cells receive the same weights of the same terms are
-    equal for any coefficients: ``np.unique`` over those weight patterns
-    picks the first block of each pattern to represent the others, and
-    orders the representatives by pattern.  A size held by one block goes
-    through the same comparison: plans are built once per circuit shape,
-    not once per run.
+    ``occupations``.  Entry ``e`` has the value ``coefficient[term[e]] *
+    weights[e]``.  States that agree on every mode outside ``modes`` form
+    a block that the generator maps into itself.  ``groups`` holds one
+    ``(size, take, cells, count, same, states)`` per size of the blocks
+    that receive an entry: the entries ``take`` go to the flat ``cells`` of
+    ``count`` representative blocks, block ``i`` of that size equals
+    representative ``same[i]``, and ``states[i]`` are its rows in basis
+    order.  A block that receives no entry is in no group: its exponential
+    is the identity.  Blocks of one size whose cells receive the same
+    weights of the same terms are equal for any coefficients: ``np.unique``
+    over those weight patterns picks the first block of each pattern to
+    represent the others, and orders the representatives by pattern.  A
+    size held by one block goes through the same comparison: the groups are
+    built once per circuit shape, not once per run.
     """
     n = len(occupations)
     outside = occupations[:, [m for m in range(occupations.shape[1]) if m not in modes]]
@@ -503,7 +491,7 @@ def _block_plan(occupations: np.ndarray, rank, modes, images) -> _BlockPlan:
         take, cells = mine[kept], target[kept] * size * size + inner[kept]
         states = order[starts[members][:, np.newaxis] + np.arange(size)]
         groups.append((size, take, cells, len(firsts), same, states))
-    return _BlockPlan(term, weights, tuple(groups))
+    return term, weights, tuple(groups)
 
 
 #: Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
@@ -537,20 +525,20 @@ MAX_SQUARINGS = 52
 
 
 @lru_cache(maxsize=None)
-def _pade_sums(level: int, squarings: int) -> np.ndarray:
+def _pade_sums(level: int) -> np.ndarray:
     """Coefficients of the sums of even powers (I, A^2, A^4, ...) that the
-    Padé approximant of ``_PADE_COEFFICIENTS[level]`` needs at A / 2**s,
-    ``s = squarings``, one row per sum.
+    Padé approximant of ``_PADE_COEFFICIENTS[level]`` needs, one row per sum.
 
     With U and V the odd and even parts of the numerator, p(A) = V + U and
     p(-A) = V - U.  Below degree 13, U = A (row 0) and V = row 1.  For
     degree 13 (Higham 2005, eq. 2.11), U = A (A^6 (row 0) + row 1) and
-    V = A^6 (row 2) + row 3.  The scaling is folded into the coefficients:
-    b_k, which multiplies A^k in these products, carries 2**(-s k), so
-    the powers of the unscaled A serve every s.  Each factor is a power of
-    two, so the sums equal those of the scaled matrix bit for bit.
+    V = A^6 (row 2) + row 3.  :func:`_pade` takes A already scaled by
+    2**-s; since that factor is a power of two, the sums equal, bit for
+    bit, those of the unscaled powers with b_k multiplied by 2**(-s k),
+    while no scaled entry is subnormal.  A circuit the DSL accepts gives
+    no block with such an entry.
     """
-    c = [b * 2.0 ** (-squarings * k) for k, b in enumerate(_PADE_COEFFICIENTS[level])]
+    c = [float(b) for b in _PADE_COEFFICIENTS[level]]
     if len(c) == 14:
         rows = [[0.0, c[9], c[11], c[13]], c[1:9:2], [0.0, c[8], c[10], c[12]], c[0:8:2]]
     else:
@@ -571,11 +559,9 @@ def _pade(mats: np.ndarray, level: int, squarings: list[int]) -> np.ndarray:
     """exp of each matrix by the Padé approximant of ``level`` at the
     matrix scaled by 2**-s, squared s times, s from ``squarings``."""
     count, size, _ = mats.shape
-    if len(set(squarings)) == 1:
-        sums = _pade_sums(level, squarings[0])
-    else:
-        sums = np.array([_pade_sums(level, s) for s in squarings])
-    terms = sums.shape[-1]
+    sums = _pade_sums(level)
+    terms = sums.shape[1]
+    mats = mats * np.ldexp(1.0, [-s for s in squarings])[:, np.newaxis, np.newaxis]
     powers = np.empty((count, terms, size, size), dtype=complex)
     powers[:, 0] = _identity(size)
     powers[:, 1] = power = square = np.matmul(mats, mats)
@@ -584,21 +570,18 @@ def _pade(mats: np.ndarray, level: int, squarings: list[int]) -> np.ndarray:
     # real coefficients times complex powers: one real product on the float view
     flat = powers.view(float).reshape(count, terms, 2 * size * size)
     parts = np.matmul(sums, flat).view(complex).reshape(count, -1, size, size)
-    if sums.shape[-2] == 4:  # degree 13
+    if len(sums) == 4:  # degree 13
         parts = np.matmul(powers[:, 3:4], parts[:, 0::2]) + parts[:, 1::2]
     odd = np.matmul(mats, parts[:, 0])
     even = parts[:, 1]
     out = np.linalg.solve(even - odd, even + odd)
     for i in range(max(squarings)):
-        if min(squarings) > i:
-            out = np.matmul(out, out)
-        else:
-            todo = [s > i for s in squarings]
-            out[todo] = np.matmul(out[todo], out[todo])
+        todo = [s > i for s in squarings]
+        out[todo] = np.matmul(out[todo], out[todo])
     return out
 
 
-def _expm_2x2(mats: np.ndarray) -> np.ndarray:
+def _expm_2x2(mats: np.ndarray, within: list[bool]) -> np.ndarray:
     """exp of each matrix of a stack of 2 x 2 matrices, in closed form from
     its own entries (Cayley-Hamilton; Bernstein & So, IEEE Trans. Automat.
     Control 38, 1228 (1993)).
@@ -610,18 +593,16 @@ def _expm_2x2(mats: np.ndarray) -> np.ndarray:
     most, and one numpy call per step would cost more than the loop.  For
     the rotation block [[0, -t], [t, 0]], B / delta is exactly i and the
     result is cos t and sin t as the math library gives them, at any t.
-    A matrix with a non-finite entry, with a 1-norm (taken as numpy takes
-    it) above theta_13 * 2**MAX_SQUARINGS, or whose exponential overflows
-    in ``cmath`` comes back as nan; one that overflows in a product comes
-    back with inf and nan entries.
+    A matrix that :func:`expm_blocks` puts outside the squaring bound
+    (``within`` false), or whose exponential overflows in ``cmath``, comes
+    back as nan; one that overflows in a product comes back with inf and
+    nan entries.
     """
-    limit = _PADE_THETA[-1] * 2.0**MAX_SQUARINGS
     nan = complex(math.nan, 0.0)
     out = []
-    moduli = np.abs(mats).tolist()
-    for ((a, b), (c, d)), ((na, nb), (nc, nd)) in zip(mats.tolist(), moduli):
+    for ((a, b), (c, d)), inside in zip(mats.tolist(), within):
         block = ((nan, nan), (nan, nan))
-        if na + nc <= limit and nb + nd <= limit:  # false for nan too
+        if inside:
             try:
                 mu = 0.5 * (a + d)
                 h, k = a - mu, d - mu
@@ -643,42 +624,41 @@ def _expm_2x2(mats: np.ndarray) -> np.ndarray:
 def expm_blocks(mats: np.ndarray) -> np.ndarray:
     """exp of each matrix of a stack ``mats`` of shape (count, n, n).
 
-    1 x 1 matrices give ``np.exp`` and 2 x 2 ones their closed form
-    (:func:`_expm_2x2`).  Larger ones go through scaling and squaring with
-    the Padé degree chosen from each matrix's 1-norm (Higham 2005): the
-    smallest m in 3, 5, 7, 9, 13 whose theta_m bounds the norm, and above
-    theta_13 degree 13 at the matrix scaled by 2**-s, squared s times, s =
-    ceil(log2(norm / theta_13)); the matrices of one degree and scaling go
-    through one stacked evaluation.  At every size each result depends on
-    its own matrix only: a stack gives, bit for bit, what its matrices give
-    one at a time.  A matrix with a non-finite entry gives nan, and so does
-    one of size 2 or more whose 1-norm is above theta_13 *
+    1 x 1 matrices give ``np.exp``.  For larger ones the 1-norm, the
+    largest column sum, is computed once per matrix, and one test decides
+    at every size: a matrix whose 1-norm is above theta_13 *
     2**:data:`MAX_SQUARINGS`, where scaling and squaring would need more
-    than that many squarings.
+    than that many squarings, or is nan gives nan.  2 x 2 matrices within
+    the bound take their closed form (:func:`_expm_2x2`).  Larger ones go
+    through scaling and squaring with the Padé degree chosen from the
+    1-norm (Higham 2005): the smallest m in 3, 5, 7, 9, 13 whose theta_m
+    bounds the norm, and above theta_13 degree 13 at the matrix scaled by
+    2**-s, squared s times, s = ceil(log2(norm / theta_13)); the matrices
+    of one degree go through one stacked evaluation.  At every size each
+    result depends on its own matrix only: a stack gives, bit for bit,
+    what its matrices give one at a time.  A matrix with a non-finite
+    entry has an inf or nan 1-norm, so it gives nan at every size.
     """
     count, size, _ = mats.shape
     if size == 1:
         return np.exp(mats, out=np.full_like(mats, np.nan), where=np.isfinite(mats))
+    norms = np.abs(mats).sum(axis=1).max(axis=1).tolist()
+    bound = _PADE_THETA[-1] * 2.0**MAX_SQUARINGS
+    within = [norm <= bound for norm in norms]  # false for nan
     if size == 2:
-        return _expm_2x2(mats)
+        return _expm_2x2(mats, within)
     top = len(_PADE_THETA) - 1
-    levels, squarings = [], []
-    for column_sums in np.abs(mats).sum(axis=1).tolist():
-        norm = max(column_sums)
-        level = bisect_left(_PADE_THETA, norm)
-        s = 0
-        if level > top:
-            s = math.ceil(math.log2(norm / _PADE_THETA[-1])) if math.isfinite(norm) else -1
-            level = top if 0 <= s <= MAX_SQUARINGS else -1
-        levels.append(level)
-        squarings.append(s)
-    if len(set(levels)) == 1 and levels[0] >= 0:
-        return _pade(mats, levels[0], squarings)
-    picks = np.array(levels)
+    stacks: dict[int, tuple[list, list]] = {}
+    for i, (norm, inside) in enumerate(zip(norms, within)):
+        if inside:
+            level = bisect_left(_PADE_THETA, norm)
+            s = math.ceil(math.log2(norm / _PADE_THETA[-1])) if level > top else 0
+            rows, squarings = stacks.setdefault(min(level, top), ([], []))
+            rows.append(i)
+            squarings.append(s)
     out = np.full_like(mats, np.nan)
-    for level in set(levels) - {-1}:
-        rows = picks == level
-        out[rows] = _pade(mats[rows], level, [s for lv, s in zip(levels, squarings) if lv == level])
+    for level, (rows, squarings) in stacks.items():
+        out[rows] = _pade(mats[rows], level, squarings)
     return out
 
 
@@ -722,24 +702,22 @@ class _Layout:
     ``cut`` says whether the search dropped a bosonic creation at the
     cutoff; ``occ_array`` holds the reachable states in basis order, one
     row each, and is the route's only table of them; ``support_rows`` are
-    the rows of the input support, in its order; ``plans`` holds one
-    :class:`_BlockPlan` per element without ``number_phases``, in element
-    order, shared by elements of one shape.  The plans laid end to end give
-    the circuit's entries: entry ``e`` has the value ``coefficients[term[e]]
-    * weights[e]``, where ``coefficients`` lists each such element's
-    generator coefficients in element order.  ``fills`` holds one ``(size,
-    take, cells, count)`` per block size: the entries ``take`` go to the
-    flat ``cells`` of the ``count`` representative blocks of that size of
-    the whole circuit.  ``steps`` holds, per element, its entries ``(lo,
-    hi)`` and the ``(size, index, states)`` that :func:`expm_multiply`
-    reads.  Every array is read-only, since a cached layout serves every
-    later circuit of its shape.
+    the rows of the input support, in its order.  The entries of the
+    elements without ``number_phases``, laid end to end in element order,
+    give the circuit's entries: entry ``e`` has the value
+    ``coefficients[term[e]] * weights[e]``, where ``coefficients`` lists
+    each such element's generator coefficients in element order.  ``fills``
+    holds one ``(size, take, cells, count)`` per block size: the entries
+    ``take`` go to the flat ``cells`` of the ``count`` representative
+    blocks of that size of the whole circuit.  ``steps`` holds, per such
+    element, its entries ``(lo, hi)`` and the ``(size, index, states)``
+    that :func:`expm_multiply` reads.  Every array is read-only, since a
+    cached layout serves every later circuit of its shape.
     """
 
     cut: bool
     occ_array: np.ndarray
     support_rows: np.ndarray
-    plans: tuple
     term: np.ndarray
     weights: np.ndarray
     fills: tuple
@@ -764,30 +742,30 @@ def _compile_layout(system: ModeSystem, support: tuple, shapes: tuple) -> _Layou
     rank[order] = np.arange(len(states))
     occ_array = np.array([states[i] for i in order], dtype=np.int64)
     occ_array = occ_array.reshape(-1, system.total_modes)
-    plans: dict[tuple, _BlockPlan] = {}
+    plans = {}
     for modes, terms in shapes:
         if (modes, terms) not in plans:
             plans[modes, terms] = _block_plan(
                 occ_array, rank, modes, [images[f] for f in terms]
             )
     # The circuit's representative blocks, one stack per size, in element order.
-    element_plans = tuple(plans[shape] for shape in shapes)
     term, weights, steps = [np.empty(0, dtype=np.int64)], [np.empty(0)], []
     takes, cell_lists, counts = {}, {}, {}
     lo = first_term = 0
-    for (_, terms), plan in zip(shapes, element_plans):
-        term.append(plan.term + first_term)
-        weights.append(plan.weights)
+    for shape in shapes:
+        plan_term, plan_weights, plan_groups = plans[shape]
+        term.append(plan_term + first_term)
+        weights.append(plan_weights)
         groups = []
-        for size, take, cells, count, same, block_states in plan.groups:
+        for size, take, cells, count, same, block_states in plan_groups:
             done = counts.get(size, 0)
             takes.setdefault(size, []).append(take + lo)
             cell_lists.setdefault(size, []).append(cells + done * size * size)
             groups.append((size, same + done, block_states[..., np.newaxis]))
             counts[size] = done + count
-        hi = lo + len(plan.weights)
+        hi = lo + len(plan_weights)
         steps.append(((lo, hi), tuple(groups)))
-        lo, first_term = hi, first_term + len(terms)
+        lo, first_term = hi, first_term + len(shape[1])
     fills = tuple(
         (size, np.concatenate(takes[size]), np.concatenate(cell_lists[size]), counts[size])
         for size in sorted(counts)
@@ -796,20 +774,14 @@ def _compile_layout(system: ModeSystem, support: tuple, shapes: tuple) -> _Layou
         cut,
         occ_array,
         rank[: len(support)],
-        element_plans,
         np.concatenate(term),
         np.concatenate(weights),
         fills,
         tuple(steps),
     )
-    arrays = [occ_array, rank, layout.support_rows, layout.term, layout.weights]
-    for plan in plans.values():
-        arrays += [plan.term, plan.weights]
-        arrays += [a for group in plan.groups for a in group if isinstance(a, np.ndarray)]
-    for _, take, cells, _ in fills:
-        arrays += [take, cells]
-    for _, groups in steps:
-        arrays += [a for group in groups for a in group[1:]]
+    arrays = [occ_array, layout.support_rows, layout.term, layout.weights]
+    arrays += [a for _, take, cells, _ in fills for a in (take, cells)]
+    arrays += [a for _, groups in steps for _, index, rows in groups for a in (index, rows)]
     for array in arrays:
         array.flags.writeable = False
     return layout

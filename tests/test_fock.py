@@ -709,9 +709,11 @@ def test_block_with_a_non_finite_entry_gives_a_non_finite_result(size, bad):
 
 
 def test_block_beyond_the_squaring_bound_gives_nan():
-    # past MAX_SQUARINGS squarings no digit of the result is right
+    # past MAX_SQUARINGS squarings no digit of the result is right; one
+    # bound holds for the closed form and for scaling and squaring alike
     limit = fockbench.fock._PADE_THETA[-1] * 2.0**MAX_SQUARINGS
-    mats = _anti_hermitian_stack(np.random.default_rng(4), 2, [limit, 2.0 * limit])
-    got = expm_blocks(mats)
-    assert np.isfinite(got[0]).all()
-    assert np.isnan(got[1]).all()
+    for size in (2, 3, 4):
+        mats = _anti_hermitian_stack(np.random.default_rng(4), size, [limit, 2.0 * limit])
+        got = expm_blocks(mats)
+        assert np.isfinite(got[0]).all(), size
+        assert np.isnan(got[1]).all(), size
