@@ -44,6 +44,11 @@ from .fock import (
 from .modes import BOSON, FERMION, ModeSystem
 
 
+#: Most modes and most photons per input branch of :func:`random_circuit`.
+RANDOM_MAX_MODES = 4
+RANDOM_MAX_PHOTONS = 3
+
+
 def random_occupation(rng, n_modes: int, max_photons: int) -> tuple[int, ...]:
     total = int(rng.integers(0, max_photons + 1))
     occ = [0] * n_modes
@@ -52,22 +57,16 @@ def random_occupation(rng, n_modes: int, max_photons: int) -> tuple[int, ...]:
     return tuple(occ)
 
 
-def random_circuit(
-    rng,
-    *,
-    max_modes: int = 4,
-    max_photons: int = 3,
-    max_elements: int = 6,
-    cutoff: int = 6,
-) -> Circuit:
-    """Random bosonic circuit built from beam splitters, phases, and Kerr media."""
-    n_modes = int(rng.integers(2, max_modes + 1))
+def random_circuit(rng, *, max_elements: int = 6, cutoff: int = 6) -> Circuit:
+    """Random bosonic circuit built from beam splitters, phases, and Kerr
+    media on 2 to :data:`RANDOM_MAX_MODES` modes."""
+    n_modes = int(rng.integers(2, RANDOM_MAX_MODES + 1))
     system = ModeSystem(n_modes, 0, cutoff)
 
     branches = int(rng.integers(1, 3))
     poly = LadderPolynomial.zero()
     for _ in range(branches):
-        occ = random_occupation(rng, n_modes, max_photons)
+        occ = random_occupation(rng, n_modes, RANDOM_MAX_PHOTONS)
         amp = complex(rng.normal(), rng.normal())
         mono = LadderPolynomial.constant(amp)
         for mode, count in enumerate(occ):

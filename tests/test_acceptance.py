@@ -66,7 +66,7 @@ def random_suite():
     if "circuits" not in _random_cache:
         rng = np.random.default_rng(RANDOM_SEED)
         _random_cache["circuits"] = [
-            random_circuit(rng, max_modes=4, max_photons=3, max_elements=6, cutoff=6)
+            random_circuit(rng, max_elements=6, cutoff=6)
             for _ in range(N_RANDOM_CIRCUITS)
         ]
     return _random_cache["circuits"]

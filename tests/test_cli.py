@@ -466,9 +466,10 @@ LARGE_VERTEX_ANGLES = {
 @pytest.mark.parametrize("backend", ["numeric", "symbolic", "both"])
 @pytest.mark.parametrize("theta", LARGE_VERTEX_ANGLES)
 def test_large_vertex_angle_is_one_error_line(runner, theta, backend):
-    # the numeric exponential drifts beyond 1e-9 near 5e6 and loses
-    # unitarity near 1e16; it refuses the angle instead of reporting a
-    # backend disagreement or an unnormalized state
+    # the vertex's 2x2 block takes the closed form, exact at any angle, but
+    # every entry above MAX_GENERATOR_ENTRY (2e6) is refused all the same:
+    # the numeric and both routes print one error line, not a backend
+    # disagreement
     args = ["run", "--experiment", f"hardy_vertex:{theta}", "--backend", backend]
     result = invoke(runner, [*args, "--format", "json"])
     if backend == "symbolic":
