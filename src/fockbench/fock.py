@@ -70,7 +70,8 @@ MAX_GENERATOR_ENTRY = 2e6
 #: :func:`evolve_numeric` keeps compiled.  The benchmark's workloads need at
 #: most six: the vertex, the single-photon splitter and four CNOT inputs.
 #: One mesh M=10 layout (2 002 reachable states) holds about
-#: 0.65 MiB, so a full cache of those stays near 10 MiB.
+#: 1.5 MiB with its cache key (tracemalloc), so a full cache of those
+#: stays near 25 MiB.
 LAYOUT_CACHE_SIZE = 16
 
 
@@ -626,10 +627,10 @@ def expm_blocks(mats: np.ndarray) -> np.ndarray:
 
     1 x 1 matrices give ``np.exp``.  For larger ones the 1-norm, the
     largest column sum, is computed once per matrix, and one test decides
-    at every size: a matrix whose 1-norm is above theta_13 *
+    at every size: a matrix whose 1-norm is nan or above theta_13 *
     2**:data:`MAX_SQUARINGS`, where scaling and squaring would need more
-    than that many squarings, or is nan gives nan.  2 x 2 matrices within
-    the bound take their closed form (:func:`_expm_2x2`).  Larger ones go
+    than that many squarings, gives nan.  2 x 2 matrices within the bound
+    take their closed form (:func:`_expm_2x2`).  Larger ones go
     through scaling and squaring with the Padé degree chosen from the
     1-norm (Higham 2005): the smallest m in 3, 5, 7, 9, 13 whose theta_m
     bounds the norm, and above theta_13 degree 13 at the matrix scaled by
