@@ -44,7 +44,7 @@ import numpy as np
 from .modes import BOSON, FERMION, ModeSystem
 
 if TYPE_CHECKING:  # circuit imports this module
-    from .circuit import Circuit, CircuitElement
+    from .circuit import Circuit
 
 #: Defaults for the exponential power series.
 SERIES_TOL = 1e-14
@@ -243,6 +243,15 @@ def multiply(p: LadderPolynomial, q: LadderPolynomial) -> LadderPolynomial:
     return LadderPolynomial(out)
 
 
+def creation_product(system: ModeSystem, modes, amplitude=1.0) -> LadderPolynomial:
+    """``amplitude`` times the creators of ``modes``, in the given order and
+    not normal ordered; ``system`` gives each mode's species."""
+    poly = LadderPolynomial.constant(amplitude)
+    for mode in modes:
+        poly = multiply(poly, creation(mode, system.species(mode)))
+    return poly
+
+
 def _reduce_factors(factors: tuple[LadderSymbol, ...]) -> dict:
     """Normal order one factor sequence.
 
@@ -426,10 +435,6 @@ class KetExpression:
     def norm(self) -> float:
         return math.sqrt(ket_inner(self, self).real)
 
-    @property
-    def is_normalized(self) -> bool:
-        return abs(self.norm() - 1.0) < 1e-12
-
     def normalized(self) -> "KetExpression":
         """The ket divided by its norm.
 
@@ -506,12 +511,7 @@ def basis_ket(system: ModeSystem, occupation) -> KetExpression:
 def ket_from_creations(system: ModeSystem, modes) -> KetExpression:
     """Apply creation operators for ``modes`` (in the given order) to the
     vacuum and normalize.  Raises if the result vanishes (Pauli exclusion)."""
-    poly = LadderPolynomial.constant(1.0)
-    for mode in modes:
-        system.validate_mode(mode)
-        poly = multiply(poly, creation(mode, system.species(mode)))
-    ket = reduce_to_ket(poly, system)
-    return ket.normalized()
+    return reduce_to_ket(creation_product(system, modes), system).normalized()
 
 
 def ket_inner(left: KetExpression, right: KetExpression) -> complex:
@@ -910,13 +910,6 @@ def joint_number_distribution(
 # ---------------------------------------------------------------------------
 
 
-def _require_finite(finite: bool, k: int, element: CircuitElement) -> None:
-    """Fail at the element that first makes a coefficient inf or nan."""
-    if not finite:
-        name = type(element).__name__
-        raise ValueError(f"element {k + 1} ({name}) makes an amplitude non-finite")
-
-
 def evolve_symbolic(circuit: Circuit) -> KetExpression:
     """Evolve by pure operator algebra; no cutoff is involved anywhere.
 
@@ -940,7 +933,8 @@ def evolve_symbolic(circuit: Circuit) -> KetExpression:
             )
         # The coefficients of a normalized ket are at most 1 in modulus, so
         # their sum is finite exactly when each of them is.
-        _require_finite(cmath.isfinite(sum(ket.poly.terms.values())), k, element)
+        if not cmath.isfinite(sum(ket.poly.terms.values())):
+            raise element.fault(k, "makes an amplitude non-finite")
     return ket
 
 

@@ -20,6 +20,9 @@ from .fock import FockVector, _measure_fock, evolve_numeric
 # ROADMAP item 1 renames its targets.
 from .fock import expm_multiply, ket_to_fock, polynomial_matrix  # noqa: F401
 
+#: Comparison tolerance of ``fockbench run --tol`` and of the functions below.
+DEFAULT_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class MeasurementReport:
@@ -71,7 +74,7 @@ def require_tolerance(tol: float) -> None:
 
 
 def compare_reports(
-    numeric: MeasurementReport, symbolic: MeasurementReport, tol: float = 1e-9
+    numeric: MeasurementReport, symbolic: MeasurementReport, tol: float = DEFAULT_TOLERANCE
 ) -> ComparisonReport:
     """Compare every quantity of two measurement reports.
 
@@ -98,7 +101,7 @@ def compare_reports(
     return ComparisonReport(deviations, max_deviation, tol, verdict)
 
 
-def compare_backends(circuit: Circuit, tol: float = 1e-9) -> ComparisonReport:
+def compare_backends(circuit: Circuit, tol: float = DEFAULT_TOLERANCE) -> ComparisonReport:
     """Run both backends on ``circuit`` and compare their reports."""
     numeric = measure(evolve_numeric(circuit), circuit.measured_modes)
     symbolic = measure(evolve_symbolic(circuit), circuit.measured_modes)

@@ -19,7 +19,7 @@ from .algebra import (
     creation,
     ket_from_creations,
 )
-from .backends import compare_backends, measure
+from .backends import DEFAULT_TOLERANCE, compare_backends, measure
 from .circuit import (
     ANGLE,
     ANTISYMMETRIC,
@@ -47,6 +47,8 @@ from .modes import BOSON, FERMION, ModeSystem
 #: Most modes and most photons per input branch of :func:`random_circuit`.
 RANDOM_MAX_MODES = 4
 RANDOM_MAX_PHOTONS = 3
+#: Most ladder factors per monomial of :func:`random_polynomial`.
+RANDOM_MAX_FACTORS = 6
 
 
 def random_occupation(rng, n_modes: int, max_photons: int) -> tuple[int, ...]:
@@ -68,11 +70,8 @@ def random_circuit(rng, *, max_elements: int = 6, cutoff: int = 6) -> Circuit:
     for _ in range(branches):
         occ = random_occupation(rng, n_modes, RANDOM_MAX_PHOTONS)
         amp = complex(rng.normal(), rng.normal())
-        mono = LadderPolynomial.constant(amp)
-        for mode, count in enumerate(occ):
-            for _ in range(count):
-                mono = algebra.multiply(mono, creation(mode, BOSON))
-        poly = poly + mono
+        modes = [mode for mode, count in enumerate(occ) for _ in range(count)]
+        poly = poly + algebra.creation_product(system, modes, amp)
     ket = algebra.reduce_to_ket(poly, system)
     if ket.norm() == 0.0:
         ket = algebra.vacuum_ket(system)
@@ -124,13 +123,11 @@ def random_fermion_circuit(rng) -> Circuit:
     return Circuit(system, tuple(elements), ket, tuple(range(n_modes)))
 
 
-def random_polynomial(
-    rng, system: ModeSystem, max_factors: int = 6
-) -> LadderPolynomial:
+def random_polynomial(rng, system: ModeSystem) -> LadderPolynomial:
     """Random ladder polynomial over a system's modes (both species)."""
     poly = LadderPolynomial.zero()
     for _ in range(int(rng.integers(1, 4))):
-        n_factors = int(rng.integers(0, max_factors + 1))
+        n_factors = int(rng.integers(0, RANDOM_MAX_FACTORS + 1))
         factors = tuple(
             LadderSymbol(
                 (mode := int(rng.integers(0, system.total_modes))),
@@ -265,9 +262,9 @@ def check_normal_order_oracle() -> tuple[float, float]:
 def check_backend_equivalence() -> tuple[float, float]:
     worst = 0.0
     for _, circuit in builtin_equivalence_cases():
-        report = compare_backends(circuit, tol=1e-9)
+        report = compare_backends(circuit)
         worst = max(worst, report.max_deviation)
-    return worst, 1e-9
+    return worst, DEFAULT_TOLERANCE
 
 
 def check_random_equivalence() -> tuple[float, float]:
@@ -278,9 +275,9 @@ def check_random_equivalence() -> tuple[float, float]:
     circuits += [random_fermion_circuit(rng) for _ in range(60)]
     worst = 0.0
     for circuit in circuits:
-        report = compare_backends(circuit, tol=1e-9)
+        report = compare_backends(circuit)
         worst = max(worst, report.max_deviation)
-    return worst, 1e-9
+    return worst, DEFAULT_TOLERANCE
 
 
 def check_number_conservation() -> tuple[float, float]:

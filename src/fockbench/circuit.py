@@ -37,7 +37,7 @@ from .algebra import (
     basis_ket,
     quadratic_generator,
 )
-from .modes import BOSON, DEFAULT_CUTOFF, FERMION, ModeSystem
+from .modes import BOSON, FERMION, ModeSystem
 
 SYMMETRIC = "sym"
 ANTISYMMETRIC = "asym"
@@ -56,13 +56,18 @@ class CircuitElement:
     number_phases = None
 
     def validate(self, system: ModeSystem) -> None:
-        for m in self.modes:
-            system.validate_mode(m)
-        if self.linear and len({system.species(m) for m in self.modes}) > 1:
+        # species() refuses the first mode out of range, in mode order
+        species = {system.species(m) for m in self.modes}
+        if self.linear and len(species) > 1:
             raise ValueError(
                 "species mismatch: a linear mode mixer cannot couple a bosonic "
                 "mode to a fermionic one"
             )
+
+    def fault(self, k: int, problem: str) -> ValueError:
+        """The error of either route naming this element, element ``k + 1``
+        of its circuit, and its ``problem``."""
+        return ValueError(f"element {k + 1} ({type(self).__name__}) {problem}")
 
     def mode_matrix(self) -> np.ndarray:
         """Unitary mode map of a linear element; nonlinear ones have none."""
@@ -341,8 +346,8 @@ EXPERIMENTS = {
 }
 
 
-def _single_photon_circuit(variant: str, cutoff: int) -> Circuit:
-    system = ModeSystem(2, 0, cutoff)
+def _single_photon_circuit(variant: str) -> Circuit:
+    system = ModeSystem(2, 0)
     return Circuit(
         system,
         (BeamSplitter(0, 1, variant),),
@@ -363,10 +368,10 @@ def cnot_expected_output(control: int, target: int) -> tuple[int, int, int, int]
     return cnot_input_occupation(control, target ^ control)
 
 
-def _cnot_circuit(control: int, target: int, cutoff: int) -> Circuit:
+def _cnot_circuit(control: int, target: int) -> Circuit:
     if control not in (0, 1) or target not in (0, 1):
         raise ValueError("control and target must be 0 or 1")
-    system = ModeSystem(4, 0, cutoff)
+    system = ModeSystem(4, 0)
     elements = (
         BeamSplitter(2, 3, ANTISYMMETRIC),
         KerrMedium(0, 2, math.pi),
@@ -377,8 +382,8 @@ def _cnot_circuit(control: int, target: int, cutoff: int) -> Circuit:
     return Circuit(system, elements, input_state, (0, 1, 2, 3))
 
 
-def _hardy_circuit(theta: float, cutoff: int) -> Circuit:
-    system = ModeSystem(1, 2, cutoff)
+def _hardy_circuit(theta: float) -> Circuit:
+    system = ModeSystem(1, 2)
     input_state = basis_ket(system, (0, 1, 1))
     return Circuit(
         system,
@@ -391,19 +396,18 @@ def _hardy_circuit(theta: float, cutoff: int) -> Circuit:
 def build_experiment(
     name: str,
     *,
-    cutoff: int | None = None,
     control: int = 0,
     target: int = 0,
     theta: float = 0.5 * math.pi,
 ) -> Circuit:
-    """Construct a built-in experiment circuit by name."""
-    cutoff = DEFAULT_CUTOFF if cutoff is None else int(cutoff)
+    """Construct a built-in experiment circuit by name, at the default
+    cutoff; :func:`with_cutoff` gives it another."""
     if name == "single_photon_bs_sym":
-        return _single_photon_circuit(SYMMETRIC, cutoff)
+        return _single_photon_circuit(SYMMETRIC)
     if name == "single_photon_bs_asym":
-        return _single_photon_circuit(ANTISYMMETRIC, cutoff)
+        return _single_photon_circuit(ANTISYMMETRIC)
     if name == "cnot_dualrail":
-        return _cnot_circuit(control, target, cutoff)
+        return _cnot_circuit(control, target)
     if name == "hardy_vertex":
-        return _hardy_circuit(theta, cutoff)
+        return _hardy_circuit(theta)
     raise ValueError(f"unknown experiment {name!r}")

@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 evaluation error, 2 parse error, 3 backend
 comparison failure.  The default cutoff can be overridden by the
-FOCKBENCH_CUTOFF environment variable; an explicit --cutoff flag wins.
-A warning raised while ``run`` evaluates, such as the numeric route's
+FOCKBENCH_CUTOFF environment variable; an explicit --cutoff flag wins.  The
+override reaches every run, circuit file or experiment, through
+:func:`~fockbench.circuit.with_cutoff`.  A warning raised while ``run``
+reads or evaluates its circuits, such as the numeric route's
 ``TruncationWarning``, prints as one ``warning: <message>`` line on stderr.
 
 Every ``click.echo`` names its stream: without ``file=``, click caches a
@@ -23,6 +25,7 @@ import click
 
 from .algebra import evolve_symbolic
 from .backends import (
+    DEFAULT_TOLERANCE,
     ComparisonReport,
     MeasurementReport,
     compare_reports,
@@ -58,7 +61,7 @@ def _resolve_cutoff(flag_value: int | None) -> int | None:
         raise click.ClickException(f"invalid FOCKBENCH_CUTOFF value {raw!r}")
 
 
-def _parse_experiment_spec(spec: str, cutoff: int | None, all_inputs: bool):
+def _parse_experiment_spec(spec: str, all_inputs: bool):
     """Return a list of (label, circuit) runs for an --experiment value.
 
     Parameters ride after a colon: ``cnot_dualrail:1,0`` selects the
@@ -87,7 +90,7 @@ def _parse_experiment_spec(spec: str, cutoff: int | None, all_inputs: bool):
                 )
             inputs = [(control, target)]
         return [
-            (f"{c}{t}", build_experiment(name, cutoff=cutoff, control=c, target=t))
+            (f"{c}{t}", build_experiment(name, control=c, target=t))
             for c, t in inputs
         ]
     if name == "hardy_vertex" and params:
@@ -99,22 +102,19 @@ def _parse_experiment_spec(spec: str, cutoff: int | None, all_inputs: bool):
             raise click.ClickException(
                 f"hardy_vertex parameter must be finite, got {params!r}"
             )
-        return [(None, build_experiment(name, cutoff=cutoff, theta=theta))]
+        return [(None, build_experiment(name, theta=theta))]
     if params:
         raise click.ClickException(f"experiment {name!r} takes no parameters")
-    return [(None, build_experiment(name, cutoff=cutoff))]
+    return [(None, build_experiment(name))]
 
 
-def _load_circuit_file(path: str, cutoff: int | None) -> Circuit:
+def _load_circuit_file(path: str) -> Circuit:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise click.ClickException(f"cannot read {path}: {exc.strerror}")
-    circuit = parse_circuit(text)
-    if cutoff is not None:
-        circuit = with_cutoff(circuit, cutoff)
-    return circuit
+    return parse_circuit(text)
 
 
 def _evaluate(circuit: Circuit, backend: str, tol: float):
@@ -189,7 +189,9 @@ def main():
     show_default=True,
 )
 @click.option("--cutoff", type=int, default=None, help="Bosonic occupation cutoff override.")
-@click.option("--tol", type=float, default=1e-9, show_default=True, help="Comparison tolerance.")
+@click.option(
+    "--tol", type=float, default=DEFAULT_TOLERANCE, show_default=True, help="Comparison tolerance."
+)
 @click.option(
     "--format",
     "fmt",
@@ -206,23 +208,6 @@ def cmd_run(circuit_file, experiment, backend, cutoff, tol, fmt, all_inputs):
             file=sys.stderr,
         )
         sys.exit(EXIT_EVALUATION)
-    try:
-        cutoff = _resolve_cutoff(cutoff)
-        if experiment is not None:
-            runs = _parse_experiment_spec(experiment, cutoff, all_inputs)
-        else:
-            if all_inputs:
-                raise click.ClickException("--all-inputs applies only to --experiment cnot_dualrail")
-            runs = [(None, _load_circuit_file(circuit_file, cutoff))]
-        if backend == "both":  # refused before either route runs
-            require_tolerance(tol)
-    except CircuitParseError as exc:
-        click.echo(f"parse error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_PARSE)
-    except (click.ClickException, ValueError) as exc:
-        click.echo(f"error: {exc}", file=sys.stderr)
-        sys.exit(EXIT_EVALUATION)
-
     outputs = []
     comparison_failed = False
     with warnings.catch_warnings():
@@ -230,6 +215,17 @@ def cmd_run(circuit_file, experiment, backend, cutoff, tol, fmt, all_inputs):
             f"warning: {message}", file=sys.stderr
         )
         try:
+            cutoff = _resolve_cutoff(cutoff)
+            if experiment is not None:
+                runs = _parse_experiment_spec(experiment, all_inputs)
+            elif all_inputs:
+                raise click.ClickException("--all-inputs applies only to --experiment cnot_dualrail")
+            else:
+                runs = [(None, _load_circuit_file(circuit_file))]
+            if cutoff is not None:
+                runs = [(label, with_cutoff(circuit, cutoff)) for label, circuit in runs]
+            if backend == "both":  # refused before either route runs
+                require_tolerance(tol)
             for label, circuit in runs:
                 report, comparison = _evaluate(circuit, backend, tol)
                 if comparison is not None and not comparison.passed:
@@ -238,7 +234,10 @@ def cmd_run(circuit_file, experiment, backend, cutoff, tol, fmt, all_inputs):
                     outputs.append(_report_json(report, comparison, label))
                 else:
                     outputs.append(_report_table(report, comparison, label))
-        except (ValueError, RuntimeError) as exc:
+        except CircuitParseError as exc:
+            click.echo(f"parse error: {exc}", file=sys.stderr)
+            sys.exit(EXIT_PARSE)
+        except (click.ClickException, ValueError, RuntimeError) as exc:
             click.echo(f"error: {exc}", file=sys.stderr)
             sys.exit(EXIT_EVALUATION)
 

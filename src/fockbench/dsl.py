@@ -30,7 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .algebra import LadderPolynomial, creation, multiply, reduce_to_ket, vacuum_ket
+from .algebra import LadderPolynomial, creation_product, reduce_to_ket, vacuum_ket
 from .circuit import (
     ANGLE,
     ANTISYMMETRIC,
@@ -253,11 +253,8 @@ class _Parser:
                 raise CircuitParseError(
                     "input create requires at least one mode", lineno, len(line) + 1
                 )
-            poly = LadderPolynomial.constant(1.0)
-            for text, tcol in tokens[2:]:
-                mode = _parse_mode(text, self.system, lineno, tcol)
-                poly = multiply(poly, creation(mode, self.system.species(mode)))
-            self.input_poly = poly
+            modes = [_parse_mode(text, self.system, lineno, tcol) for text, tcol in tokens[2:]]
+            self.input_poly = creation_product(self.system, modes)
         elif form == "superpose":
             offset = line.index("superpose", col - 1) + len("superpose")
             self.input_poly = self._parse_superpose(line, offset, lineno)
@@ -297,13 +294,12 @@ class _Parser:
             mode_items = [m.strip() for m in mode_text.split(",")]
             if not any(mode_items):
                 raise CircuitParseError("empty mode list", lineno, col)
-            branch = LadderPolynomial.constant(amp)
+            modes = []
             for item in mode_items:
                 if not item:
                     raise CircuitParseError("empty mode in mode list", lineno, col)
-                mode = _parse_mode(item, self.system, lineno, col)
-                branch = multiply(branch, creation(mode, self.system.species(mode)))
-            poly = poly + branch
+                modes.append(_parse_mode(item, self.system, lineno, col))
+            poly = poly + creation_product(self.system, modes, amp)
         return poly
 
     def _parse_element(self, syntax: ElementSyntax, tokens, lineno, line):

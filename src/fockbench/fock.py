@@ -89,6 +89,16 @@ def _basis_size_text(system: ModeSystem) -> str:
         return f"{system.cutoff + 1}**{system.boson_modes} * 2**{system.fermion_modes}"
 
 
+def _require_box_within(
+    system: ModeSystem, cap: int = DEFAULT_BASIS_CAP, remedy: str = "lower the cutoff"
+) -> None:
+    """Refuse a full box of more than ``cap`` basis states, in one line."""
+    if system.basis_size > cap:
+        raise ValueError(
+            f"basis size {_basis_size_text(system)} exceeds the memory cap {cap}; {remedy}"
+        )
+
+
 @dataclass(frozen=True)
 class FockVector:
     """Sparse complex superposition of occupation basis states.
@@ -277,6 +287,7 @@ def number_op(system: ModeSystem, mode: int) -> sparse.csr_matrix:
     from scipy import sparse
 
     system.validate_mode(mode)
+    _require_box_within(system)
     dim = system.basis_size
     occ = np.array([n[mode] for n in system.occupations()], dtype=complex)
     mat = sparse.dia_matrix((occ[np.newaxis, :], [0]), shape=(dim, dim)).tocsr()
@@ -338,10 +349,12 @@ def polynomial_matrix(poly: LadderPolynomial, system: ModeSystem) -> sparse.csr_
     route's search, run from every basis state in basis order: the box is
     closed under truncated monomials, so the search finds no other state
     and its indices are the basis indices.  Entries that meet in one cell
-    are summed in term order.
+    are summed in term order.  A box above :data:`DEFAULT_BASIS_CAP` states
+    is refused before any state is enumerated.
     """
     from scipy import sparse
 
+    _require_box_within(system)
     for factors in poly.terms:
         for symbol in factors:
             if system.species(symbol.mode) != symbol.species:
@@ -689,13 +702,6 @@ def expm_multiply(groups, blocks: dict, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_finite(finite: bool, k: int, element: CircuitElement) -> None:
-    """Fail at the element that first makes an amplitude inf or nan."""
-    if not finite:
-        name = type(element).__name__
-        raise ValueError(f"element {k + 1} ({name}) makes an amplitude non-finite")
-
-
 @dataclass(frozen=True)
 class _Layout:
     """Everything the numeric route derives from a circuit's shape, read-only.
@@ -843,11 +849,7 @@ def evolve_numeric(
     truncated evolution is then not the physical one.
     """
     system = circuit.system
-    if system.basis_size > max_basis_size:
-        raise ValueError(
-            f"basis size {_basis_size_text(system)} exceeds the memory cap "
-            f"{max_basis_size}; lower the cutoff or raise max_basis_size"
-        )
+    _require_box_within(system, max_basis_size, "lower the cutoff or raise max_basis_size")
     amps, input_cut = _ket_amplitudes(circuit.input_state)
     start = FockVector.from_amplitudes(system, amps).amplitudes
     generators = {
@@ -869,7 +871,7 @@ def evolve_numeric(
     vec = np.zeros(len(layout.occ_array), dtype=complex)
     vec[layout.support_rows] = list(start.values())
     steps = dict(zip(generators, layout.steps))
-    # An overflow shows as a non-finite amplitude, reported by _require_finite.
+    # An overflow shows as a non-finite amplitude, reported by apply(check=True).
     with np.errstate(over="ignore", invalid="ignore"):
         coefficients = np.array(
             [c for terms in generators.values() for c in terms.values()], dtype=complex
@@ -895,15 +897,15 @@ def evolve_numeric(
                     (lo, hi), groups = steps[k]
                     vec = expm_multiply(groups, blocks, vec)
                     largest = moduli[lo:hi].max(initial=0.0) if check else 0.0
-                if check:
-                    _require_finite(np.isfinite(vec).all(), k, element)
-                    if largest > MAX_GENERATOR_ENTRY:
-                        raise ValueError(
-                            f"element {k + 1} ({type(element).__name__}) has a "
-                            f"generator entry of modulus {largest:.3g}, above "
-                            f"{MAX_GENERATOR_ENTRY:.0e}, where the numeric "
-                            "exponential loses precision"
-                        )
+                if check and not np.isfinite(vec).all():
+                    raise element.fault(k, "makes an amplitude non-finite")
+                if largest > MAX_GENERATOR_ENTRY:  # 0.0 unless check
+                    raise element.fault(
+                        k,
+                        f"has a generator entry of modulus {largest:.3g}, above "
+                        f"{MAX_GENERATOR_ENTRY:.0e}, where the numeric exponential "
+                        "loses precision",
+                    )
             return vec
 
         out = apply(vec, check=False)

@@ -81,7 +81,7 @@ def test_criterion_1_single_photon_beam_splitter():
     start = time.perf_counter()
     worst = 0.0
     for name in ("single_photon_bs_sym", "single_photon_bs_asym"):
-        circuit = build_experiment(name, cutoff=6)
+        circuit = build_experiment(name)
         for state in (evolve_numeric(circuit), evolve_symbolic(circuit)):
             rep = measure(state, circuit.measured_modes)
             for pattern in ((1, 0), (0, 1)):
@@ -242,7 +242,7 @@ def test_criterion_7_algebra_oracle():
     worst_vacuum = 0.0
     for trial in range(1000):
         system = systems[trial % len(systems)]
-        poly = random_polynomial(rng, system, max_factors=6)
+        poly = random_polynomial(rng, system)
         ordered = normal_order(poly)
         m_raw = polynomial_matrix(poly, system)
         m_ord = polynomial_matrix(ordered, system)
@@ -277,8 +277,8 @@ def test_criterion_8_truncation_exactness():
     worst = 0.0
     # criterion 1 circuits
     for name in ("single_photon_bs_sym", "single_photon_bs_asym"):
-        narrow = build_experiment(name, cutoff=6)
-        wide = build_experiment(name, cutoff=12)
+        narrow = build_experiment(name)
+        wide = with_cutoff(narrow, 12)
         worst = max(
             worst,
             _distribution_gap(

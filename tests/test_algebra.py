@@ -22,6 +22,7 @@ from fockbench.algebra import (
     apply_vertex_exponential,
     basis_ket,
     creation,
+    creation_product,
     joint_number_distribution,
     ket_from_creations,
     ket_inner,
@@ -392,6 +393,17 @@ def test_ket_from_creations_pauli_exclusion():
     system = ModeSystem(0, 1, 1)
     with pytest.raises(ValueError):
         ket_from_creations(system, [0, 0])
+
+
+def test_creation_product_keeps_the_order_of_its_modes():
+    # one word, in the given order and not normal ordered, with each
+    # mode's species read from the system
+    system = ModeSystem(1, 2)
+    word = (sym(2, FERMION, True), sym(0, BOSON, True), sym(1, FERMION, True))
+    assert dict(creation_product(system, (2, 0, 1), 0.5j).terms) == {word: 0.5j}
+    assert dict(creation_product(system, ()).terms) == {(): 1.0}
+    with pytest.raises(IndexError, match="mode 3 out of range"):
+        creation_product(system, (0, 3))
 
 
 def test_ket_inner_matches_general_reduction():

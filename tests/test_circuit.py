@@ -368,6 +368,21 @@ def test_circuit_rejects_foreign_modes():
 
 
 @pytest.mark.parametrize(
+    "element",
+    [
+        QuadraticCustom.from_matrix((0, 1, 7, 5), np.zeros((4, 4))),
+        AnnihilationVertex(1, 0, 7, 0.3),
+    ],
+    ids=["custom", "vertex"],
+)
+def test_validate_refuses_the_first_foreign_mode_before_a_species_mix(element):
+    # on modes 0 (bosonic) and 1 (fermionic) alone, both elements would be
+    # refused for their species; the foreign mode 7 is named first
+    with pytest.raises(IndexError, match=r"^mode 7 out of range for a system of 2 modes$"):
+        element.validate(ModeSystem(1, 1))
+
+
+@pytest.mark.parametrize(
     "call, message",
     [
         pytest.param(

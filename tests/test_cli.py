@@ -182,6 +182,21 @@ def test_experiment_with_cutoff_matches_circuit_file(runner, cutoff, exit_code):
     assert experiment.stderr == circuit_file.stderr
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_cutoff_one_leaves_every_cnot_input_unchanged(runner, fmt):
+    # each rail holds at most one photon, so cutoff 1 truncates nothing
+    args = ["run", "--experiment", "cnot_dualrail", "--all-inputs", "--format", fmt]
+    default = invoke(runner, args)
+    cut = invoke(runner, [*args, "--cutoff", "1"])
+    assert default.exit_code == cut.exit_code == 0
+    assert cut.stdout == default.stdout
+    assert cut.stderr == default.stderr == ""
+    refused = invoke(runner, [*args, "--cutoff", "0"])
+    assert refused.exit_code == 1
+    assert refused.stdout == ""
+    assert refused.stderr == "error: cutoff must be at least 1\n"
+
+
 # ---------------------------------------------------------------------------
 # run: files and exit codes
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from scipy import sparse
 from scipy.linalg import expm
 
 import fockbench.fock
+from fockbench.algebra import creation
 from fockbench.backends import measure
 from fockbench.circuit import BeamSplitter
 from fockbench.fock import (
@@ -21,6 +22,7 @@ from fockbench.fock import (
     inner_product,
     mode_bipartition_entropy,
     number_op,
+    polynomial_matrix,
     vacuum_state,
 )
 from fockbench.modes import BOSON, FERMION, ModeSystem
@@ -717,3 +719,23 @@ def test_block_beyond_the_squaring_bound_gives_nan():
         got = expm_blocks(mats)
         assert np.isfinite(got[0]).all(), size
         assert np.isnan(got[1]).all(), size
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        creation_op,
+        annihilation_op,
+        number_op,
+        lambda system, mode: polynomial_matrix(creation(mode), system),
+    ],
+    ids=["creation_op", "annihilation_op", "number_op", "polynomial_matrix"],
+)
+def test_box_matrices_refuse_an_oversized_box_before_enumerating_it(build):
+    # 7**12 states: enumerating the box would take hours and most of the memory
+    system = ModeSystem(12, 0, 6)
+    with pytest.raises(
+        ValueError,
+        match=r"^basis size 13841287201 exceeds the memory cap 1000000; lower the cutoff$",
+    ):
+        build(system, 0)
