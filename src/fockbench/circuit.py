@@ -56,9 +56,11 @@ class CircuitElement:
     number_phases = None
 
     def validate(self, system: ModeSystem) -> None:
+        if not self.linear:
+            for m in self.modes:
+                system.validate_mode(m)
         # species() refuses the first mode out of range, in mode order
-        species = {system.species(m) for m in self.modes}
-        if self.linear and len(species) > 1:
+        elif len({system.species(m) for m in self.modes}) > 1:
             raise ValueError(
                 "species mismatch: a linear mode mixer cannot couple a bosonic "
                 "mode to a fermionic one"
@@ -193,14 +195,14 @@ class AnnihilationVertex(CircuitElement):
         return (self.photon_mode, self.electron_mode, self.positron_mode)
 
     def validate(self, system: ModeSystem) -> None:
-        super().validate(system)
-        if system.species(self.photon_mode) != BOSON:
+        # species() refuses the first mode out of range, in mode order
+        photon, electron, positron = [system.species(m) for m in self.modes]
+        if photon != BOSON:
             raise ValueError("species mismatch: vertex photon mode must be bosonic")
-        for m in (self.electron_mode, self.positron_mode):
-            if system.species(m) != FERMION:
-                raise ValueError(
-                    "species mismatch: vertex electron/positron modes must be fermionic"
-                )
+        if electron != FERMION or positron != FERMION:
+            raise ValueError(
+                "species mismatch: vertex electron/positron modes must be fermionic"
+            )
 
     def generator(self, system: ModeSystem) -> LadderPolynomial:
         a = LadderSymbol(self.photon_mode, BOSON, False)
