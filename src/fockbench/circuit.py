@@ -220,7 +220,8 @@ class QuadraticCustom(CircuitElement):
     """Element generated by K = sum c[p, q] adag_modes[p] a_modes[q].
 
     The coefficient matrix must be anti-Hermitian so exp(K) is unitary.
-    Stored as a nested tuple to keep the element hashable.
+    Any square array-like is accepted and stored as a nested tuple, which
+    keeps the element hashable.
     """
 
     modes: tuple[int, ...]
@@ -244,11 +245,6 @@ class QuadraticCustom(CircuitElement):
     @property
     def matrix(self) -> np.ndarray:
         return np.asarray(self.coefficients, dtype=complex)
-
-    @classmethod
-    def from_matrix(cls, modes, coefficients) -> "QuadraticCustom":
-        c = np.asarray(coefficients, dtype=complex)
-        return cls(tuple(modes), tuple(tuple(row) for row in c))
 
     def mode_matrix(self) -> np.ndarray:
         from scipy.linalg import expm

@@ -89,13 +89,12 @@ def _basis_size_text(system: ModeSystem) -> str:
         return f"{system.cutoff + 1}**{system.boson_modes} * 2**{system.fermion_modes}"
 
 
-def _require_box_within(
-    system: ModeSystem, cap: int = DEFAULT_BASIS_CAP, remedy: str = "lower the cutoff"
-) -> None:
-    """Refuse a full box of more than ``cap`` basis states, in one line."""
-    if system.basis_size > cap:
+def _require_box_within(system: ModeSystem) -> None:
+    """Refuse a full box of more than :data:`DEFAULT_BASIS_CAP` basis states, in one line."""
+    if system.basis_size > DEFAULT_BASIS_CAP:
         raise ValueError(
-            f"basis size {_basis_size_text(system)} exceeds the memory cap {cap}; {remedy}"
+            f"basis size {_basis_size_text(system)} exceeds the memory cap "
+            f"{DEFAULT_BASIS_CAP}; lower the cutoff"
         )
 
 
@@ -794,9 +793,7 @@ def _compile_layout(system: ModeSystem, support: tuple, shapes: tuple) -> _Layou
     return layout
 
 
-def evolve_numeric(
-    circuit: Circuit, *, max_basis_size: int = DEFAULT_BASIS_CAP
-) -> FockVector:
+def evolve_numeric(circuit: Circuit) -> FockVector:
     """Evolve through each element's matrix exponential.
 
     The evolution runs on the occupations reachable from the input's
@@ -842,14 +839,15 @@ def evolve_numeric(
     elements are applied once without a check, and again one by one with
     the checks only when the result is not finite or an entry too large.
 
-    ``max_basis_size`` caps the full box, ``system.basis_size``, not the
-    reachable set.  A :class:`TruncationWarning` is raised, on every call,
+    A full box, ``system.basis_size``, of more than
+    :data:`DEFAULT_BASIS_CAP` states is refused, even when the reachable set
+    is small.  A :class:`TruncationWarning` is raised, on every call,
     when an input monomial exceeds the cutoff, or when the search meets a
     bosonic creation dropped at the cutoff from a reachable state: the
     truncated evolution is then not the physical one.
     """
     system = circuit.system
-    _require_box_within(system, max_basis_size, "lower the cutoff or raise max_basis_size")
+    _require_box_within(system)
     amps, input_cut = _ket_amplitudes(circuit.input_state)
     start = FockVector.from_amplitudes(system, amps).amplitudes
     generators = {

@@ -110,7 +110,7 @@ def test_criterion_2_heisenberg_relation():
     rng_seed = 1234
     for k in range(20):
         u = unitary_group.rvs(2, random_state=rng_seed + k)
-        element = QuadraticCustom.from_matrix((0, 1), generator_from_unitary(u))
+        element = QuadraticCustom((0, 1), generator_from_unitary(u))
         worst = max(worst, heisenberg_residual(element, system))
     report(
         2,

@@ -1,15 +1,13 @@
 """tools/call_count.py: call counts of the first runs of a workload."""
 
-import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "call_count.py"
-_spec = importlib.util.spec_from_file_location("call_count", TOOL)
-call_count = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(call_count)
+import call_count
+
+TOOL = Path(call_count.__file__)
 
 
 def test_two_runs_of_one_list_count_the_same_calls():

@@ -199,8 +199,8 @@ DESCRIBED = [
     (KerrMedium(1, 4, 0.9), KerrMedium(4, 1, 0.9), True),
     (AnnihilationVertex(0, 2, 4, 0.8), AnnihilationVertex(2, 0, 4, 0.8), False),
     (
-        QuadraticCustom.from_matrix((2, 3, 4), _FERMION_MIXER),
-        QuadraticCustom.from_matrix((2, 0, 4), _FERMION_MIXER),
+        QuadraticCustom((2, 3, 4), _FERMION_MIXER),
+        QuadraticCustom((2, 0, 4), _FERMION_MIXER),
         False,
     ),
 ]
@@ -322,8 +322,8 @@ def test_duplicate_modes_rejected():
 
 def test_quadratic_custom_requires_anti_hermitian():
     with pytest.raises(ValueError):
-        QuadraticCustom.from_matrix((0, 1), np.eye(2))
-    element = QuadraticCustom.from_matrix((0, 1), [[0, 1j], [1j, 0]])
+        QuadraticCustom((0, 1), np.eye(2))
+    element = QuadraticCustom((0, 1), [[0, 1j], [1j, 0]])
     assert np.abs(element.matrix - np.array([[0, 1j], [1j, 0]])).max() == 0.0
 
 
@@ -370,7 +370,7 @@ def test_circuit_rejects_foreign_modes():
 @pytest.mark.parametrize(
     "element",
     [
-        QuadraticCustom.from_matrix((0, 1, 7, 5), np.zeros((4, 4))),
+        QuadraticCustom((0, 1, 7, 5), np.zeros((4, 4))),
         AnnihilationVertex(1, 0, 7, 0.3),
     ],
     ids=["custom", "vertex"],

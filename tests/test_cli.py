@@ -12,6 +12,7 @@ from pathlib import Path
 import click.testing
 import pytest
 from click.testing import CliRunner
+from golden_error import MESH_GOLDENS, mesh_program
 
 import fockbench.backends
 import fockbench.checks
@@ -240,7 +241,9 @@ def test_oversized_basis_is_evaluation_error(runner, tmp_path):
     path.write_text("system bosons=8 cutoff=19\nmeasure all\n")
     result = invoke(runner, ["run", str(path), "--backend", "numeric"])
     assert result.exit_code == 1
-    assert "cap" in result.output
+    assert result.stderr == (
+        "error: basis size 25600000000 exceeds the memory cap 1000000; lower the cutoff\n"
+    )
 
 
 @pytest.mark.parametrize("backend", ["numeric", "both"])
@@ -332,26 +335,6 @@ def test_both_golden_is_numeric_golden_plus_comparison(name):
     assert both_report == numeric_report
 
 
-def _mesh_program(modes: int, photons: int, cutoff: int) -> str:
-    # a brick of angle splitters, each followed by a phase, ``modes`` layers deep
-    lines = [f"system bosons={modes} cutoff={cutoff}"]
-    lines.append("input create " + " ".join(str(m + 1) for m in range(photons)))
-    for layer in range(modes):
-        for m in range(layer % 2, modes - 1, 2):
-            lines.append(f"bs {m + 1} {m + 2} angle={0.3 + 0.11 * m + 0.07 * layer}")
-            lines.append(f"phase {m + 1} {0.5 - 0.13 * m + 0.05 * layer}")
-    lines.append("measure all")
-    return "\n".join(lines) + "\n"
-
-
-#: Mesh goldens: name -> (modes, photons, cutoff), backends.  Several
-#: photons meet on one splitter, which the example circuits never do.
-MESH_GOLDENS = {
-    "mesh_m6": ((6, 3, 3), ("numeric", "symbolic", "both")),
-    "mesh_m8": ((8, 4, 4), ("numeric", "symbolic", "both")),
-}
-
-
 @pytest.mark.parametrize(
     "name, backend",
     [(name, backend) for name, (_, backends) in MESH_GOLDENS.items() for backend in backends],
@@ -359,7 +342,7 @@ MESH_GOLDENS = {
 def test_mesh_circuits_match_golden_bytes(runner, tmp_path, name, backend):
     # the meshes' JSON reports are frozen byte for byte, like the examples'
     path = tmp_path / f"{name}.fck"
-    path.write_text(_mesh_program(*MESH_GOLDENS[name][0]))
+    path.write_text(mesh_program(*MESH_GOLDENS[name][0]))
     golden = ROOT / "tests" / "golden" / f"{name}.{backend}.json"
     result = invoke(runner, ["run", str(path), "--backend", backend, "--format", "json"])
     assert result.exit_code == 0
@@ -396,7 +379,7 @@ def test_both_backends_write_nothing_to_stderr(runner, tmp_path, name):
     # any warning raised while evaluating would print as a "warning:" line
     if name == "mesh6":
         path = tmp_path / "mesh6.fck"
-        path.write_text(_mesh_program(6, 3, 3))
+        path.write_text(mesh_program(6, 3, 3))
     else:
         path = ROOT / "circuits" / f"{name}.fck"
     with warnings.catch_warnings():
@@ -650,7 +633,7 @@ def test_numeric_run_loads_no_scipy(tmp_path, name, backend):
     # the block exponentials are numpy's; only the box matrices need scipy
     if name == "mesh_m6":
         path = tmp_path / "mesh_m6.fck"
-        path.write_text(_mesh_program(*MESH_GOLDENS[name][0]))
+        path.write_text(mesh_program(*MESH_GOLDENS[name][0]))
     else:
         path = ROOT / "circuits" / f"{name}.fck"
     code, stdout, loaded = _fresh_scipy_modules(

@@ -1,12 +1,6 @@
 """tools/code_lines.py: which lines count as code."""
 
-import importlib.util
-from pathlib import Path
-
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
-_spec = importlib.util.spec_from_file_location("code_lines", TOOL)
-code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_lines)
+import code_lines
 
 SNIPPET = '''"""Module docstring,
 over two lines."""

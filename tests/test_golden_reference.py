@@ -1,21 +1,20 @@
 """Every number printed in the goldens, and in runs whose numbers depend on
-the sign of the Kerr phase and of the vertex angle, against a 40-digit
-reference (``tools/golden_error.py``: a path sum in mpmath built from the
-README's conventions, with permanents of the composed mode matrix)."""
+the sign of the Kerr phase and of the vertex angle, against the one
+physics reference of the tests (``tools/golden_error.py``: a path sum in
+mpmath at 40 digits built from the README's conventions, with permanents
+of the composed mode matrix for bosons and its determinants for fermions,
+importing nothing from ``fockbench`` or ``perfbench``).
+``tests/test_witness.py`` judges its circuits with :func:`judge_run`."""
 
 import functools
-import importlib.util
-from pathlib import Path
+import subprocess
+import sys
 
+import golden_error
 import pytest
 from click.testing import CliRunner
 
 from fockbench.cli import main
-
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "golden_error.py"
-_spec = importlib.util.spec_from_file_location("golden_error", TOOL)
-golden_error = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(golden_error)
 
 PROGRAMS = golden_error.golden_programs()
 
@@ -80,11 +79,30 @@ def test_mesh_golden_numbers_match_the_40_digit_reference(name, backend):
     _check_golden(name, backend)
 
 
+def judge_run(tmp_path, program, backend):
+    """Run ``program`` on ``backend`` and judge every number it prints; on
+    ``both``, exit 0 also means that the routes agree."""
+    path = tmp_path / "run.fck"
+    path.write_text(program)
+    result = CliRunner().invoke(main, ["run", str(path), "--backend", backend, "--format", "json"])
+    assert result.exit_code == 0, result.output
+    _assert_within_bound(result.stdout, program)
+
+
 @pytest.mark.parametrize("backend", ["numeric", "symbolic"])
 @pytest.mark.parametrize("name", list(SIGN_PROBES))
 def test_sign_probe_runs_match_the_40_digit_reference(tmp_path, name, backend):
-    path = tmp_path / f"{name}.fck"
-    path.write_text(SIGN_PROBES[name])
-    result = CliRunner().invoke(main, ["run", str(path), "--backend", backend, "--format", "json"])
-    assert result.exit_code == 0, result.output
-    _assert_within_bound(result.stdout, SIGN_PROBES[name])
+    judge_run(tmp_path, SIGN_PROBES[name], backend)
+
+
+def test_reference_imports_nothing_from_the_package():
+    # a reference that loaded fockbench could share the mistake it judges
+    probe = (
+        "import sys; sys.path.insert(0, 'tools'); import golden_error; "
+        "golden_error.golden_programs(); print(*sys.modules)"
+    )
+    root = golden_error.ROOT  # so that a relative ``PYTHONPATH=src`` still finds fockbench
+    done = subprocess.run([sys.executable, "-c", probe], cwd=root, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    ours = [m for m in done.stdout.split() if m.partition(".")[0] in ("fockbench", "perfbench")]
+    assert ours == []

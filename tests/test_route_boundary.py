@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from golden_error import mesh_program
 
 import fockbench.algebra
 from fockbench.algebra import (
@@ -25,7 +26,6 @@ from fockbench.checks import builtin_equivalence_cases, random_circuit
 from fockbench.dsl import parse_circuit
 from fockbench.fock import evolve_numeric
 from fockbench.modes import ModeSystem
-from test_cli import _mesh_program
 
 PACKAGE = Path(fockbench.algebra.__file__).resolve().parent
 
@@ -46,7 +46,7 @@ def circuits():
     circuits = [circuit for _, circuit in builtin_equivalence_cases()]
     rng = np.random.default_rng(2024)
     circuits += [random_circuit(rng) for _ in range(30)]
-    circuits.append(parse_circuit(_mesh_program(6, 3, 3)))
+    circuits.append(parse_circuit(mesh_program(6, 3, 3)))
     circuits.append(parse_circuit(FERMION_VERTEX_PROGRAM))
     return circuits
 

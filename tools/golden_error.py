@@ -1,52 +1,64 @@
-"""Distance of every number printed in the goldens from a 40-digit
-reference.
+"""The one physics reference of the tests, and the distance of every
+number printed in the goldens from it.
 
 The goldens (``tests/golden/*.json``) were written by the code they pin.
 This tool recomputes each printed number, ``norm``, every ``N<m>`` and
 every row's ``prob``, in mpmath at 40 significant digits, from the
 circuit text and the README's conventions alone, as a path sum over
-occupation patterns:
+occupation patterns.  It imports nothing from ``fockbench`` or
+``perfbench``, so it shares no mistake with either route or with the
+benchmark's oracle.
 
-* a run of consecutive bosonic ``bs`` and ``phase`` lines is composed into
-  one mode matrix ``U`` (creators map as ``adag_j -> sum_k U[k, j]
-  adag_k``) from the frozen matrices ``(1/sqrt 2) [[1, i], [i, 1]]``
-  (``sym``), ``(1/sqrt 2) [[1, -1], [1, 1]]`` (``asym``), ``[[cos t, -sin
-  t], [sin t, cos t]]`` (``angle=t``) and ``exp(i phi)`` (``phase``); a
-  pattern ``s`` goes to each pattern ``t`` of the same photon number with
-  amplitude ``Perm(U[rows(t), cols(s)]) / sqrt(prod s! prod t!)``, the
-  permanent from Ryser's formula;
+* A run of consecutive ``bs`` lines and bosonic ``phase`` lines is
+  composed into one mode matrix ``U`` over all modes (creators map as
+  ``adag_j -> sum_k U[k, j] adag_k``) from the frozen matrices ``(1/sqrt
+  2) [[1, i], [i, 1]]`` (``sym``), ``(1/sqrt 2) [[1, -1], [1, 1]]``
+  (``asym``), ``[[cos t, -sin t], [sin t, cos t]]`` (``angle=t``) and
+  ``exp(i phi)`` (``phase``).  No element mixes species, so ``U`` is block
+  diagonal.  The bosonic part of a pattern ``s`` goes to each bosonic
+  pattern ``t`` of the same photon number with amplitude
+  ``Perm(U[rows(t), cols(s)]) / sqrt(prod s! prod t!)``, the permanent from
+  Ryser's formula (Scheel, quant-ph/0406127).  Its fermionic part, the
+  occupied fermionic modes ``S`` in ascending order, goes to each
+  ascending ``T`` of the same size with amplitude ``det U[T, S]`` (Terhal &
+  DiVincenzo, Phys. Rev. A 65, 032325 (2002)), the determinant from
+  Leibniz's formula.  The Jordan-Wigner convention: the basis state of
+  ``T`` is ``prod_{k in T ascending} fdag_k |0>``, smallest mode leftmost,
+  the order in which ``fockbench``'s numeric route builds it, so a creator
+  ``fdag_m`` on it carries ``(-1)**(occupied fermionic modes of smaller
+  index)``.  Expanding ``prod_{j in S} sum_k U[k, j] fdag_k |0>`` and
+  reordering each product into that order gives ``det U[T, S]``, sign
+  included, so no explicit sign appears.
 * ``kerr a b strength=s`` multiplies a pattern by ``exp(i s n_a n_b)``, and
-  ``phase`` on a fermionic mode by ``exp(i phi n)``;
+  ``phase`` on a fermionic mode by ``exp(i phi n)``.
 * ``vertex`` rotates each pair ``x = (n, 1, 1)``, ``y = (n + 1, 0, 0)`` on
   its (photon, electron, positron) modes by ``phi = theta sqrt(n + 1)``.
   Its generator ``K = theta (adag b d + a bdag ddag)`` applies ``d`` first;
-  with Jordan-Wigner signs ``(-1)**(occupied fermionic modes of smaller
-  index)``, ``K x = sigma theta sqrt(n + 1) y``, where ``sigma`` is the sign
-  of ``b d`` on ``x``, and ``K y = -sigma theta sqrt(n + 1) x``, since
-  ``bdag ddag`` on ``y`` passes the same modes with the electron mode
-  still empty (for the electron mode before the positron mode, ``b d``
-  also passes the occupied electron mode once, which the adjoint pair does
-  not).  So ``exp(K) x = cos(phi) x + sigma sin(phi) y`` and ``exp(K) y =
-  cos(phi) y - sigma sin(phi) x``.
+  with the Jordan-Wigner signs above, ``K x = sigma theta sqrt(n + 1) y``,
+  where ``sigma`` is the sign of ``b d`` on ``x``, and ``K y = -sigma theta
+  sqrt(n + 1) x``, since ``bdag ddag`` on ``y`` passes the same modes with
+  the electron mode still empty (for the electron mode before the positron
+  mode, ``b d`` also passes the occupied electron mode once, which the
+  adjoint pair does not).  So ``exp(K) x = cos(phi) x + sigma sin(phi) y``
+  and ``exp(K) y = cos(phi) y - sigma sin(phi) x``.
 
 Every angle, phase, strength and amplitude is the exact binary value of
 the float written in the text (``kerr`` without ``strength=`` takes the
 double nearest pi), and the input is normalized at 40 digits.  The
 programs of the example goldens are ``circuits/<name>.fck``; those of the
-mesh goldens come from ``tests/test_cli.py`` (``_mesh_program`` and
-``MESH_GOLDENS``, loaded by path).  Each printed number is taken as a JSON
-reader gets it, the double nearest its text; a row the report leaves out
-counts as printed 0, and a printed row the reference does not have as
-reference 0.  Prints, per golden file, the count of numbers, the worst
-absolute error and the worst error in units of the 15th significant digit
-that ``fockbench run`` prints::
+mesh goldens are :func:`mesh_program` at the shapes of
+:data:`MESH_GOLDENS`.  Each printed number is taken as a JSON reader gets
+it, the double nearest its text; a row the report leaves out counts as
+printed 0, and a printed row the reference does not have as reference 0.
+Prints, per golden file, the count of numbers, the worst absolute error
+and the worst error in units of the 15th significant digit that
+``fockbench run`` prints::
 
-    PYTHONPATH=src python tools/golden_error.py
+    python tools/golden_error.py
 """
 
 from __future__ import annotations
 
-import importlib.util
 import itertools
 import json
 import math
@@ -62,17 +74,35 @@ DIGITS = 40
 BACKENDS = ("numeric", "symbolic", "both")
 
 
+#: Mesh goldens: name -> (modes, photons, cutoff), backends.  Several
+#: photons meet on one splitter, which the example circuits never do.
+MESH_GOLDENS = {
+    "mesh_m6": ((6, 3, 3), BACKENDS),
+    "mesh_m8": ((8, 4, 4), BACKENDS),
+}
+
+
+def mesh_program(modes: int, photons: int, cutoff: int) -> str:
+    """A brick of angle splitters, each followed by a phase, ``modes``
+    layers deep, with one photon in each of the first ``photons`` modes."""
+    lines = [f"system bosons={modes} cutoff={cutoff}"]
+    lines.append("input create " + " ".join(str(m + 1) for m in range(photons)))
+    for layer in range(modes):
+        for m in range(layer % 2, modes - 1, 2):
+            lines.append(f"bs {m + 1} {m + 2} angle={0.3 + 0.11 * m + 0.07 * layer}")
+            lines.append(f"phase {m + 1} {0.5 - 0.13 * m + 0.05 * layer}")
+    lines.append("measure all")
+    return "\n".join(lines) + "\n"
+
+
 def golden_programs() -> dict[str, tuple[str, tuple[str, ...]]]:
     """Program text and backends of each golden: the example circuits in
-    ``circuits/``, then the meshes of tests/test_cli.py."""
+    ``circuits/``, then the meshes of :data:`MESH_GOLDENS`."""
     programs = {
         path.stem: (path.read_text(), BACKENDS) for path in sorted(CIRCUIT_DIR.glob("*.fck"))
     }
-    spec = importlib.util.spec_from_file_location("golden_programs", ROOT / "tests" / "test_cli.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    for name, (shape, backends) in module.MESH_GOLDENS.items():
-        programs[name] = (module._mesh_program(*shape), backends)
+    for name, (shape, backends) in MESH_GOLDENS.items():
+        programs[name] = (mesh_program(*shape), backends)
     return programs
 
 
@@ -89,9 +119,22 @@ def _permanent(rows: list[list]) -> mpmath.mpc:
     return (-1) ** n * total
 
 
+def _sign(order) -> int:
+    """Sign of the permutation that sorts ``order``."""
+    return (-1) ** sum(a > b for a, b in itertools.combinations(order, 2))
+
+
+def _determinant(rows: list[list]) -> mpmath.mpc:
+    """Leibniz's formula."""
+    return mpmath.fsum(
+        _sign(perm) * mpmath.fprod(row[p] for row, p in zip(rows, perm))
+        for perm in itertools.permutations(range(len(rows)))
+    )
+
+
 def _patterns(total: int, modes: int):
     """Every occupation pattern of ``total`` particles in ``modes`` modes."""
-    for cut in itertools.combinations(range(total + modes - 1), modes - 1):
+    for cut in itertools.combinations(range(total + modes - 1), max(modes - 1, 0)):
         bounds = (-1, *cut, total + modes - 1)
         yield tuple(bounds[i + 1] - bounds[i] - 1 for i in range(modes))
 
@@ -102,7 +145,7 @@ def _factorials(occ) -> mpmath.mpf:
 
 class _PathSum:
     """The state as a dict from occupation pattern to amplitude, with the
-    pending linear run ``u`` over the bosonic modes."""
+    pending linear run ``u`` over all modes."""
 
     def __init__(self, bosons: int, fermions: int):
         self.bosons, self.modes = bosons, bosons + fermions
@@ -121,15 +164,14 @@ class _PathSum:
             fermions = [m for m in modes if m >= self.bosons]
             if any(occ[m] > 1 for m in fermions):
                 continue
-            inversions = sum(a > b for a, b in itertools.combinations(fermions, 2))
-            amplitude *= (-1) ** inversions * mpmath.sqrt(_factorials(occ))
+            amplitude *= _sign(fermions) * mpmath.sqrt(_factorials(occ))
             state[tuple(occ)] = state.get(tuple(occ), 0) + amplitude
         norm = mpmath.sqrt(mpmath.fsum(abs(a) ** 2 for a in state.values()))
         self.state = {occ: a / norm for occ, a in state.items()}
 
     def linear(self, modes: tuple[int, ...], block) -> None:
-        """Compose a bosonic element with mode matrix ``block`` on ``modes``."""
-        n = self.bosons
+        """Compose an element with mode matrix ``block`` on ``modes``."""
+        n = self.modes
         if self.u is None:
             self.u = [[mpmath.mpf(int(j == k)) for k in range(n)] for j in range(n)]
         rows = [self.u[m] for m in modes]
@@ -139,18 +181,27 @@ class _PathSum:
             ]
 
     def flush(self) -> None:
-        """Apply the pending linear run by permanents."""
+        """Apply the pending linear run: the bosonic part of each pattern
+        by permanents, its fermionic part by determinants."""
         if self.u is None:
             return
         u, self.u, state = self.u, None, {}
+        fermion_modes = range(self.bosons, self.modes)
         for occ, amplitude in self.state.items():
-            bosons, rest = occ[: self.bosons], occ[self.bosons :]
+            bosons = occ[: self.bosons]
             cols = [j for j, n in enumerate(bosons) for _ in range(n)]
+            occupied = [j for j in fermion_modes if occ[j]]
+            fermions = []
+            for targets in itertools.combinations(fermion_modes, len(occupied)):
+                det = _determinant([[u[k][j] for j in occupied] for k in targets])
+                if det:  # a run that leaves the fermions alone keeps T = S only
+                    fermions.append((tuple(int(k in targets) for k in fermion_modes), det))
             for out in _patterns(len(cols), self.bosons):
                 rows = [[u[k][j] for j in cols] for k, n in enumerate(out) for _ in range(n)]
                 value = _permanent(rows) if rows else mpmath.mpf(1)
                 value /= mpmath.sqrt(_factorials(bosons) * _factorials(out))
-                state[out + rest] = state.get(out + rest, 0) + amplitude * value
+                for rest, det in fermions:
+                    state[out + rest] = state.get(out + rest, 0) + amplitude * value * det
         self.state = state
 
     def number_phase(self, modes: tuple[int, ...], angle: mpmath.mpf) -> None:
@@ -228,9 +279,7 @@ def reference(program: str) -> dict[str, mpmath.mpf]:
                     value = complex(amplitude)
                     terms.append((mpmath.mpc(value.real, value.imag), _modes(modes.split(","))))
                 paths.create(terms)
-            elif words[0] in ("bs", "phase") and all(
-                int(w) <= paths.bosons for w in words[1 : 3 if words[0] == "bs" else 2]
-            ):
+            elif words[0] == "bs" or (words[0] == "phase" and int(words[1]) <= paths.bosons):
                 if words[0] == "phase":
                     paths.linear(tuple(_modes(words[1:2])), [[mpmath.expj(_float(words[2]))]])
                 elif words[3].startswith("angle="):
