@@ -608,30 +608,42 @@ def substitute_modes(ket: KetExpression, matrix, modes) -> KetExpression:
     kept fermion passed, which is read from their indices in the two
     monomials.  A monomial with no creator on ``modes`` stays as it is.
     No normal ordering is run.
-    """
-    b = np.asarray(matrix, dtype=complex)
-    modes = tuple(int(m) for m in modes)
-    if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] != len(modes):
-        raise ValueError("matrix must be square with one row per listed mode")
-    if len(set(modes)) != len(modes):
-        raise ValueError("substitution modes must be distinct")
-    species = {ket.system.species(m) for m in modes}
-    if len(species) > 1:
-        raise ValueError("substitution cannot mix bosonic and fermionic modes")
-    if np.abs(b.conj().T @ b - np.eye(len(modes))).max() > 1e-12:
-        raise ValueError("substitution matrix is not unitary")
 
-    spec = species.pop()
-    replacements = {
-        LadderSymbol(mode, spec, True): [
-            (LadderSymbol(modes[q], spec, True), complex(b[q, p]))
-            for q in range(len(modes))
-            if b[q, p] != 0
-        ]
-        for p, mode in enumerate(modes)
-    }
-    substituted = set(replacements)
-    fermions = spec == FERMION
+    The matrix is read once as Python numbers (``tolist``), and the
+    refusals (shape, distinct modes, one species, unitarity to 1e-12 in
+    every entry of ``matrix^dag matrix - 1``) and the coefficients all use
+    those numbers: beyond that read, an array makes no numpy call.  Each
+    mode's creator is interned once, for the replacement table and the
+    lookup of the monomials' creators on ``modes``.
+    """
+    modes = tuple(map(int, modes))
+    n = len(modes)
+    if not isinstance(matrix, np.ndarray):
+        matrix = np.array(matrix, dtype=complex)
+    if matrix.shape != (n, n) or not n:
+        raise ValueError("matrix must be square with one row per listed mode")
+    if len(set(modes)) != n:
+        raise ValueError("substitution modes must be distinct")
+    system = ket.system
+    low, high = min(modes), max(modes)
+    if low < 0 or high >= system.total_modes:
+        for m in modes:
+            system.validate_mode(m)  # raises at the first mode out of range
+    fermions = low >= system.boson_modes
+    if fermions != (high >= system.boson_modes):
+        raise ValueError("substitution cannot mix bosonic and fermionic modes")
+    spec = FERMION if fermions else BOSON
+    creators = [LadderSymbol(m, spec, True) for m in modes]
+    columns = list(zip(*matrix.tolist()))
+    replacements = {}
+    for i, (s, column) in enumerate(zip(creators, columns)):
+        # The Gram matrix is Hermitian: its upper triangle bounds every entry.
+        conjugate = [x.conjugate() for x in column]
+        for j in range(i, n):
+            if abs(sum(map(operator.mul, conjugate, columns[j])) - (i == j)) > 1e-12:
+                raise ValueError("substitution matrix is not unitary")
+        replacements[s] = [(t, complex(c)) for t, c in zip(creators, column) if c]
+    substituted = set(creators)
     expansions: dict[tuple[LadderSymbol, ...], list] = {}
     terms: dict[tuple[LadderSymbol, ...], complex] = {}
     for factors, coeff in ket.poly._terms.items():
@@ -671,22 +683,23 @@ def apply_number_diagonal(phases: Mapping, ket: KetExpression) -> KetExpression:
     by a phase; no series is needed.  The phase depends on the monomial
     only through its counts on the keyed modes, so it is computed once per
     distinct tuple of counts, with the same products and sums in the same
-    order, and reused for every monomial with those counts.
+    order, and reused for every monomial with those counts.  The set-up
+    reads each key once: its modes are validated and their creators
+    interned as they first appear.
     """
-    for key in phases:
+    # A ket symbol on mode m is the creator of m, so its count is n_m.
+    position: dict[int, int] = {}
+    symbols, terms = [], []
+    for key, value in phases.items():
         match key:
             case (_,) | (_, _):
                 for m in key:
-                    ket.system.validate_mode(m)
+                    if m not in position:
+                        position[m] = len(symbols)
+                        symbols.append(LadderSymbol(m, ket.system.species(m), True))
+                terms.append(([position[m] for m in key], float(value)))
             case _:
                 raise ValueError(f"phase key {key!r} is not a tuple of one or two modes")
-    # A ket symbol on mode m is the creator of m, so its count is n_m.
-    counted = list(dict.fromkeys(m for key in phases for m in key))
-    position = {m: i for i, m in enumerate(counted)}
-    symbols = [LadderSymbol(m, ket.system.species(m), True) for m in counted]
-    terms = [
-        ([position[m] for m in key], float(value)) for key, value in phases.items()
-    ]
 
     phase_of: dict[tuple[int, ...], complex] = {}
     out = {}
@@ -923,8 +936,8 @@ def evolve_symbolic(circuit: Circuit) -> KetExpression:
     """
     ket = circuit.input_state
     for k, element in enumerate(circuit.elements):
-        if element.number_phases is not None:
-            ket = apply_number_diagonal(element.number_phases, ket)
+        if (phases := element.number_phases) is not None:
+            ket = apply_number_diagonal(phases, ket)
         elif element.linear:
             ket = substitute_modes(ket, element.mode_matrix(), element.modes)
         else:
@@ -933,7 +946,7 @@ def evolve_symbolic(circuit: Circuit) -> KetExpression:
             )
         # The coefficients of a normalized ket are at most 1 in modulus, so
         # their sum is finite exactly when each of them is.
-        if not cmath.isfinite(sum(ket.poly.terms.values())):
+        if not cmath.isfinite(sum(ket.poly._terms.values())):
             raise element.fault(k, "makes an amplitude non-finite")
     return ket
 

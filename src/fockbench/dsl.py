@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import re
 from dataclasses import dataclass
 
 from .algebra import LadderPolynomial, creation_product, reduce_to_ket, vacuum_ket
@@ -43,9 +42,6 @@ from .circuit import (
 )
 from .modes import ModeSystem
 
-_TOKEN_RE = re.compile(r"\S+")
-
-
 class CircuitParseError(Exception):
     """Malformed circuit text, with 1-based line and column positions."""
 
@@ -60,7 +56,13 @@ class CircuitParseError(Exception):
 
 
 def _tokenize(line: str) -> list[tuple[str, int]]:
-    return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
+    """The words of ``line``, split at whitespace, each with its 1-based column."""
+    tokens, end = [], 0
+    for word in line.split():
+        start = line.index(word, end)
+        end = start + len(word)
+        tokens.append((word, start + 1))
+    return tokens
 
 
 def _parse_int(text: str, what: str, lineno: int, col: int) -> int:

@@ -29,6 +29,7 @@ of :mod:`fockbench.backends`.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from bisect import bisect_left
@@ -568,13 +569,23 @@ def _identity(size: int) -> np.ndarray:
     return eye
 
 
-def _pade(mats: np.ndarray, level: int, squarings: list[int]) -> np.ndarray:
-    """exp of each matrix by the Padé approximant of ``level`` at the
-    matrix scaled by 2**-s, squared s times, s from ``squarings``."""
+def _pade(mats: np.ndarray, levels: list[int], squarings: list[int]) -> np.ndarray:
+    """exp of each matrix by the Padé approximant of its level in
+    ``levels`` at the matrix scaled by 2**-s, squared s times, s from
+    ``squarings``.  The levels ascend, and only the top level scales, its
+    squarings descending: each level's blocks, and the blocks of each
+    squaring, are then one slice of the stack.
+
+    The even powers are taken once for the whole stack, as many as its
+    highest degree needs; each degree's sums then read its own blocks'
+    first powers, one product per degree present, and one ``solve`` and
+    one squaring loop serve the stack.  Every block gets the operations
+    it would get alone: the powers and the solve are per block, and the
+    sums of one degree go through one product of the same shape.
+    """
     count, size, _ = mats.shape
-    sums = _pade_sums(level)
-    terms = sums.shape[1]
     mats = mats * np.ldexp(1.0, [-s for s in squarings])[:, np.newaxis, np.newaxis]
+    terms = max([_pade_sums(level).shape[1] for level in set(levels)])
     powers = np.empty((count, terms, size, size), dtype=complex)
     powers[:, 0] = _identity(size)
     powers[:, 1] = power = square = np.matmul(mats, mats)
@@ -582,15 +593,24 @@ def _pade(mats: np.ndarray, level: int, squarings: list[int]) -> np.ndarray:
         powers[:, j] = power = np.matmul(power, square)
     # real coefficients times complex powers: one real product on the float view
     flat = powers.view(float).reshape(count, terms, 2 * size * size)
-    parts = np.matmul(sums, flat).view(complex).reshape(count, -1, size, size)
-    if len(sums) == 4:  # degree 13
-        parts = np.matmul(powers[:, 3:4], parts[:, 0::2]) + parts[:, 1::2]
-    odd = np.matmul(mats, parts[:, 0])
-    even = parts[:, 1]
+    odd, even = np.empty_like(mats), np.empty_like(mats)
+    lo = 0
+    for level, run in itertools.groupby(levels):
+        hi = lo + len(list(run))
+        sums = _pade_sums(level)
+        parts = np.matmul(sums, flat[lo:hi, : sums.shape[1]])
+        parts = parts.view(complex).reshape(hi - lo, -1, size, size)
+        if len(sums) == 4:  # degree 13
+            parts = np.matmul(powers[lo:hi, 3:4], parts[:, 0::2]) + parts[:, 1::2]
+        odd[lo:hi] = np.matmul(mats[lo:hi], parts[:, 0])
+        even[lo:hi] = parts[:, 1]
+        lo = hi
     out = np.linalg.solve(even - odd, even + odd)
+    # only degree 13 scales, so the blocks to square lead its run
+    lo = levels.index(levels[-1])
     for i in range(max(squarings)):
-        todo = [s > i for s in squarings]
-        out[todo] = np.matmul(out[todo], out[todo])
+        hi = lo + len([s for s in squarings if s > i])
+        out[lo:hi] = np.matmul(out[lo:hi], out[lo:hi])
     return out
 
 
@@ -646,8 +666,9 @@ def expm_blocks(mats: np.ndarray) -> np.ndarray:
     through scaling and squaring with the Padé degree chosen from the
     1-norm (Higham 2005): the smallest m in 3, 5, 7, 9, 13 whose theta_m
     bounds the norm, and above theta_13 degree 13 at the matrix scaled by
-    2**-s, squared s times, s = ceil(log2(norm / theta_13)); the matrices
-    of one degree go through one stacked evaluation.  At every size each
+    2**-s, squared s times, s = ceil(log2(norm / theta_13)); all of them
+    go through one stacked evaluation (:func:`_pade`), ordered by degree
+    and, within degree 13, by s, largest first.  At every size each
     result depends on its own matrix only: a stack gives, bit for bit,
     what its matrices give one at a time.  A matrix with a non-finite
     entry has an inf or nan 1-norm, so it gives nan at every size.
@@ -661,17 +682,17 @@ def expm_blocks(mats: np.ndarray) -> np.ndarray:
     if size == 2:
         return _expm_2x2(mats, within)
     top = len(_PADE_THETA) - 1
-    stacks: dict[int, tuple[list, list]] = {}
+    pending = []
     for i, (norm, inside) in enumerate(zip(norms, within)):
         if inside:
             level = bisect_left(_PADE_THETA, norm)
             s = math.ceil(math.log2(norm / _PADE_THETA[-1])) if level > top else 0
-            rows, squarings = stacks.setdefault(min(level, top), ([], []))
-            rows.append(i)
-            squarings.append(s)
+            pending.append((min(level, top), -s, i))
     out = np.full_like(mats, np.nan)
-    for level, (rows, squarings) in stacks.items():
-        out[rows] = _pade(mats[rows], level, squarings)
+    if pending:
+        levels, negated, rows = map(list, zip(*sorted(pending)))
+        squarings = [-s for s in negated]
+        out[rows] = _pade(mats[rows], levels, squarings)
     return out
 
 
@@ -680,24 +701,24 @@ def expm_multiply(groups, blocks: dict, vec: np.ndarray) -> np.ndarray:
     exponentials.
 
     K maps each block of its plan into itself, so exp(K) is block diagonal.
-    ``blocks`` maps each block size to the stack of the circuit's
-    representative block exponentials of that size (:func:`expm_blocks`,
-    computed once per circuit by :func:`evolve_numeric`); ``groups`` holds
-    one ``(size, index, states)`` per block size of this element: block
-    ``i`` equals ``blocks[size][index[i]]`` and its rows are the column
-    ``states[i]`` (shape (size, 1)), so that gathering them gives the
-    operand of the product and scattering takes the product as it comes.
-    The result starts as a copy of ``vec``, and each block's states are
-    replaced by their product with its exponential, one batched product
-    per size; states in no block of the plan, on which K has no entry,
-    keep their amplitudes bit for bit.  The benchmark tracer
-    (``perfbench/tracer.py``) times this function under the name
-    ``backends.expm_multiply``; the exponentials themselves count in
-    ``evolve_numeric``.
+    ``blocks`` maps each block size to the stack of the circuit's block
+    exponentials of that size, gathered once per circuit by
+    :func:`evolve_numeric` so that each element's blocks lie side by side
+    in element order; ``groups`` holds one ``(size, lo, hi, states)`` per
+    block size of this element: its blocks are ``blocks[size][lo:hi]``,
+    and the rows of block ``i`` are the column ``states[i]`` (shape (size,
+    1)), so that gathering them gives the operand of the product and
+    scattering takes the product as it comes.  The result starts as a copy
+    of ``vec``, and each block's states are replaced by their product with
+    its exponential, one batched product per size; states in no block of
+    the plan, on which K has no entry, keep their amplitudes bit for bit.
+    The benchmark tracer (``perfbench/tracer.py``) times this function
+    under the name ``backends.expm_multiply``; the exponentials themselves
+    count in ``evolve_numeric``.
     """
     out = vec.copy()
-    for size, index, states in groups:
-        out[states] = np.matmul(blocks[size][index], vec[states])
+    for size, lo, hi, states in groups:
+        out[states] = np.matmul(blocks[size][lo:hi], vec[states])
     return out
 
 
@@ -713,12 +734,14 @@ class _Layout:
     give the circuit's entries: entry ``e`` has the value
     ``coefficients[term[e]] * weights[e]``, where ``coefficients`` lists
     each such element's generator coefficients in element order.  ``fills``
-    holds one ``(size, take, cells, count)`` per block size: the entries
-    ``take`` go to the flat ``cells`` of the ``count`` representative
-    blocks of that size of the whole circuit.  ``steps`` holds, per such
-    element, its entries ``(lo, hi)`` and the ``(size, index, states)``
-    that :func:`expm_multiply` reads.  Every array is read-only, since a
-    cached layout serves every later circuit of its shape.
+    holds one ``(size, take, cells, count, gather)`` per block size: the
+    entries ``take`` go to the flat ``cells`` of the ``count``
+    representative blocks of that size of the whole circuit, and
+    ``gather`` lists, element after element, the representative of each
+    block of that size.  ``steps`` holds, per such element, its entries
+    ``(lo, hi)`` and the ``(size, lo, hi, states)`` that
+    :func:`expm_multiply` reads.  Every array is read-only, since a cached
+    layout serves every later circuit of its shape.
     """
 
     cut: bool
@@ -756,7 +779,7 @@ def _compile_layout(system: ModeSystem, support: tuple, shapes: tuple) -> _Layou
             )
     # The circuit's representative blocks, one stack per size, in element order.
     term, weights, steps = [np.empty(0, dtype=np.int64)], [np.empty(0)], []
-    takes, cell_lists, counts = {}, {}, {}
+    takes, cell_lists, gathers, counts = {}, {}, {}, {}
     lo = first_term = 0
     for shape in shapes:
         plan_term, plan_weights, plan_groups = plans[shape]
@@ -767,13 +790,17 @@ def _compile_layout(system: ModeSystem, support: tuple, shapes: tuple) -> _Layou
             done = counts.get(size, 0)
             takes.setdefault(size, []).append(take + lo)
             cell_lists.setdefault(size, []).append(cells + done * size * size)
-            groups.append((size, same + done, block_states[..., np.newaxis]))
+            gathered = gathers.setdefault(size, [])
+            first = sum(map(len, gathered))
+            gathered.append(same + done)
+            groups.append((size, first, first + len(same), block_states[..., np.newaxis]))
             counts[size] = done + count
         hi = lo + len(plan_weights)
         steps.append(((lo, hi), tuple(groups)))
         lo, first_term = hi, first_term + len(shape[1])
     fills = tuple(
-        (size, np.concatenate(takes[size]), np.concatenate(cell_lists[size]), counts[size])
+        (size, np.concatenate(takes[size]), np.concatenate(cell_lists[size]), counts[size],
+         np.concatenate(gathers[size]))
         for size in sorted(counts)
     )
     layout = _Layout(
@@ -786,8 +813,8 @@ def _compile_layout(system: ModeSystem, support: tuple, shapes: tuple) -> _Layou
         tuple(steps),
     )
     arrays = [occ_array, layout.support_rows, layout.term, layout.weights]
-    arrays += [a for _, take, cells, _ in fills for a in (take, cells)]
-    arrays += [a for _, groups in steps for _, index, rows in groups for a in (index, rows)]
+    arrays += [a for _, take, cells, _, gather in fills for a in (take, cells, gather)]
+    arrays += [rows for _, groups in steps for *_, rows in groups]
     for array in arrays:
         array.flags.writeable = False
     return layout
@@ -813,10 +840,16 @@ def evolve_numeric(circuit: Circuit) -> FockVector:
     receives no entry is in no plan, and its states keep their amplitudes
     bit for bit.  No exponential reads the state, so the representative
     blocks of every element are filled first and exponentiated by
-    :func:`expm_blocks`, one call per block size for the whole circuit;
-    the loop over the elements then only applies them.
+    :func:`expm_blocks`, one call per block size for the whole circuit,
+    and gathered once per size into each element's blocks in element
+    order; the loop over the elements then only applies them.
     :func:`expm_blocks` gives each block what it would give that block
-    alone, so the batching moves no amplitude bit either.
+    alone, so the batching moves no amplitude bit either.  Likewise no
+    phase reads the state: the angle ``value * n_m * ...`` of every
+    ``number_phases`` key, the product taken mode by mode as one row per
+    key, goes through one ``np.exp`` for the whole circuit, and each
+    element multiplies the state by its rows in turn.  Both are
+    elementwise, so the rows equal the per-element results bit for bit.
     Each element's generator is built once per call, by
     :func:`~fockbench.circuit.element_generator`, and its coefficients are
     read in the order of its terms, which is the layout's monomial order.
@@ -827,9 +860,9 @@ def evolve_numeric(circuit: Circuit) -> FockVector:
     support in order, and the modes and ladder monomials of each element
     without ``number_phases``, in element order; no coefficient is part of
     it.  A hit skips the search and the plans and leaves the per-call work:
-    generator coefficients, phases, block exponentials and the checks
-    below.  A hit computes what a miss computes from the same arrays, so
-    the cache moves no amplitude bit.
+    generator coefficients, the stacked phases, block exponentials and the
+    checks below.  A hit computes what a miss computes from the same
+    arrays, so the cache moves no amplitude bit.
 
     The resulting norm stays within 1e-10 of the input norm because every
     generator is anti-Hermitian; a ``ValueError`` names the first element,
@@ -850,14 +883,14 @@ def evolve_numeric(circuit: Circuit) -> FockVector:
     _require_box_within(system)
     amps, input_cut = _ket_amplitudes(circuit.input_state)
     start = FockVector.from_amplitudes(system, amps).amplitudes
+    elements = circuit.elements
+    phases = [element.number_phases for element in elements]
     generators = {
         k: element_generator(element, system).terms
-        for k, element in enumerate(circuit.elements)
-        if element.number_phases is None
+        for k, element in enumerate(elements)
+        if phases[k] is None
     }
-    shapes = tuple(
-        (circuit.elements[k].modes, tuple(terms)) for k, terms in generators.items()
-    )
+    shapes = tuple((elements[k].modes, tuple(terms)) for k, terms in generators.items())
     layout = _compile_layout(system, tuple(start), shapes)
     if input_cut or layout.cut:
         warnings.warn(
@@ -871,25 +904,34 @@ def evolve_numeric(circuit: Circuit) -> FockVector:
     steps = dict(zip(generators, layout.steps))
     # An overflow shows as a non-finite amplitude, reported by apply(check=True).
     with np.errstate(over="ignore", invalid="ignore"):
+        # One row per number_phases key, in element order: key (m, ...) with
+        # value v has the angle (v * n_m) * ..., the product taken mode by mode.
+        angles, rows_of = [], {}
+        for k, p in enumerate(phases):
+            if p is not None:
+                rows_of[k] = range(len(angles), len(angles) + len(p))
+                for key, value in p.items():
+                    angle = value
+                    for m in key:
+                        angle = angle * layout.occ_array[:, m]
+                    angles.append(angle)
+        factors = np.exp(1j * np.array(angles))
         coefficients = np.array(
             [c for terms in generators.values() for c in terms.values()], dtype=complex
         )
         values = coefficients[layout.term] * layout.weights
         moduli = np.abs(values)
         blocks = {}
-        for size, take, cells, count in layout.fills:
+        for size, take, cells, count, gather in layout.fills:
             mats = np.zeros(count * size * size, dtype=complex)
             np.add.at(mats, cells, values[take])
-            blocks[size] = expm_blocks(mats.reshape(count, size, size))
+            blocks[size] = expm_blocks(mats.reshape(count, size, size))[gather]
 
         def apply(vec: np.ndarray, check: bool) -> np.ndarray:
-            for k, element in enumerate(circuit.elements):
-                if element.number_phases is not None:
-                    for key, value in element.number_phases.items():
-                        angle = value
-                        for m in key:
-                            angle = angle * layout.occ_array[:, m]
-                        vec = vec * np.exp(1j * angle)
+            for k, element in enumerate(elements):
+                if k in rows_of:
+                    for row in rows_of[k]:
+                        vec = vec * factors[row]
                     largest = 0.0
                 else:
                     (lo, hi), groups = steps[k]

@@ -126,6 +126,12 @@ _REFUSAL_KET = basis_ket(_REFUSAL_SYSTEM, (1, 0, 1))
             id="substitute-mixed-species",
         ),
         pytest.param(
+            # the Gram matrix is off the identity by 1e-9 in one entry
+            lambda: substitute_modes(_REFUSAL_KET, np.diag([1.0, (1 + 1e-9) ** 0.5]), (0, 1)),
+            "substitution matrix is not unitary",
+            id="substitute-not-unitary",
+        ),
+        pytest.param(
             lambda: quadratic_generator(np.zeros((2, 2)), (0,), _REFUSAL_SYSTEM.species),
             "coefficient matrix shape does not match the mode list",
             id="quadratic-shape",
@@ -542,6 +548,14 @@ def test_substitute_rejects_nonunitary():
     system = ModeSystem(2, 0, 4)
     with pytest.raises(ValueError):
         substitute_modes(basis_ket(system, (1, 0)), np.eye(2) * 1.001, (0, 1))
+
+
+def test_substitute_accepts_a_matrix_within_the_unitarity_bound():
+    # off the identity by 1e-13 in one Gram entry, under the 1e-12 bound
+    system = ModeSystem(2, 0, 4)
+    scale = (1 + 1e-13) ** 0.5
+    out = substitute_modes(basis_ket(system, (0, 1)), np.diag([1.0, scale]), (0, 1))
+    assert out.poly.terms == {(sym(1, dagger=True),): complex(scale)}
 
 
 def test_substitute_preserves_norm():

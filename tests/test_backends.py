@@ -1029,9 +1029,9 @@ def test_cached_layout_is_read_only_and_bounded(monkeypatch):
     layout = seen[0]
     assert seen[1] is layout
     arrays = [layout.occ_array, layout.support_rows, layout.term, layout.weights]
-    arrays += [a for _, take, cells, _ in layout.fills for a in (take, cells)]
-    arrays += [a for _, groups in layout.steps for _, index, rows in groups for a in (index, rows)]
-    assert len(arrays) > 4 + 2 * 15
+    arrays += [a for _, take, cells, _, gather in layout.fills for a in (take, cells, gather)]
+    arrays += [rows for _, groups in layout.steps for *_, rows in groups]
+    assert len(arrays) > 4 + 15
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0

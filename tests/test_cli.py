@@ -12,7 +12,7 @@ from pathlib import Path
 import click.testing
 import pytest
 from click.testing import CliRunner
-from golden_error import MESH_GOLDENS, mesh_program
+from golden_error import BACKENDS, MESH_GOLDENS, mesh_program
 
 import fockbench.backends
 import fockbench.checks
@@ -337,12 +337,12 @@ def test_both_golden_is_numeric_golden_plus_comparison(name):
 
 @pytest.mark.parametrize(
     "name, backend",
-    [(name, backend) for name, (_, backends) in MESH_GOLDENS.items() for backend in backends],
+    [(name, backend) for name in MESH_GOLDENS for backend in BACKENDS],
 )
 def test_mesh_circuits_match_golden_bytes(runner, tmp_path, name, backend):
     # the meshes' JSON reports are frozen byte for byte, like the examples'
     path = tmp_path / f"{name}.fck"
-    path.write_text(mesh_program(*MESH_GOLDENS[name][0]))
+    path.write_text(mesh_program(*MESH_GOLDENS[name]))
     golden = ROOT / "tests" / "golden" / f"{name}.{backend}.json"
     result = invoke(runner, ["run", str(path), "--backend", backend, "--format", "json"])
     assert result.exit_code == 0
@@ -633,7 +633,7 @@ def test_numeric_run_loads_no_scipy(tmp_path, name, backend):
     # the block exponentials are numpy's; only the box matrices need scipy
     if name == "mesh_m6":
         path = tmp_path / "mesh_m6.fck"
-        path.write_text(mesh_program(*MESH_GOLDENS[name][0]))
+        path.write_text(mesh_program(*MESH_GOLDENS[name]))
     else:
         path = ROOT / "circuits" / f"{name}.fck"
     code, stdout, loaded = _fresh_scipy_modules(

@@ -675,27 +675,22 @@ def test_stacked_block_exponentials_equal_one_at_a_time_bit_for_bit():
             assert expm_blocks(mats[i : i + 1]).tobytes() == stacked[i : i + 1].tobytes()
 
 
-def test_one_stacked_evaluation_per_degree_and_scaling(monkeypatch):
+def test_one_pade_evaluation_per_stack_keeps_each_degree_and_scaling(monkeypatch):
     # norms 0.01, 0.2, 0.9, 2, 5 pick degrees 3, 5, 7, 9, 13 (0.015 is just
-    # above theta_3); 6 and 100 are scaled by 2 and 2**5 and share the
-    # degree-13 evaluation of 5
+    # above theta_3); 6 and 100 take degree 13 scaled by 2 and 2**5; all
+    # eight go through one evaluation, ordered by degree and, within degree
+    # 13, by scaling, largest first, each with its own degree and scaling
     evaluations = []
     original = fockbench.fock._pade
 
-    def recording(mats, level, squarings):
-        evaluations.append((len(mats), level, squarings))
-        return original(mats, level, squarings)
+    def recording(mats, levels, squarings):
+        evaluations.append((len(mats), levels, squarings))
+        return original(mats, levels, squarings)
 
     monkeypatch.setattr(fockbench.fock, "_pade", recording)
     norms = [100.0, 0.01, 0.2, 0.9, 2.0, 5.0, 6.0, 0.015]
     expm_blocks(_anti_hermitian_stack(np.random.default_rng(2), 3, norms))
-    assert sorted(evaluations) == [
-        (1, 0, [0]),
-        (1, 2, [0]),
-        (1, 3, [0]),
-        (2, 1, [0, 0]),
-        (3, 4, [5, 0, 1]),
-    ]
+    assert evaluations == [(8, [0, 1, 1, 2, 3, 4, 4, 4], [0, 0, 0, 0, 0, 5, 1, 0])]
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])

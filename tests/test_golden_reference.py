@@ -58,12 +58,12 @@ def _assert_within_bound(report_text, program):
 
 
 def _goldens(names):
-    return [(name, backend) for name in names for backend in PROGRAMS[name][1]]
+    return [(name, backend) for name in names for backend in golden_error.BACKENDS]
 
 
 def _check_golden(name, backend):
     golden = golden_error.GOLDEN_DIR / f"{name}.{backend}.json"
-    _assert_within_bound(golden.read_text(), PROGRAMS[name][0])
+    _assert_within_bound(golden.read_text(), PROGRAMS[name])
 
 
 EXAMPLES = sorted(path.stem for path in golden_error.CIRCUIT_DIR.glob("*.fck"))

@@ -9,7 +9,7 @@ occupation patterns.  It imports nothing from ``fockbench`` or
 ``perfbench``, so it shares no mistake with either route or with the
 benchmark's oracle.
 
-* A run of consecutive ``bs`` lines and bosonic ``phase`` lines is
+* A run of consecutive ``bs`` and ``phase`` lines, on either species, is
   composed into one mode matrix ``U`` over all modes (creators map as
   ``adag_j -> sum_k U[k, j] adag_k``) from the frozen matrices ``(1/sqrt
   2) [[1, i], [i, 1]]`` (``sym``), ``(1/sqrt 2) [[1, -1], [1, 1]]``
@@ -29,8 +29,7 @@ benchmark's oracle.
   index)``.  Expanding ``prod_{j in S} sum_k U[k, j] fdag_k |0>`` and
   reordering each product into that order gives ``det U[T, S]``, sign
   included, so no explicit sign appears.
-* ``kerr a b strength=s`` multiplies a pattern by ``exp(i s n_a n_b)``, and
-  ``phase`` on a fermionic mode by ``exp(i phi n)``.
+* ``kerr a b strength=s`` multiplies a pattern by ``exp(i s n_a n_b)``.
 * ``vertex`` rotates each pair ``x = (n, 1, 1)``, ``y = (n + 1, 0, 0)`` on
   its (photon, electron, positron) modes by ``phi = theta sqrt(n + 1)``.
   Its generator ``K = theta (adag b d + a bdag ddag)`` applies ``d`` first;
@@ -74,11 +73,11 @@ DIGITS = 40
 BACKENDS = ("numeric", "symbolic", "both")
 
 
-#: Mesh goldens: name -> (modes, photons, cutoff), backends.  Several
-#: photons meet on one splitter, which the example circuits never do.
+#: Mesh goldens: name -> (modes, photons, cutoff).  Several photons meet
+#: on one splitter, which the example circuits never do.
 MESH_GOLDENS = {
-    "mesh_m6": ((6, 3, 3), BACKENDS),
-    "mesh_m8": ((8, 4, 4), BACKENDS),
+    "mesh_m6": (6, 3, 3),
+    "mesh_m8": (8, 4, 4),
 }
 
 
@@ -95,14 +94,13 @@ def mesh_program(modes: int, photons: int, cutoff: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def golden_programs() -> dict[str, tuple[str, tuple[str, ...]]]:
-    """Program text and backends of each golden: the example circuits in
-    ``circuits/``, then the meshes of :data:`MESH_GOLDENS`."""
-    programs = {
-        path.stem: (path.read_text(), BACKENDS) for path in sorted(CIRCUIT_DIR.glob("*.fck"))
-    }
-    for name, (shape, backends) in MESH_GOLDENS.items():
-        programs[name] = (mesh_program(*shape), backends)
+def golden_programs() -> dict[str, str]:
+    """Program text of each golden, which has one file per backend of
+    :data:`BACKENDS`: the example circuits in ``circuits/``, then the
+    meshes of :data:`MESH_GOLDENS`."""
+    programs = {path.stem: path.read_text() for path in sorted(CIRCUIT_DIR.glob("*.fck"))}
+    for name, shape in MESH_GOLDENS.items():
+        programs[name] = mesh_program(*shape)
     return programs
 
 
@@ -279,7 +277,7 @@ def reference(program: str) -> dict[str, mpmath.mpf]:
                     value = complex(amplitude)
                     terms.append((mpmath.mpc(value.real, value.imag), _modes(modes.split(","))))
                 paths.create(terms)
-            elif words[0] == "bs" or (words[0] == "phase" and int(words[1]) <= paths.bosons):
+            elif words[0] in ("bs", "phase"):
                 if words[0] == "phase":
                     paths.linear(tuple(_modes(words[1:2])), [[mpmath.expj(_float(words[2]))]])
                 elif words[3].startswith("angle="):
@@ -288,8 +286,6 @@ def reference(program: str) -> dict[str, mpmath.mpf]:
                     paths.linear(tuple(_modes(words[1:3])), [[c, -s], [s, c]])
                 else:
                     paths.linear(tuple(_modes(words[1:3])), splitters[words[3]])
-            elif words[0] == "phase":
-                paths.number_phase(tuple(_modes(words[1:2])), _float(words[2]))
             elif words[0] == "kerr":
                 strength = words[3].removeprefix("strength=") if len(words) > 3 else repr(math.pi)
                 paths.number_phase(tuple(_modes(words[1:3])), _float(strength))
@@ -344,9 +340,9 @@ def errors(report_text: str, expected: dict) -> dict[str, tuple[mpmath.mpf, mpma
 
 def main() -> int:
     print(f"{'golden':36s} {'numbers':>7s} {'worst abs':>10s} {'worst 15th-digit units':>22s}")
-    for name, (program, backends) in golden_programs().items():
+    for name, program in golden_programs().items():
         expected = reference(program)
-        for backend in backends:
+        for backend in BACKENDS:
             golden = GOLDEN_DIR / f"{name}.{backend}.json"
             found = errors(golden.read_text(), expected).values()
             worst_abs = max(e for e, _ in found)
