@@ -2,7 +2,8 @@
 
 The committed listings in CHANGES.md depend on the numpy and BLAS build,
 so no digest is pinned here; the prefix below covers every element, every
-backend and both formats.
+backend and both formats, and the ``refusal/`` cases cover the order and
+precedence of the refusals.
 """
 
 import corpus
@@ -22,6 +23,22 @@ def test_a_prefix_lists_the_same_digests_twice(tmp_path):
     assert {syntax.keyword for syntax in ELEMENT_SYNTAX} <= keywords
     options = {(case.args[-3], case.args[-1]) for case in cases}
     assert options == {(b, f) for b in ("numeric", "symbolic", "both") for f in ("table", "json")}
+
+
+def test_the_refusal_cases_list_the_same_digests_twice(tmp_path):
+    # the order and precedence of the refusals, and one circuit that is not
+    # refused, digested by their messages and exit codes
+    refusals = [case for case in corpus.cases(tmp_path) if case.ident.startswith("refusal/")]
+    first = [corpus.digest(case, tmp_path) for case in refusals]
+    assert [corpus.digest(case, tmp_path) for case in refusals] == first
+    idents = {case.ident for case in refusals}
+    assert {
+        "refusal/bs-3e6-before-kerr-1e308/numeric/table",
+        "refusal/phase-1e308/numeric/table",
+        "refusal/bs-1e308/numeric/table",
+        "refusal/hardy_vertex-3e16/numeric/table",
+        "refusal/bs-1e308-empty-modes/both/table",
+    } <= idents
 
 
 def test_moved_names_each_case_that_differs():

@@ -21,7 +21,10 @@ no invocation.  The cases, in listing order:
 * ``cutoff/...``: ``--cutoff`` overrides;
 * ``refusal/...``: a non-finite Kerr phase, alone and before an element
   above the numeric route's generator bound, a vertex angle above that
-  bound, and three circuits truncated by their cutoff;
+  bound, a splitter above it before a non-finite Kerr phase, a non-finite
+  phase, a splitter and a vertex whose blocks come back nan, a splitter
+  of angle 1e308 on modes without photons (not refused), and three
+  circuits truncated by their cutoff;
 * ``random/<family>/<i>``: seeded draws of
   :func:`fockbench.checks.random_circuit` and
   :func:`~fockbench.checks.random_fermion_circuit`, and custom quadratic
@@ -145,14 +148,28 @@ def cases(workload_dir: Path) -> list[Case]:
         Case("cutoff/mesh_m6-5/numeric/json",
              **_run(PROGRAM, "--cutoff", "5", program=mesh, backend="numeric", fmt="json")),
     ]
-    kerr = "system bosons=2 cutoff=4\ninput create 1 1 2 2\nkerr 1 2 strength=1e308\nbs 1 2 sym\n"
+    pair = "system bosons=2 cutoff=4\ninput create 1 1 2 2\n"
+    kerr = pair + "kerr 1 2 strength=1e308\nbs 1 2 sym\n"
     first = kerr.replace("kerr", "bs 1 2 sym\nkerr") + "bs 1 2 angle=3e6\n"
+    splitter_first = pair + "bs 1 2 angle=3e6\nkerr 1 2 strength=1e308\n"
+    phase = pair + "phase 1 1e308\n"
+    splitter = pair + "bs 1 2 angle=1e308\n"
+    empty = "system bosons=4 cutoff=2\ninput create 1 2\nbs 3 4 angle=1e308\nmeasure all\n"
     out += [
         Case("refusal/kerr-1e308/both/table", **_run(PROGRAM, program=kerr)),
         Case("refusal/kerr-1e308/symbolic/table", **_run(PROGRAM, program=kerr, backend="symbolic")),
         Case("refusal/kerr-1e308-first/numeric/table",
              **_run(PROGRAM, program=first, backend="numeric")),
         Case("refusal/hardy_vertex-3e6/both/table", **_run("--experiment", "hardy_vertex:3e6")),
+        Case("refusal/bs-3e6-before-kerr-1e308/numeric/table",
+             **_run(PROGRAM, program=splitter_first, backend="numeric")),
+        Case("refusal/phase-1e308/numeric/table",
+             **_run(PROGRAM, program=phase, backend="numeric")),
+        Case("refusal/bs-1e308/numeric/table",
+             **_run(PROGRAM, program=splitter, backend="numeric")),
+        Case("refusal/hardy_vertex-3e16/numeric/table",
+             **_run("--experiment", "hardy_vertex:3e16", backend="numeric")),
+        Case("refusal/bs-1e308-empty-modes/both/table", **_run(PROGRAM, program=empty)),
     ]
     for name, program in TRUNCATED.items():
         out.append(Case(f"refusal/truncated-{name}/both/table", **_run(PROGRAM, program=program)))
