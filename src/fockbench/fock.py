@@ -861,16 +861,20 @@ def evolve_numeric(circuit: Circuit) -> FockVector:
     without ``number_phases``, in element order; no coefficient is part of
     it.  A hit skips the search and the plans and leaves the per-call work:
     generator coefficients, the stacked phases, block exponentials and the
-    checks below.  A hit computes what a miss computes from the same
+    refusals below.  A hit computes what a miss computes from the same
     arrays, so the cache moves no amplitude bit.
 
     The resulting norm stays within 1e-10 of the input norm because every
-    generator is anti-Hermitian; a ``ValueError`` names the first element,
-    if any, that makes an amplitude inf or nan, or whose generator on the
-    set has an entry above :data:`MAX_GENERATOR_ENTRY`.  A non-finite
-    amplitude stays non-finite through every later element, so the
-    elements are applied once without a check, and again one by one with
-    the checks only when the result is not finite or an entry too large.
+    generator is anti-Hermitian.  No phase factor, block exponential or
+    generator entry reads the state, so one pass in element order decides
+    every refusal before the first element is applied: a ``ValueError``
+    names the first element, if any, with a nan or inf factor or block
+    entry, which makes an amplitude inf or nan even where it is 0, or,
+    failing that, whose generator on the set has an entry above
+    :data:`MAX_GENERATOR_ENTRY`.  Finite factors and blocks keep a
+    normalized state finite, so the elements are then applied once
+    without a check; a final ``ValueError`` that names no element backs
+    the pass up.
 
     A full box, ``system.basis_size``, of more than
     :data:`DEFAULT_BASIS_CAP` states is refused, even when the reachable set
@@ -902,7 +906,7 @@ def evolve_numeric(circuit: Circuit) -> FockVector:
     vec = np.zeros(len(layout.occ_array), dtype=complex)
     vec[layout.support_rows] = list(start.values())
     steps = dict(zip(generators, layout.steps))
-    # An overflow shows as a non-finite amplitude, reported by apply(check=True).
+    # An overflow shows as a nan or inf, refused below before the first element.
     with np.errstate(over="ignore", invalid="ignore"):
         # One row per number_phases key, in element order: key (m, ...) with
         # value v has the angle (v * n_m) * ..., the product taken mode by mode.
@@ -920,41 +924,46 @@ def evolve_numeric(circuit: Circuit) -> FockVector:
             [c for terms in generators.values() for c in terms.values()], dtype=complex
         )
         values = coefficients[layout.term] * layout.weights
-        moduli = np.abs(values)
-        blocks = {}
+        blocks, bad_block = {}, {}
         for size, take, cells, count, gather in layout.fills:
             mats = np.zeros(count * size * size, dtype=complex)
             np.add.at(mats, cells, values[take])
             blocks[size] = expm_blocks(mats.reshape(count, size, size))[gather]
-
-        def apply(vec: np.ndarray, check: bool) -> np.ndarray:
-            for k, element in enumerate(elements):
-                if k in rows_of:
-                    for row in rows_of[k]:
-                        vec = vec * factors[row]
-                    largest = 0.0
-                else:
-                    (lo, hi), groups = steps[k]
-                    vec = expm_multiply(groups, blocks, vec)
-                    largest = moduli[lo:hi].max(initial=0.0) if check else 0.0
-                if check and not np.isfinite(vec).all():
-                    raise element.fault(k, "makes an amplitude non-finite")
-                if largest > MAX_GENERATOR_ENTRY:  # 0.0 unless check
-                    raise element.fault(
-                        k,
-                        f"has a generator entry of modulus {largest:.3g}, above "
-                        f"{MAX_GENERATOR_ENTRY:.0e}, where the numeric exponential "
-                        "loses precision",
-                    )
-            return vec
-
-        out = apply(vec, check=False)
-        if moduli.max(initial=0.0) > MAX_GENERATOR_ENTRY or not np.isfinite(out).all():
-            apply(vec, check=True)  # raises at the first element at fault
-    (hits,) = np.nonzero(np.abs(out) >= PRUNE_THRESHOLD)
+            (at, *_) = (~np.isfinite(blocks[size])).nonzero()
+            bad_block[size] = at[0] if at.size else -1
+        # The refusal pass.  No factor, block or entry reads the state, so the
+        # first element at fault is named here, in element order, before any
+        # amplitude exists.  A nan or inf factor or block entry makes the
+        # product non-finite even where the amplitude is 0, and finite ones
+        # keep it finite.  Each stack is read once, for the first index along
+        # its first axis of a row, entry or block at fault, -1 if none; the
+        # blocks of each size are read above, as they are gathered.
+        bad_row = min((~np.isfinite(factors)).nonzero()[0], default=-1)
+        bad_entry = min((np.abs(values) > MAX_GENERATOR_ENTRY).nonzero()[0], default=-1)
+        for k, element in enumerate(elements):
+            # an element with number phases has rows, and no entry or block
+            (lo, hi), groups = steps[k] if k in steps else ((0, 0), ())
+            non_finite = k in rows_of and bad_row in rows_of[k]
+            for size, first, last, _ in groups:
+                non_finite |= first <= bad_block[size] < last
+            if non_finite or lo <= bad_entry < hi:
+                raise element.fault(k, "makes an amplitude non-finite" if non_finite else (
+                    f"has a generator entry of modulus {np.abs(values[lo:hi]).max():.3g}, "
+                    f"above {MAX_GENERATOR_ENTRY:.0e}, where the numeric exponential loses "
+                    "precision"
+                ))
+        for k, element in enumerate(elements):
+            if k in rows_of:
+                for row in rows_of[k]:
+                    vec = vec * factors[row]
+            else:
+                vec = expm_multiply(steps[k][1], blocks, vec)
+    if not np.isfinite(vec).all():
+        raise ValueError("the numeric evolution made an amplitude non-finite")
+    (hits,) = np.nonzero(np.abs(vec) >= PRUNE_THRESHOLD)
     occupations = layout.occ_array[hits].tolist()
     return FockVector(
-        system, {tuple(occ): amp for occ, amp in zip(occupations, out[hits].tolist())}
+        system, {tuple(occ): amp for occ, amp in zip(occupations, vec[hits].tolist())}
     )
 
 

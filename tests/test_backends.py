@@ -475,8 +475,8 @@ def test_numeric_vertex_rejects_nan_angle():
 
 @pytest.mark.parametrize("theta", [2.0000001e6, 3e6, 1e16])
 def test_numeric_vertex_refuses_imprecise_angle(theta):
-    # beyond 2e6 the dense exponential drifts towards the 1e-9 tolerance;
-    # at 1e16 it is not even unitary
+    # the 2x2 vertex block is in closed form, exact at any angle; it is
+    # refused by MAX_GENERATOR_ENTRY alone, the bound set by larger blocks
     circuit = build_experiment("hardy_vertex", theta=theta)
     message = r"element 1 \(AnnihilationVertex\) has a generator entry"
     with pytest.raises(ValueError, match=message):
@@ -511,12 +511,49 @@ def test_numeric_refuses_imprecise_splitter():
     ],
 )
 def test_numeric_refusal_names_the_first_element_at_fault(elements, fault):
-    # the elements are checked one by one only after a pass without checks
-    # has failed; the checked pass stops at the first fault, in element order
+    # the refusals are decided before the first element is applied, and the
+    # first element at fault in element order is named, whatever its fault
     text = "system bosons=2 cutoff=4\ninput create 1 1 2 2\n" + "\n".join(elements)
     with pytest.raises(ValueError) as err:
         evolve_numeric(parse_circuit(text + "\nmeasure all\n"))
     assert str(err.value).startswith(fault)
+
+
+PAIR = "system bosons=2 cutoff=4\ninput create 1 1 2 2\n"
+
+
+@pytest.mark.parametrize(
+    "program, refused",
+    [
+        (PAIR + "bs 1 2 sym\nbs 1 2 angle=3e6\nkerr 1 2 strength=1e308\n", True),
+        (PAIR + "bs 1 2 sym\nkerr 1 2 strength=1e308\nbs 1 2 angle=3e6\n", True),
+        (PAIR + "bs 1 2 sym\nbs 1 2 angle=1e308\n", True),
+        (PAIR + "bs 1 2 sym\nphase 1 1e308\n", True),
+        (PAIR + "bs 1 2 sym\nkerr 1 2 strength=0.9\nphase 1 0.3\nbs 1 2 angle=0.4\n", False),
+        # no photon reaches modes 3 and 4, so the splitter fills no block
+        ("system bosons=4 cutoff=2\ninput create 1 2\nbs 3 4 angle=1e308\n", False),
+    ],
+    ids=["entry-then-kerr", "kerr-then-entry", "nan-block", "nan-phase", "clean", "empty-modes"],
+)
+def test_numeric_refusal_comes_before_any_amplitude(monkeypatch, program, refused):
+    # a refused circuit applies no element; a clean one applies each
+    # element without number phases once, through expm_multiply
+    calls = []
+    expm_multiply = fockbench.fock.expm_multiply
+
+    def counting(*args):
+        calls.append(args)
+        return expm_multiply(*args)
+
+    monkeypatch.setattr(fockbench.fock, "expm_multiply", counting)
+    circuit = parse_circuit(program + "measure all\n")
+    if refused:
+        with pytest.raises(ValueError, match=r"^element \d+ "):
+            evolve_numeric(circuit)
+        assert calls == []
+    else:
+        assert evolve_numeric(circuit).norm() == pytest.approx(1.0, abs=1e-10)
+        assert len(calls) == sum(e.number_phases is None for e in circuit.elements)
 
 
 def test_numeric_norm_preserved_through_elements():
