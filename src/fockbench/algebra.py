@@ -36,6 +36,7 @@ import cmath
 import math
 import operator
 from dataclasses import FrozenInstanceError, dataclass
+from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -52,6 +53,11 @@ SERIES_MAX_TERMS = 200
 
 #: Ket coefficients whose basis amplitude falls below this are dropped.
 KET_PRUNE_THRESHOLD = 1e-14
+
+#: Mode tuples (with their species) whose quadratic words
+#: :func:`quadratic_generator` keeps built: every ordered pair of eight
+#: modes fits.  A two-mode entry holds about 0.6 KiB (tracemalloc).
+QUADRATIC_WORDS_CACHE_SIZE = 64
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -314,11 +320,24 @@ def vacuum_expectation(p: LadderPolynomial) -> complex:
     return normal_order(p)._terms.get((), 0.0 + 0.0j)
 
 
+@lru_cache(maxsize=QUADRATIC_WORDS_CACHE_SIZE)
+def _quadratic_words(modes: tuple[int, ...], species: tuple[str, ...]) -> tuple:
+    """The words ``adag_p a_q`` of :func:`quadratic_generator`, one row per
+    creator, for ``modes`` of ``species``; built on first use of each mode
+    tuple and kept for :data:`QUADRATIC_WORDS_CACHE_SIZE` of them, least
+    recently used first out."""
+    creators = [LadderSymbol(m, s, True) for m, s in zip(modes, species)]
+    annihilators = [symbol.adjoint() for symbol in creators]
+    return tuple(tuple((c, a) for a in annihilators) for c in creators)
+
+
 def quadratic_generator(coefficients, modes, species_of) -> LadderPolynomial:
     """Build ``sum_pq c[p, q] adag_modes[p] a_modes[q]``.
 
     ``coefficients`` holds the rows of c, one per mode: a 2-d array, read
     through ``tolist``, or nested sequences of numbers, read as they are.
+    Terms come in row order, zero entries dropped and repeated words
+    summed, with the coefficients of :class:`LadderPolynomial`'s merge.
     """
     modes = tuple(map(int, modes))
     n = len(modes)
@@ -329,15 +348,13 @@ def quadratic_generator(coefficients, modes, species_of) -> LadderPolynomial:
         square = len(coefficients) == n and all(len(row) == n for row in coefficients)
     if not square:
         raise ValueError("coefficient matrix shape does not match the mode list")
-    creators = [LadderSymbol(m, species_of(m), True) for m in modes]
-    annihilators = [symbol.adjoint() for symbol in creators]
+    words_of = _quadratic_words(modes, tuple(map(species_of, modes)))
     terms = {}
-    for creator, row in zip(creators, coefficients):
-        for annihilator, c in zip(annihilators, row):
+    for words, row in zip(words_of, coefficients):
+        for factors, c in zip(words, row):
             if c != 0:
-                factors = (creator, annihilator)
                 terms[factors] = terms.get(factors, 0.0 + 0.0j) + c
-    return LadderPolynomial(terms)
+    return LadderPolynomial._from_merged({f: c for f, c in terms.items() if c != 0})
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +459,10 @@ class KetExpression:
         largest real or imaginary part in [0.5, 1), so squaring them for the
         norm neither overflows nor underflows.  The scaling is exact: in the
         normal range the result is bit for bit that of the plain division.
+        :func:`basis_ket` writes the coefficient this gives one canonical
+        monomial of coefficient 1 directly, as ``1 / sqrt(gram weight)``;
+        ``test_basis_ket_coefficient_is_the_normalized_monomial_bit_for_bit``
+        pins the two together, so a change here must change both.
         """
         parts = [abs(x) for c in self.poly._terms.values() for x in (c.real, c.imag)]
         if not any(parts):
@@ -498,14 +519,19 @@ def vacuum_ket(system: ModeSystem) -> KetExpression:
 
 
 def basis_ket(system: ModeSystem, occupation) -> KetExpression:
-    """Normalized ket for one occupation pattern."""
+    """Normalized ket for one occupation pattern: its canonical creation
+    monomial M times 1 / sqrt(<0|M^dag M|0>), the coefficient that
+    :meth:`KetExpression.normalized` gives M, bit for bit."""
     occupation = tuple(int(n) for n in occupation)
     system.validate_occupation(occupation)
     factors = []
     for mode, count in enumerate(occupation):
         factors.extend([LadderSymbol(mode, system.species(mode), True)] * count)
-    poly = LadderPolynomial.monomial(1.0, factors)
-    return KetExpression(system, poly).normalized()
+    factors = tuple(factors)
+    coefficient = complex(1.0 / math.sqrt(_gram_weight(factors)))
+    # an overflowing weight gives 0, which the polynomial does not store
+    terms = {factors: coefficient} if coefficient else {}
+    return KetExpression(system, LadderPolynomial._from_merged(terms))
 
 
 def ket_from_creations(system: ModeSystem, modes) -> KetExpression:

@@ -91,7 +91,7 @@ def compare_reports(
         )
     patterns = set(numeric.distribution) | set(symbolic.distribution)
     for pattern in sorted(patterns):
-        label = "P(" + ",".join(str(n) for n in pattern) + ")"
+        label = "P(" + ",".join(map(str, pattern)) + ")"
         deviations[label] = abs(
             numeric.distribution.get(pattern, 0.0)
             - symbolic.distribution.get(pattern, 0.0)

@@ -210,8 +210,9 @@ class AnnihilationVertex(CircuitElement):
         d = LadderSymbol(self.positron_mode, FERMION, False)
         forward = (a.adjoint(), b, d)
         backward = (a, b.adjoint(), d.adjoint())
-        return LadderPolynomial(
-            {forward: complex(self.theta), backward: complex(self.theta)}
+        theta = complex(self.theta)
+        return LadderPolynomial._from_merged(
+            {forward: theta, backward: theta} if theta else {}
         )
 
 

@@ -141,7 +141,7 @@ def _report_json(
     parts.append(f'"expectations": {{{exp}}}')
     rows = []
     for occ in sorted(report.distribution):
-        occ_text = ", ".join(str(n) for n in occ)
+        occ_text = ", ".join(map(str, occ))
         rows.append(f'{{"occ": [{occ_text}], "prob": {_fmt(report.distribution[occ])}}}')
     parts.append(f'"distribution": [{", ".join(rows)}]')
     if comparison is not None:
@@ -164,7 +164,7 @@ def _report_table(
         lines.append(f"  N{m + 1}  {_fmt(report.expectations[m])}")
     lines.append("distribution:")
     for occ in sorted(report.distribution):
-        occ_text = ",".join(str(n) for n in occ)
+        occ_text = ",".join(map(str, occ))
         lines.append(f"  |{occ_text}>  {_fmt(report.distribution[occ])}")
     if comparison is not None:
         lines.append(

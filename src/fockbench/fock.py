@@ -849,10 +849,13 @@ def evolve_numeric(circuit: Circuit) -> FockVector:
     ``number_phases`` key, the product taken mode by mode as one row per
     key, goes through one ``np.exp`` for the whole circuit, and each
     element multiplies the state by its rows in turn.  Both are
-    elementwise, so the rows equal the per-element results bit for bit.
-    Each element's generator is built once per call, by
-    :func:`~fockbench.circuit.element_generator`, and its coefficients are
-    read in the order of its terms, which is the layout's monomial order.
+    elementwise, so the rows equal the per-element results bit for bit;
+    a circuit without number phases takes no such step.  Each element's
+    generator is read once per call from ``element.generator``, without
+    the validation of :func:`~fockbench.circuit.element_generator`, since
+    :class:`~fockbench.circuit.Circuit` validated every element when it
+    was built; its coefficients are read in the order of its terms, which
+    is the layout's monomial order.
 
     The search and the plans are compiled once per circuit shape and kept
     in a cache of :data:`LAYOUT_CACHE_SIZE` shapes, least recently used
@@ -860,9 +863,10 @@ def evolve_numeric(circuit: Circuit) -> FockVector:
     support in order, and the modes and ladder monomials of each element
     without ``number_phases``, in element order; no coefficient is part of
     it.  A hit skips the search and the plans and leaves the per-call work:
-    generator coefficients, the stacked phases, block exponentials and the
-    refusals below.  A hit computes what a miss computes from the same
-    arrays, so the cache moves no amplitude bit.
+    generator coefficients, the stacked phases, block exponentials, the
+    refusals below and the conversion of the kept amplitudes into the
+    result.  A hit computes what a miss computes from the same arrays, so
+    the cache moves no amplitude bit.
 
     The resulting norm stays within 1e-10 of the input norm because every
     generator is anti-Hermitian.  No phase factor, block exponential or
@@ -886,11 +890,13 @@ def evolve_numeric(circuit: Circuit) -> FockVector:
     system = circuit.system
     _require_box_within(system)
     amps, input_cut = _ket_amplitudes(circuit.input_state)
-    start = FockVector.from_amplitudes(system, amps).amplitudes
+    # Circuit refused a non-finite input, and the kernel keeps to the box
+    start = {occ: amp for occ, amp in amps.items() if abs(amp) >= PRUNE_THRESHOLD}
     elements = circuit.elements
     phases = [element.number_phases for element in elements]
+    # Circuit validated every element on its system when it was built.
     generators = {
-        k: element_generator(element, system).terms
+        k: element.generator(system).terms
         for k, element in enumerate(elements)
         if phases[k] is None
     }
@@ -919,7 +925,11 @@ def evolve_numeric(circuit: Circuit) -> FockVector:
                     for m in key:
                         angle = angle * layout.occ_array[:, m]
                     angles.append(angle)
-        factors = np.exp(1j * np.array(angles))
+        bad_row = -1
+        if angles:  # a circuit without number phases has no phase stack
+            factors = np.exp(1j * np.array(angles))
+            (at, *_) = (~np.isfinite(factors)).nonzero()
+            bad_row = at[0] if at.size else -1
         coefficients = np.array(
             [c for terms in generators.values() for c in terms.values()], dtype=complex
         )
@@ -937,9 +947,10 @@ def evolve_numeric(circuit: Circuit) -> FockVector:
         # product non-finite even where the amplitude is 0, and finite ones
         # keep it finite.  Each stack is read once, for the first index along
         # its first axis of a row, entry or block at fault, -1 if none; the
-        # blocks of each size are read above, as they are gathered.
-        bad_row = min((~np.isfinite(factors)).nonzero()[0], default=-1)
-        bad_entry = min((np.abs(values) > MAX_GENERATOR_ENTRY).nonzero()[0], default=-1)
+        # phase rows and the blocks of each size are read above, as they are
+        # made.
+        (at,) = (np.abs(values) > MAX_GENERATOR_ENTRY).nonzero()
+        bad_entry = at[0] if at.size else -1
         for k, element in enumerate(elements):
             # an element with number phases has rows, and no entry or block
             (lo, hi), groups = steps[k] if k in steps else ((0, 0), ())
@@ -958,13 +969,14 @@ def evolve_numeric(circuit: Circuit) -> FockVector:
                     vec = vec * factors[row]
             else:
                 vec = expm_multiply(steps[k][1], blocks, vec)
-    if not np.isfinite(vec).all():
+    moduli = np.abs(vec)
+    # moduli of a normalized state are at most 1, so their sum is finite
+    # exactly when each of them is
+    if not math.isfinite(moduli.sum()):
         raise ValueError("the numeric evolution made an amplitude non-finite")
-    (hits,) = np.nonzero(np.abs(vec) >= PRUNE_THRESHOLD)
-    occupations = layout.occ_array[hits].tolist()
-    return FockVector(
-        system, {tuple(occ): amp for occ, amp in zip(occupations, vec[hits].tolist())}
-    )
+    (hits,) = (moduli >= PRUNE_THRESHOLD).nonzero()
+    occupations = map(tuple, layout.occ_array[hits].tolist())
+    return FockVector(system, dict(zip(occupations, vec[hits].tolist())))
 
 
 def _measure_fock(state: FockVector, modes: tuple[int, ...]) -> tuple[dict, dict]:

@@ -35,6 +35,7 @@ class ModeSystem:
     laid out in C (row-major) order, so tuples are ordered
     lexicographically with mode 0 as the most significant digit, and the
     basis index of a tuple is ``np.ravel_multi_index(occupation, shape)``.
+    ``total_modes``, the number of modes, is set once, at construction.
     """
 
     boson_modes: int
@@ -48,10 +49,7 @@ class ModeSystem:
             raise ValueError("a mode system needs at least one mode")
         if self.cutoff < 1:
             raise ValueError("cutoff must be at least 1")
-
-    @property
-    def total_modes(self) -> int:
-        return self.boson_modes + self.fermion_modes
+        object.__setattr__(self, "total_modes", self.boson_modes + self.fermion_modes)
 
     @cached_property
     def shape(self) -> tuple[int, ...]:
@@ -69,17 +67,21 @@ class ModeSystem:
             )
 
     def detector_modes(self, modes) -> tuple[int, ...]:
-        """``modes`` sorted, without repeats; refused when empty or out of range."""
-        modes = tuple(sorted(set(int(m) for m in modes)))
+        """``modes`` sorted, without repeats; refused when empty or out of
+        range, at the first such mode in sorted order."""
+        modes = tuple(sorted(set(map(int, modes))))
         if not modes:
             raise ValueError("at least one mode must be measured")
-        for m in modes:
-            self.validate_mode(m)
+        if modes[0] < 0 or modes[-1] >= self.total_modes:
+            for m in modes:
+                self.validate_mode(m)
         return modes
 
     def species(self, mode: int) -> str:
+        if 0 <= mode < self.boson_modes:
+            return BOSON
         self.validate_mode(mode)
-        return BOSON if mode < self.boson_modes else FERMION
+        return FERMION
 
     def is_boson(self, mode: int) -> bool:
         return self.species(mode) == BOSON

@@ -395,6 +395,44 @@ def test_basis_ket_normalized():
     assert amps[(2, 1, 1)] == pytest.approx(1.0)
 
 
+def _normalized_monomial(system, occupation):
+    """What ``basis_ket`` gave before it wrote its coefficient directly: the
+    unit monomial of ``occupation``, normalized by ``KetExpression``."""
+    factors = [
+        sym(m, system.species(m), True) for m, n in enumerate(occupation) for _ in range(n)
+    ]
+    return KetExpression(system, LadderPolynomial.monomial(1.0, factors)).normalized()
+
+
+@pytest.mark.parametrize(
+    "system, occupations",
+    [
+        (ModeSystem(3, 2, 12), [(a, b, c, d, e) for a in range(13) for b in (0, 1, 7, 12)
+                                for c in (0, 2, 11) for d in (0, 1) for e in (0, 1)]),
+        # 100!**2 overflows the Gram weight to inf: both give the zero ket
+        (ModeSystem(2, 0, 170), [(170, 0), (100, 100), (0, 170), (169, 1)]),
+    ],
+    ids=["mixed", "large"],
+)
+def test_basis_ket_coefficient_is_the_normalized_monomial_bit_for_bit(system, occupations):
+    for occupation in occupations:
+        want = _normalized_monomial(system, occupation).poly.terms
+        got = basis_ket(system, occupation).poly.terms
+        assert list(got) == list(want)
+        assert [c.real.hex() + c.imag.hex() for c in got.values()] == [
+            c.real.hex() + c.imag.hex() for c in want.values()
+        ]
+
+
+def test_basis_ket_refuses_a_gram_weight_beyond_the_floats_like_normalization():
+    system = ModeSystem(1, 0, 171)
+    with pytest.raises(OverflowError) as want:
+        _normalized_monomial(system, (171,))
+    with pytest.raises(OverflowError) as got:
+        basis_ket(system, (171,))
+    assert str(got.value) == str(want.value)
+
+
 def test_ket_from_creations_pauli_exclusion():
     system = ModeSystem(0, 1, 1)
     with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from scipy.stats import unitary_group
 import fockbench.fock
 from fockbench.algebra import (
     KetExpression,
+    LadderPolynomial,
     annihilation,
     basis_ket,
     creation,
@@ -40,6 +41,7 @@ from fockbench.circuit import (
     AnnihilationVertex,
     BeamSplitter,
     Circuit,
+    CircuitElement,
     KerrMedium,
     PhaseShifter,
     QuadraticCustom,
@@ -62,6 +64,7 @@ from fockbench.fock import (
     vacuum_state,
 )
 from fockbench.modes import FERMION, ModeSystem
+from golden_error import mesh_program
 from test_fock import box_index_oracle, dense_creation_oracle
 
 
@@ -945,7 +948,7 @@ def test_numeric_search_and_plans_are_shared_across_a_mesh(monkeypatch):
         "_monomial_image": 56 * 10 + 1,
         "_reachable_generators": 1,
         "_block_plan": 5,
-        "element_generator": 15,
+        "element_generator": 0,
     }
     # the same mesh with new angles reuses the search and the plans; the
     # one kernel call left reads the input ket, whose coefficients are not
@@ -960,7 +963,7 @@ def test_numeric_search_and_plans_are_shared_across_a_mesh(monkeypatch):
         "_monomial_image": 1,
         "_reachable_generators": 0,
         "_block_plan": 0,
-        "element_generator": 15,
+        "element_generator": 0,
     }
     # another cutoff or another input support is another shape
     system = circuit.system
@@ -973,6 +976,50 @@ def test_numeric_search_and_plans_are_shared_across_a_mesh(monkeypatch):
         evolve_numeric(other)
         assert fockbench.fock._compile_layout.cache_info().misses == misses + 1
         assert calls["_block_plan"] == 5
+
+
+_FIXED_COST_PROGRAM = mesh_program(4, 2, 2).replace(
+    "system bosons=4 cutoff=2", "system bosons=4 fermions=2 cutoff=2"
+).replace("measure all", "kerr 1 2 strength=0.2\nvertex 1 5 6 theta=0.7\nmeasure all")
+
+
+def test_fixed_cost_validates_once_per_layer_and_builds_no_merged_generator(
+    tmp_path, monkeypatch
+):
+    # each element is validated by the parser, for a positioned error, and
+    # by Circuit; neither route validates it again
+    validated = []
+    for cls in (CircuitElement, AnnihilationVertex):
+        original = cls.validate
+
+        def counted(self, system, _original=original):
+            validated.append(self)
+            return _original(self, system)
+
+        monkeypatch.setattr(cls, "validate", counted)
+    path = tmp_path / "mesh.fck"
+    path.write_text(_FIXED_COST_PROGRAM)
+    circuit = parse_circuit(_FIXED_COST_PROGRAM)
+    assert len(validated) == 2 * len(circuit.elements)
+    validated.clear()
+    result = CliRunner().invoke(main, ["run", str(path), "--backend", "both"])
+    assert result.exit_code == 0, result.output
+    assert len(validated) == 2 * len(circuit.elements)
+    assert {type(e).__name__ for e in circuit.elements} == {
+        "BeamSplitter", "PhaseShifter", "KerrMedium", "AnnihilationVertex"
+    }
+    # on a compiled shape the numeric route merges no polynomial: each
+    # generator comes with its terms already merged
+    built = []
+    original_init = LadderPolynomial.__init__
+
+    def counted_init(self, *args):
+        built.append(args)
+        original_init(self, *args)
+
+    monkeypatch.setattr(LadderPolynomial, "__init__", counted_init)
+    evolve_numeric(circuit)
+    assert built == []
 
 
 def _random_mesh_text(rng: random.Random) -> str:

@@ -26,7 +26,7 @@ BOUND = 1e-14
 #: flip, since the CNOT's Kerr strength is pi and the vertex golden starts
 #: from one pattern.
 SIGN_PROBES = {
-    # the Baseline circuit of ROADMAP item 10: P(0,1,1) and P(1,0,0) swap
+    # the Baseline circuit of ROADMAP item 15: P(0,1,1) and P(1,0,0) swap
     "vertex_superpose": (
         "system bosons=1 fermions=2 cutoff=6\n"
         "input superpose 1:2,3 ; 1:1\n"

@@ -31,34 +31,34 @@ def test_every_target_exists():
     assert "run" in fockbench.cli.main.commands
 
 
-def test_installed_tracer_records_element_generator():
+def _traced(args):
+    """The tracer after one in-process invocation, and its span names."""
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
-        result = CliRunner().invoke(
-            fockbench.cli.main,
-            ["run", "--experiment", "single_photon_bs_sym", "--backend", "numeric"],
-        )
+        result = CliRunner().invoke(fockbench.cli.main, args)
     finally:
         tracer.uninstall()
     assert result.exit_code == 0
-    names = {span[2] for span in tracer.spans}
-    assert {"cli.cmd_run", "circuit.element_generator", "backends.expm_multiply"} <= names
+    return tracer, {span[2] for span in tracer.spans}
+
+
+def test_installed_tracer_records_element_generator():
+    # the numeric route reads each generator from its element, without
+    # re-validating it; the Heisenberg check of ``check`` still builds
+    # generators through ``element_generator``
+    _, names = _traced(
+        ["run", "--experiment", "single_photon_bs_sym", "--backend", "numeric"]
+    )
+    assert {"cli.cmd_run", "backends.expm_multiply"} <= names
+    assert "circuit.element_generator" not in names
+    _, names = _traced(["check"])
+    assert {"circuit.element_generator", "backends.polynomial_matrix"} <= names
 
 
 def test_installed_tracer_records_symbolic_route():
     # the tracer also reads the symbolic ket: ``ket.poly.terms`` after each evolve
-    tracer = _load_tracer().Tracer()
-    tracer.install()
-    try:
-        result = CliRunner().invoke(
-            fockbench.cli.main,
-            ["run", "--experiment", "single_photon_bs_sym", "--backend", "both"],
-        )
-    finally:
-        tracer.uninstall()
-    assert result.exit_code == 0
-    names = {span[2] for span in tracer.spans}
+    tracer, names = _traced(["run", "--experiment", "single_photon_bs_sym", "--backend", "both"])
     assert {"algebra.substitute_modes", "backends.evolve_symbolic"} <= names
     assert tracer.metrics(1)["algebra.ket_monomials"] > 0
 
@@ -66,17 +66,7 @@ def test_installed_tracer_records_symbolic_route():
 def test_installed_tracer_records_symbolic_measurement_and_phases():
     # substitution no longer normal orders and measurement makes one
     # expectation pass, but the tracer still sees these two layers
-    tracer = _load_tracer().Tracer()
-    tracer.install()
-    try:
-        result = CliRunner().invoke(
-            fockbench.cli.main,
-            ["run", "--experiment", "cnot_dualrail", "--backend", "symbolic"],
-        )
-    finally:
-        tracer.uninstall()
-    assert result.exit_code == 0
-    names = {span[2] for span in tracer.spans}
+    _, names = _traced(["run", "--experiment", "cnot_dualrail", "--backend", "symbolic"])
     assert {"algebra.joint_number_distribution", "algebra.apply_number_diagonal"} <= names
     assert "algebra.normal_order" not in names
 
@@ -84,17 +74,7 @@ def test_installed_tracer_records_symbolic_measurement_and_phases():
 def test_installed_tracer_records_both_routes_outside_backends():
     # the evolutions and per-route measurements live in ``fock`` and
     # ``algebra``; the tracer finds them through ``backends`` by identity
-    tracer = _load_tracer().Tracer()
-    tracer.install()
-    try:
-        result = CliRunner().invoke(
-            fockbench.cli.main,
-            ["run", "--experiment", "hardy_vertex:0.3", "--backend", "both"],
-        )
-    finally:
-        tracer.uninstall()
-    assert result.exit_code == 0
-    names = {span[2] for span in tracer.spans}
+    _, names = _traced(["run", "--experiment", "hardy_vertex:0.3", "--backend", "both"])
     assert {
         "backends.evolve_numeric",
         "backends.measure_fock",
