@@ -51,4 +51,4 @@ def test_every_case_has_its_own_id(tmp_path):
     idents = [case.ident for case in corpus.cases(tmp_path)]
     assert len(idents) == len(set(idents))
     groups = {ident.split("/")[0] for ident in idents}
-    assert groups == {"element", "golden", "workload", "cutoff", "refusal", "random"}
+    assert groups == {"element", "golden", "workload", "cutoff", "refusal", "random", "check"}

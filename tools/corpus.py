@@ -28,7 +28,9 @@ no invocation.  The cases, in listing order:
 * ``random/<family>/<i>``: seeded draws of
   :func:`fockbench.checks.random_circuit` and
   :func:`~fockbench.checks.random_fermion_circuit`, and custom quadratic
-  elements.
+  elements;
+* ``check/all``: ``fockbench check``, whose printed worst deviations
+  read the box matrices, by its exit code and output bytes alone.
 
 Prints one ``<case id> <sha256>`` line per case.  With ``--diff FILE`` it
 compares the listing with an earlier one and prints each case whose digest
@@ -178,6 +180,7 @@ def cases(workload_dir: Path) -> list[Case]:
             **_run(PROGRAM, program=program, backend="numeric", fmt="json"),
         ))
     out += _random_cases()
+    out.append(Case("check/all", ("check",)))
     return out
 
 
@@ -260,9 +263,10 @@ def digest(case: Case, tmp: Path) -> str:
         result = CliRunner().invoke(main, list(args), env={"FOCKBENCH_CUTOFF": None})
         for part in (str(result.exit_code).encode(), result.stdout_bytes, result.stderr_bytes):
             sha.update(len(part).to_bytes(8, "big") + part)
-        backend = args[args.index("--backend") + 1]
-        routes = ("numeric", "symbolic") if backend == "both" else (backend,)
-        circuits = _circuits(args)
+        if "--backend" in args:  # ``check`` runs no circuit of its own
+            backend = args[args.index("--backend") + 1]
+            routes = ("numeric", "symbolic") if backend == "both" else (backend,)
+            circuits = _circuits(args)
     else:
         circuits = [case.circuit]
     for circuit in circuits:
