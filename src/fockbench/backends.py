@@ -81,9 +81,13 @@ def compare_reports(
     Deviations are absolute differences of detector expectations and of
     every joint-outcome probability (all bounded by 1); the verdict is
     "pass" exactly when the largest deviation is below ``tol``, which
-    :func:`require_tolerance` checks first.
+    :func:`require_tolerance` checks first.  Reports over different modes
+    are refused before anything is compared.
     """
     require_tolerance(tol)
+    if numeric.measured_modes != symbolic.measured_modes:
+        modes = f"{numeric.measured_modes} and {symbolic.measured_modes}"
+        raise ValueError(f"cannot compare reports over modes {modes}")
     deviations: dict[str, float] = {}
     for m in numeric.measured_modes:
         deviations[f"N{m + 1}"] = abs(

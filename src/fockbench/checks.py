@@ -353,5 +353,5 @@ def run_all_checks() -> list[tuple[str, bool, str]]:
             results.append((name, False, f"error: {exc}"))
         else:
             detail = f"worst {worst:.3e} (bound {bound:.0e})"
-            results.append((name, worst <= bound, detail))
+            results.append((name, bool(worst <= bound), detail))
     return results

@@ -70,9 +70,13 @@ MAX_GENERATOR_ENTRY = 2e6
 #: Circuit shapes whose numeric layout (reachable set and block plans)
 #: :func:`evolve_numeric` keeps compiled.  The benchmark's workloads need at
 #: most six: the vertex, the single-photon splitter and four CNOT inputs.
-#: One mesh M=10 layout (2 002 reachable states) holds about
-#: 1.5 MiB with its cache key (tracemalloc), so a full cache of those
-#: stays near 25 MiB.
+#: Over the seed-1 manifests the cache serves 527 of 528 ``fock_mesh``
+#: evolutions and 11 962 of 11 968 ``paper_circuits`` ones, and a mesh M=6
+#: N=3 circuit evolves in about 4 ms cold and 1 ms warm.  With its cache
+#: key (tracemalloc), one mesh M=8 N=4 layout (330 reachable states)
+#: holds about 0.21 MiB and one fermion mesh M=16 N=8 layout (12 870
+#: states in a box of 2**16) about 18.3 MiB, so a full cache of such
+#: shapes can hold about 290 MiB.
 LAYOUT_CACHE_SIZE = 16
 
 
@@ -262,26 +266,23 @@ def _monomial_image(system: ModeSystem, factors, occ: tuple[int, ...]):
     return tuple(occ), weight
 
 
-@lru_cache(maxsize=None)
 def creation_op(system: ModeSystem, mode: int) -> sparse.csr_matrix:
     """Matrix of the creation operator on the truncated basis.
 
     Built by :func:`polynomial_matrix` from the single creation symbol on
     ``mode``, so its entries are the kernel's: ``sqrt(n+1)`` for a bosonic
     mode below the cutoff, a Jordan-Wigner sign for an empty fermionic
-    mode.  Returned matrices are cached per (system, mode) and must not be
-    mutated.
+    mode.  Each call builds a new matrix, which lives as long as its
+    caller holds it: no run of the numeric route reads a box matrix.
     """
     return polynomial_matrix(creation(mode, system.species(mode)), system)
 
 
-@lru_cache(maxsize=None)
 def annihilation_op(system: ModeSystem, mode: int) -> sparse.csr_matrix:
     """Adjoint of :func:`creation_op`; annihilates the vacuum exactly."""
     return creation_op(system, mode).conj().T.tocsr()
 
 
-@lru_cache(maxsize=None)
 def number_op(system: ModeSystem, mode: int) -> sparse.csr_matrix:
     """Diagonal matrix whose entry on each basis vector is its occupation."""
     from scipy import sparse
@@ -541,7 +542,8 @@ MAX_SQUARINGS = 52
 @lru_cache(maxsize=None)
 def _pade_sums(level: int) -> np.ndarray:
     """Coefficients of the sums of even powers (I, A^2, A^4, ...) that the
-    Padé approximant of ``_PADE_COEFFICIENTS[level]`` needs, one row per sum.
+    Padé approximant of ``_PADE_COEFFICIENTS[level]`` needs, one row per sum;
+    cached, with at most five keys, one per degree.
 
     With U and V the odd and even parts of the numerator, p(A) = V + U and
     p(-A) = V - U.  Below degree 13, U = A (row 0) and V = row 1.  For
@@ -562,13 +564,6 @@ def _pade_sums(level: int) -> np.ndarray:
     return sums
 
 
-@lru_cache(maxsize=None)
-def _identity(size: int) -> np.ndarray:
-    eye = np.eye(size, dtype=complex)
-    eye.flags.writeable = False
-    return eye
-
-
 def _pade(mats: np.ndarray, levels: list[int], squarings: list[int]) -> np.ndarray:
     """exp of each matrix by the Padé approximant of its level in
     ``levels`` at the matrix scaled by 2**-s, squared s times, s from
@@ -587,7 +582,7 @@ def _pade(mats: np.ndarray, levels: list[int], squarings: list[int]) -> np.ndarr
     mats = mats * np.ldexp(1.0, [-s for s in squarings])[:, np.newaxis, np.newaxis]
     terms = max([_pade_sums(level).shape[1] for level in set(levels)])
     powers = np.empty((count, terms, size, size), dtype=complex)
-    powers[:, 0] = _identity(size)
+    powers[:, 0] = np.eye(size)
     powers[:, 1] = power = square = np.matmul(mats, mats)
     for j in range(2, terms):
         powers[:, j] = power = np.matmul(power, square)

@@ -11,9 +11,7 @@ stated once, by :attr:`ModeSystem.shape`.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 BOSON = "boson"
@@ -35,7 +33,11 @@ class ModeSystem:
     laid out in C (row-major) order, so tuples are ordered
     lexicographically with mode 0 as the most significant digit, and the
     basis index of a tuple is ``np.ravel_multi_index(occupation, shape)``.
-    ``total_modes``, the number of modes, is set once, at construction.
+    ``total_modes`` (the number of modes) and :attr:`shape` (the number of
+    occupation levels of each mode, in mode order) are set once, at
+    construction.  :attr:`basis_size` is computed on each read, so that a
+    wide system which only the symbolic route reads pays nothing for a box
+    it never builds.
     """
 
     boson_modes: int
@@ -49,16 +51,16 @@ class ModeSystem:
             raise ValueError("a mode system needs at least one mode")
         if self.cutoff < 1:
             raise ValueError("cutoff must be at least 1")
-        object.__setattr__(self, "total_modes", self.boson_modes + self.fermion_modes)
+        bosons, fermions = self.boson_modes, self.fermion_modes
+        object.__setattr__(self, "total_modes", bosons + fermions)
+        object.__setattr__(self, "shape", (self.cutoff + 1,) * bosons + (2,) * fermions)
 
-    @cached_property
-    def shape(self) -> tuple[int, ...]:
-        """Number of occupation levels of each mode, in mode order."""
-        return (self.cutoff + 1,) * self.boson_modes + (2,) * self.fermion_modes
-
-    @cached_property
+    @property
     def basis_size(self) -> int:
-        return math.prod(self.shape)
+        """``(cutoff+1)**boson_modes * 2**fermion_modes``: two powers, not a
+        product over :attr:`shape`, whose time grows with the square of the
+        number of modes."""
+        return (self.cutoff + 1) ** self.boson_modes * 2**self.fermion_modes
 
     def validate_mode(self, mode: int) -> None:
         if not 0 <= mode < self.total_modes:

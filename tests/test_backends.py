@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 import time
 import warnings
 from dataclasses import FrozenInstanceError, replace
@@ -1348,6 +1349,20 @@ def test_compare_reports_takes_measured_reports():
     assert report.passed
     with pytest.raises(ValueError, match="tolerance"):
         compare_reports(numeric, symbolic, 0.0)
+
+
+@pytest.mark.parametrize("other", [(2, 3), (0, 1, 2)])
+def test_compare_reports_refuses_reports_over_different_modes(other):
+    # disjoint modes raised a bare KeyError, and a superset printed "fail":
+    # a usage error, not a disagreement between the routes
+    circuit = parse_circuit(
+        "system bosons=4 cutoff=2\ninput create 1 3\nbs 1 2 sym\nbs 3 4 sym\nmeasure all\n"
+    )
+    numeric = measure(evolve_numeric(circuit), (0, 1))
+    symbolic = measure(evolve_symbolic(circuit), other)
+    message = f"^cannot compare reports over modes \\(0, 1\\) and {re.escape(str(other))}$"
+    with pytest.raises(ValueError, match=message):
+        compare_reports(numeric, symbolic)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -649,6 +650,13 @@ def test_check_passes(runner):
     assert result.exit_code == 0
     assert "FAIL" not in result.output
     assert result.output.count("ok") >= 10
+
+
+def test_run_all_checks_returns_plain_bools():
+    # a numpy comparison would come back as numpy.True_
+    for name, passed, detail in fockbench.checks.run_all_checks():
+        assert type(passed) is bool, name
+        assert re.fullmatch(r"worst \d\.\d{3}e[+-]\d+ \(bound \de[+-]\d+\)", detail), name
 
 
 def test_commutator_check_fails_a_transposed_quadratic_generator(monkeypatch):

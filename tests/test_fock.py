@@ -1,7 +1,11 @@
 """Fock-core: basis enumeration, ladder matrices, states, entropy."""
 
+import ast
+import gc
 import math
 import time
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,6 +291,35 @@ def test_number_equals_creation_after_annihilation():
         assert abs(product - direct).max() < 1e-12
         pm, dm = product.tocoo(), direct.tocoo()
         assert set(zip(pm.row, pm.col)) == set(zip(dm.row, dm.col))
+
+
+# ---------------------------------------------------------------------------
+# Caches: only those a benchmark workload pays for, or with bounded keys
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build", [creation_op, annihilation_op, number_op])
+def test_a_box_matrix_does_not_outlive_its_caller(build):
+    matrix = weakref.ref(build(ModeSystem(2, 1, 3), 0))
+    gc.collect()
+    assert matrix() is None
+
+
+def test_the_package_keeps_only_the_audited_caches():
+    # the layout cache serves the numeric route's repeated shapes and the
+    # Padé sums have one key per degree; shape and basis_size are plain
+    # attributes, so reading them takes no lock
+    decorated = set()
+    for path in sorted(Path(fockbench.fock.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                for decorator in node.decorator_list:
+                    target = getattr(decorator, "func", decorator)
+                    name = getattr(target, "id", getattr(target, "attr", None))
+                    decorated.add((name, path.stem, node.name))
+    caches = {(module, f) for name, module, f in decorated if name in ("lru_cache", "cache")}
+    assert caches == {("fock", "_compile_layout"), ("fock", "_pade_sums")}
+    assert [d for d in decorated if d[0] == "cached_property"] == []
 
 
 # ---------------------------------------------------------------------------

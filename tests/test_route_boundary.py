@@ -18,7 +18,6 @@ import fockbench.algebra
 from fockbench.algebra import (
     LadderPolynomial,
     LadderSymbol,
-    _quadratic_words,
     evolve_symbolic,
     quadratic_generator,
 )
@@ -77,8 +76,8 @@ def _code_objects(functions):
 
 
 #: What building a generator or reading an input ket runs in ``algebra``:
-#: generators are built with their terms already merged, and the words of
-#: a quadratic one come from a table filled on first use.
+#: generators are built with their terms already merged, from interned
+#: symbols and their adjoints.
 GENERATOR_CODE = _code_objects(
     [
         LadderSymbol.__new__,
@@ -86,7 +85,6 @@ GENERATOR_CODE = _code_objects(
         LadderPolynomial._from_merged,
         LadderPolynomial.terms.fget,
         quadratic_generator,
-        _quadratic_words.__wrapped__,
     ]
 )
 
@@ -94,7 +92,6 @@ GENERATOR_CODE = _code_objects(
 def test_numeric_route_calls_algebra_only_to_build_generators(circuits):
     algebra_file = fockbench.algebra.__file__
     called = set()
-    _quadratic_words.cache_clear()  # so that the table is filled in the profile
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_filename == algebra_file:
