@@ -38,6 +38,10 @@ def test_the_refusal_cases_list_the_same_digests_twice(tmp_path):
         "refusal/bs-1e308/numeric/table",
         "refusal/hardy_vertex-3e16/numeric/table",
         "refusal/bs-1e308-empty-modes/both/table",
+        "refusal/tol-nan-cnot-all-inputs/both/table",
+        "refusal/tol-0-truncated-bunching/both/table",
+        "refusal/box-digits/numeric/table",
+        "refusal/box-powers/numeric/table",
     } <= idents
 
 

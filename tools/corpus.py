@@ -23,8 +23,12 @@ no invocation.  The cases, in listing order:
   above the numeric route's generator bound, a vertex angle above that
   bound, a splitter above it before a non-finite Kerr phase, a non-finite
   phase, a splitter and a vertex whose blocks come back nan, a splitter
-  of angle 1e308 on modes without photons (not refused), and three
-  circuits truncated by their cutoff;
+  of angle 1e308 on modes without photons (not refused), three
+  circuits truncated by their cutoff, a ``--tol`` of nan, 0 or inf under
+  ``both`` (on one circuit, on every CNOT input and on a truncated
+  circuit, where the error comes before any warning), and two boxes above
+  the numeric route's memory cap, one printed in digits and one as
+  ``(cutoff+1)**bosons * 2**fermions``;
 * ``random/<family>/<i>``: seeded draws of
   :func:`fockbench.checks.random_circuit` and
   :func:`~fockbench.checks.random_fermion_circuit`, and custom quadratic
@@ -179,6 +183,21 @@ def cases(workload_dir: Path) -> list[Case]:
             f"refusal/truncated-{name}/numeric/json",
             **_run(PROGRAM, program=program, backend="numeric", fmt="json"),
         ))
+    for tol in ("nan", "0", "inf"):
+        out.append(Case(
+            f"refusal/tol-{tol}/both/table", **_run(PROGRAM, "--tol", tol, program=pair)
+        ))
+    out += [
+        Case("refusal/tol-nan-cnot-all-inputs/both/table",
+             **_run("--experiment", "cnot_dualrail", "--all-inputs", "--tol", "nan")),
+        Case("refusal/tol-0-truncated-bunching/both/table",
+             **_run(PROGRAM, "--tol", "0", program=TRUNCATED["bunching"])),
+    ]
+    boxes = {"digits": "bosons=8 cutoff=6", "powers": "bosons=5000 fermions=3 cutoff=9"}
+    for name, system in boxes.items():
+        program = f"system {system}\ninput create 1\nbs 1 2 angle=0.3\n"
+        out.append(Case(f"refusal/box-{name}/numeric/table",
+                        **_run(PROGRAM, program=program, backend="numeric")))
     out += _random_cases()
     out.append(Case("check/all", ("check",)))
     return out
