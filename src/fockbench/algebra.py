@@ -346,6 +346,20 @@ def quadratic_generator(coefficients, modes, species_of) -> LadderPolynomial:
     return LadderPolynomial._from_merged({f: c for f, c in terms.items() if c != 0})
 
 
+def vertex_generator(theta: float, photon: int, electron: int, positron: int) -> LadderPolynomial:
+    """Build ``theta (adag b d + a bdag ddag)``, with ``a`` on the bosonic
+    ``photon`` mode and ``b``, ``d`` on the fermionic ``electron`` and
+    ``positron`` modes: the forward word, then its adjoint, and no term at
+    ``theta == 0``."""
+    a = LadderSymbol(photon, BOSON, False)
+    b = LadderSymbol(electron, FERMION, False)
+    d = LadderSymbol(positron, FERMION, False)
+    forward = (a.adjoint(), b, d)
+    backward = (a, b.adjoint(), d.adjoint())
+    theta = complex(theta)
+    return LadderPolynomial._from_merged({forward: theta, backward: theta} if theta else {})
+
+
 # ---------------------------------------------------------------------------
 # Kets: creation-only polynomials understood as applied to the vacuum
 # ---------------------------------------------------------------------------
@@ -764,17 +778,12 @@ def apply_vertex_exponential(
     whose basis amplitude falls below :data:`KET_PRUNE_THRESHOLD` are
     dropped, as at the end of :func:`apply_exponential_series`.
     """
-    forward = (
-        LadderSymbol(photon, BOSON, True),
-        LadderSymbol(electron, FERMION, False),
-        LadderSymbol(positron, FERMION, False),
-    )
-    backward = tuple(s.adjoint() for s in forward)
-    theta = complex(generator._terms.get(forward, 0.0))
+    # both terms of a vertex generator carry theta
+    theta = complex(next(iter(generator._terms.values()), 0.0))
     if (
         theta.imag
         or not math.isfinite(theta.real)
-        or generator._terms != ({forward: theta, backward: theta} if theta else {})
+        or generator._terms != vertex_generator(theta.real, photon, electron, positron)._terms
     ):
         raise ValueError(
             "generator is not theta (adag b d + a bdag ddag) with real, finite "

@@ -3,8 +3,10 @@
 The explicit truncated route is :func:`~fockbench.fock.evolve_numeric`;
 the representation-free one is :func:`~fockbench.algebra.evolve_symbolic`.
 Neither imports this module.  :func:`measure` turns either route's output
-into one :class:`MeasurementReport`, and ``compare_backends`` turns the
-physical claim that both routes agree into an executable check.
+into one :class:`MeasurementReport`, and :func:`compare_backends` turns the
+physical claim that both routes agree into an executable check.  It is the
+only place where the two routes are compared: ``fockbench run --backend
+both``, ``fockbench check`` and the library all go through it.
 """
 
 from __future__ import annotations
@@ -36,12 +38,15 @@ class MeasurementReport:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Per-quantity absolute deviations between the two backends."""
+    """Per-quantity absolute deviations between the two backends, and the
+    two reports they were taken from."""
 
     deviations: dict
     max_deviation: float
     tolerance: float
     verdict: str
+    numeric: MeasurementReport
+    symbolic: MeasurementReport
 
     @property
     def passed(self) -> bool:
@@ -102,11 +107,16 @@ def compare_reports(
         )
     max_deviation = max(deviations.values(), default=0.0)
     verdict = "pass" if max_deviation < tol else "fail"
-    return ComparisonReport(deviations, max_deviation, tol, verdict)
+    return ComparisonReport(deviations, max_deviation, tol, verdict, numeric, symbolic)
 
 
 def compare_backends(circuit: Circuit, tol: float = DEFAULT_TOLERANCE) -> ComparisonReport:
-    """Run both backends on ``circuit`` and compare their reports."""
+    """Run both backends on ``circuit`` and compare their reports.
+
+    A tolerance that :func:`require_tolerance` refuses is refused before
+    either route runs.
+    """
+    require_tolerance(tol)
     numeric = measure(evolve_numeric(circuit), circuit.measured_modes)
     symbolic = measure(evolve_symbolic(circuit), circuit.measured_modes)
     return compare_reports(numeric, symbolic, tol)

@@ -36,6 +36,7 @@ from .algebra import (
     LadderSymbol,
     basis_ket,
     quadratic_generator,
+    vertex_generator,
 )
 from .modes import BOSON, FERMION, ModeSystem
 
@@ -205,15 +206,7 @@ class AnnihilationVertex(CircuitElement):
             )
 
     def generator(self, system: ModeSystem) -> LadderPolynomial:
-        a = LadderSymbol(self.photon_mode, BOSON, False)
-        b = LadderSymbol(self.electron_mode, FERMION, False)
-        d = LadderSymbol(self.positron_mode, FERMION, False)
-        forward = (a.adjoint(), b, d)
-        backward = (a, b.adjoint(), d.adjoint())
-        theta = complex(self.theta)
-        return LadderPolynomial._from_merged(
-            {forward: theta, backward: theta} if theta else {}
-        )
+        return vertex_generator(self.theta, self.photon_mode, self.electron_mode, self.positron_mode)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,10 @@ override reaches every run, circuit file or experiment, through
 :func:`~fockbench.circuit.with_cutoff`.  A warning raised while ``run``
 reads or evaluates its circuits, such as the numeric route's
 ``TruncationWarning``, prints as one ``warning: <message>`` line on stderr.
+``run --backend both`` is one :func:`~fockbench.backends.compare_backends`
+call per circuit, which refuses a bad ``--tol`` before either route runs,
+so that refusal is the only line a run prints; the table or JSON shows the
+numeric route's report with the comparison.
 
 Every ``click.echo`` names its stream: without ``file=``, click caches a
 wrapper keyed by the current ``sys.stdout``/``sys.stderr`` that refers
@@ -28,9 +32,8 @@ from .backends import (
     DEFAULT_TOLERANCE,
     ComparisonReport,
     MeasurementReport,
-    compare_reports,
+    compare_backends,
     measure,
-    require_tolerance,
 )
 from .circuit import Circuit, EXPERIMENTS, build_experiment, with_cutoff
 from .dsl import CircuitParseError, parse_circuit
@@ -118,14 +121,13 @@ def _load_circuit_file(path: str) -> Circuit:
 
 
 def _evaluate(circuit: Circuit, backend: str, tol: float):
-    """Returns (report to display, comparison or None)."""
-    if backend == "symbolic":
-        return measure(evolve_symbolic(circuit), circuit.measured_modes), None
-    report = measure(evolve_numeric(circuit), circuit.measured_modes)
-    if backend == "numeric":
-        return report, None
-    symbolic = measure(evolve_symbolic(circuit), circuit.measured_modes)
-    return report, compare_reports(report, symbolic, tol)
+    """Returns (report to display, comparison or None).  Under ``both`` the
+    numeric route's report is displayed."""
+    if backend == "both":
+        comparison = compare_backends(circuit, tol)
+        return comparison.numeric, comparison
+    evolve = evolve_numeric if backend == "numeric" else evolve_symbolic
+    return measure(evolve(circuit), circuit.measured_modes), None
 
 
 def _report_json(
@@ -224,8 +226,6 @@ def cmd_run(circuit_file, experiment, backend, cutoff, tol, fmt, all_inputs):
                 runs = [(None, _load_circuit_file(circuit_file))]
             if cutoff is not None:
                 runs = [(label, with_cutoff(circuit, cutoff)) for label, circuit in runs]
-            if backend == "both":  # refused before either route runs
-                require_tolerance(tol)
             for label, circuit in runs:
                 report, comparison = _evaluate(circuit, backend, tol)
                 if comparison is not None and not comparison.passed:

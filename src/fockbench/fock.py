@@ -31,6 +31,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -84,19 +85,32 @@ class TruncationWarning(UserWarning):
     """The input already exceeds what the truncated basis can hold."""
 
 
+def _box_exceeds(system: ModeSystem, count: int) -> bool:
+    """Whether ``system.basis_size`` exceeds ``count``.
+
+    A box whose base-10 logarithm is more than one above ``count``'s is
+    decided by the logarithms alone, so that a size too large to hold or
+    to print is never computed (``(cutoff+1)**bosons`` with a million
+    bosons takes seconds); any other box is compared exactly.
+    """
+    log10 = system.boson_modes * math.log10(system.cutoff + 1)
+    log10 += system.fermion_modes * math.log10(2)
+    return log10 > math.log10(max(count, 1)) + 1 or system.basis_size > count
+
+
 def _basis_size_text(system: ModeSystem) -> str:
     """``system.basis_size`` for a message, written as
     ``(cutoff+1)**bosons * 2**fermions`` when it has more digits than
-    Python converts to text."""
-    try:
-        return str(system.basis_size)
-    except ValueError:
+    Python converts to text (no limit before Python 3.10.7, or at 0)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and _box_exceeds(system, 10**limit - 1):
         return f"{system.cutoff + 1}**{system.boson_modes} * 2**{system.fermion_modes}"
+    return str(system.basis_size)
 
 
 def _require_box_within(system: ModeSystem) -> None:
     """Refuse a full box of more than :data:`DEFAULT_BASIS_CAP` basis states, in one line."""
-    if system.basis_size > DEFAULT_BASIS_CAP:
+    if _box_exceeds(system, DEFAULT_BASIS_CAP):
         raise ValueError(
             f"basis size {_basis_size_text(system)} exceeds the memory cap "
             f"{DEFAULT_BASIS_CAP}; lower the cutoff"
@@ -130,7 +144,7 @@ class FockVector:
     @classmethod
     def from_dense(cls, system: ModeSystem, vector: np.ndarray) -> "FockVector":
         vector = np.asarray(vector).reshape(-1)
-        if vector.shape[0] != system.basis_size:
+        if _box_exceeds(system, vector.shape[0]) or system.basis_size != vector.shape[0]:
             raise ValueError(
                 f"dense vector has length {vector.shape[0]}, "
                 f"expected {_basis_size_text(system)}"
@@ -1006,7 +1020,7 @@ def heisenberg_residual(element: CircuitElement, system: ModeSystem) -> float:
 
     if not element.linear:
         raise ValueError("the Heisenberg relation applies to linear elements only")
-    if system.basis_size > 20_000:
+    if _box_exceeds(system, 20_000):
         raise ValueError("system too large for a dense Heisenberg check")
     b = element.mode_matrix()
     modes = element.modes

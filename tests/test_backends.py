@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.stats import unitary_group
 
+import fockbench.backends
 import fockbench.fock
 from fockbench.algebra import (
     KetExpression,
@@ -1330,6 +1331,27 @@ def test_compare_rejects_bad_tolerance():
         compare_backends(build_experiment("single_photon_bs_sym"), 0.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, math.inf])
+def test_compare_backends_refuses_a_bad_tolerance_before_either_route(tol, monkeypatch):
+    evolutions = []
+    for name in ("evolve_numeric", "evolve_symbolic"):
+        route = getattr(fockbench.backends, name)
+        monkeypatch.setattr(
+            fockbench.backends, name, lambda c, route=route: evolutions.append(c) or route(c)
+        )
+    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        compare_backends(build_experiment("cnot_dualrail"), tol)
+    assert evolutions == []
+
+
+def test_comparison_report_carries_the_reports_it_compared():
+    circuit = build_experiment("hardy_vertex", theta=0.4)
+    report = compare_backends(circuit, 1e-9)
+    assert report.numeric == measure(evolve_numeric(circuit), circuit.measured_modes)
+    assert report.symbolic == measure(evolve_symbolic(circuit), circuit.measured_modes)
+    assert compare_reports(report.numeric, report.symbolic, 1e-9) == report
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_compare_reports_rejects_tolerance_that_is_not_finite_and_positive(tol):
     circuit = build_experiment("single_photon_bs_sym")
@@ -1461,5 +1483,7 @@ def test_doubling_cutoff_changes_nothing_when_conserving():
 
 
 def test_comparison_report_verdict_logic():
-    report = ComparisonReport({"N1": 1e-3}, 1e-3, 1e-9, "fail")
+    circuit = build_experiment("single_photon_bs_sym")
+    measured = measure(evolve_symbolic(circuit), circuit.measured_modes)
+    report = ComparisonReport({"N1": 1e-3}, 1e-3, 1e-9, "fail", measured, measured)
     assert not report.passed

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -257,6 +258,23 @@ def test_basis_too_large_to_print_is_refused_in_one_line(runner, tmp_path, backe
     (line,) = result.stderr.splitlines()
     assert "cap" in line
     assert "int_max_str_digits" not in result.output
+
+
+def test_a_million_mode_box_is_refused_in_under_a_second(runner, tmp_path):
+    # the box's size has nine million digits: computing it to compare it
+    # with the cap, and again for the message, took 14 s
+    path = tmp_path / "wide.fck"
+    path.write_text(
+        "system bosons=1000000 cutoff=1000000000\ninput create 1\nbs 1 2 angle=0.3\n"
+    )
+    start = time.perf_counter()
+    result = invoke(runner, ["run", str(path), "--backend", "numeric"])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 1
+    assert result.stderr == (
+        "error: basis size 1000000001**1000000 * 2**0 exceeds the memory cap 1000000; "
+        "lower the cutoff\n"
+    )
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -3,6 +3,7 @@
 import ast
 import gc
 import math
+import re
 import time
 import weakref
 from pathlib import Path
@@ -767,3 +768,22 @@ def test_box_matrices_refuse_an_oversized_box_before_enumerating_it(build):
         match=r"^basis size 13841287201 exceeds the memory cap 1000000; lower the cutoff$",
     ):
         build(system, 0)
+
+
+@pytest.mark.parametrize(
+    "refuse, message",
+    [
+        (lambda system: number_op(system, 0), "basis size 1000000001**1000000 * 2**0 exceeds"),
+        (lambda system: polynomial_matrix(creation(0), system), "exceeds the memory cap"),
+        (lambda system: FockVector.from_dense(system, np.zeros(3)), "expected 1000000001**"),
+        (lambda system: heisenberg_residual(BeamSplitter(0, 1), system), "too large"),
+    ],
+    ids=["number_op", "polynomial_matrix", "from_dense", "heisenberg_residual"],
+)
+def test_a_box_of_nine_million_digits_is_refused_without_computing_its_size(refuse, message):
+    # (10**9 + 1)**(10**6) took about 7 s to compute, and its text as long again
+    system = ModeSystem(1_000_000, 0, 1_000_000_000)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        refuse(system)
+    assert time.perf_counter() - start < 1.0

@@ -20,6 +20,7 @@ from fockbench.algebra import (
     LadderSymbol,
     evolve_symbolic,
     quadratic_generator,
+    vertex_generator,
 )
 from fockbench.backends import measure
 from fockbench.checks import builtin_equivalence_cases, random_circuit
@@ -85,6 +86,7 @@ GENERATOR_CODE = _code_objects(
         LadderPolynomial._from_merged,
         LadderPolynomial.terms.fget,
         quadratic_generator,
+        vertex_generator,
     ]
 )
 

@@ -80,3 +80,11 @@ def test_installed_tracer_records_both_routes_outside_backends():
         "backends.measure_fock",
         "backends.measure_ket",
     } <= names
+
+
+def test_installed_tracer_records_the_comparison_of_a_both_run():
+    # ``run --backend both`` goes through ``compare_backends``, so its span
+    # and its ``max_deviation`` metric read the run's comparison
+    tracer, names = _traced(["run", "--experiment", "single_photon_bs_asym", "--backend", "both"])
+    assert "backends.compare_backends" in names
+    assert 0.0 < tracer.metrics(1)["backends.compare_backends.max_deviation"] < 1e-9
