@@ -160,6 +160,7 @@ class FockVector:
 
     def to_dense(self) -> np.ndarray:
         system = self.system
+        _require_box_within(system)
         occupations = np.array(list(self.amplitudes), dtype=np.intp)
         multi_index = occupations.reshape(-1, system.total_modes).T
         vec = np.zeros(system.basis_size, dtype=complex)

@@ -14,7 +14,7 @@ from pathlib import Path
 import click.testing
 import pytest
 from click.testing import CliRunner
-from golden_error import BACKENDS, MESH_GOLDENS, mesh_program
+from golden_error import GOLDEN_DIR, GOLDENS, JUDGED
 
 import fockbench.backends
 import fockbench.checks
@@ -22,7 +22,6 @@ import fockbench.cli
 from fockbench.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
-CIRCUIT_FILES = sorted((ROOT / "circuits").glob("*.fck"))
 
 OK_PROGRAM = "system bosons=2 cutoff=4\ninput create 1\nbs 1 2 sym\nmeasure all\n"
 
@@ -331,41 +330,16 @@ def test_both_backends_evolve_numeric_once_per_circuit(runner, monkeypatch, args
     assert result.output.count('"verdict": "pass"') == circuits
 
 
-@pytest.mark.parametrize("backend", ["numeric", "both", "symbolic"])
-@pytest.mark.parametrize("path", CIRCUIT_FILES, ids=lambda p: p.stem)
-def test_example_circuits_match_golden_bytes(runner, path, backend):
-    # the example circuits' JSON reports are frozen byte for byte
-    golden = ROOT / "tests" / "golden" / f"{path.stem}.{backend}.json"
-    result = invoke(runner, ["run", str(path), "--backend", backend, "--format", "json"])
-    assert result.exit_code == 0
-    assert result.stdout_bytes == golden.read_bytes()
-
-
-@pytest.mark.parametrize("name", [*(p.stem for p in CIRCUIT_FILES), "mesh_m6"])
+@pytest.mark.parametrize("name", GOLDENS)
 def test_both_golden_is_numeric_golden_plus_comparison(name):
     # the two-route report adds the comparison and changes nothing else
-    golden = ROOT / "tests" / "golden"
-    numeric = (golden / f"{name}.numeric.json").read_text()
-    both = (golden / f"{name}.both.json").read_text()
+    numeric = (GOLDEN_DIR / f"{name}.numeric.json").read_text()
+    both = (GOLDEN_DIR / f"{name}.both.json").read_text()
     assert both.startswith(numeric[: -len("}\n")] + ', "comparison": ')
     numeric_report, both_report = json.loads(numeric), json.loads(both)
     assert list(both_report) == [*numeric_report, "comparison"]
     del both_report["comparison"]
     assert both_report == numeric_report
-
-
-@pytest.mark.parametrize(
-    "name, backend",
-    [(name, backend) for name in MESH_GOLDENS for backend in BACKENDS],
-)
-def test_mesh_circuits_match_golden_bytes(runner, tmp_path, name, backend):
-    # the meshes' JSON reports are frozen byte for byte, like the examples'
-    path = tmp_path / f"{name}.fck"
-    path.write_text(mesh_program(*MESH_GOLDENS[name]))
-    golden = ROOT / "tests" / "golden" / f"{name}.{backend}.json"
-    result = invoke(runner, ["run", str(path), "--backend", backend, "--format", "json"])
-    assert result.exit_code == 0
-    assert result.stdout_bytes == golden.read_bytes()
 
 
 def test_forty_photons_through_one_splitter_follow_the_binomial_law(runner, tmp_path):
@@ -389,24 +363,6 @@ def test_forty_photons_through_one_splitter_follow_the_binomial_law(runner, tmp_
     assert set(rows) <= set(binomial)  # rows far below 1e-12 may be left out
     for occ, prob in binomial.items():
         assert abs(rows.get(occ, 0.0) - prob) <= 1e-12, occ
-
-
-@pytest.mark.parametrize(
-    "name", [*(p.stem for p in CIRCUIT_FILES), "mesh6"], ids=lambda name: name
-)
-def test_both_backends_write_nothing_to_stderr(runner, tmp_path, name):
-    # any warning raised while evaluating would print as a "warning:" line
-    if name == "mesh6":
-        path = tmp_path / "mesh6.fck"
-        path.write_text(mesh_program(6, 3, 3))
-    else:
-        path = ROOT / "circuits" / f"{name}.fck"
-    with warnings.catch_warnings():
-        warnings.simplefilter("always")
-        result = invoke(runner, ["run", str(path), "--backend", "both", "--format", "json"])
-    assert result.exit_code == 0
-    assert '"verdict": "pass"' in result.stdout
-    assert result.stderr == ""
 
 
 #: Programs with a finite parameter large enough that an amplitude overflows:
@@ -636,31 +592,27 @@ def test_importing_the_package_loads_no_scipy(module):
     assert _fresh_scipy_modules(f"import {module}") == (0, "", [])
 
 
-def test_symbolic_run_loads_no_scipy():
-    path = ROOT / "circuits" / "cnot_dualrail.fck"
+def _golden_run(tmp_path, name, backend):
+    """(exit code, scipy modules loaded) of a golden row's run in a fresh
+    interpreter, whose stdout must be its golden."""
+    path = tmp_path / f"{name}.fck"
+    path.write_text(JUDGED[name].program)
     code, stdout, loaded = _fresh_scipy_modules(
-        RUN_CLI, "run", str(path), "--backend", "symbolic", "--format", "json"
+        RUN_CLI, "run", str(path), "--backend", backend, "--format", "json"
     )
-    assert (code, loaded) == (0, [])
-    golden = ROOT / "tests" / "golden" / "cnot_dualrail.symbolic.json"
-    assert stdout.encode() == golden.read_bytes()
+    assert stdout.encode() == (GOLDEN_DIR / f"{name}.{backend}.json").read_bytes()
+    return code, loaded
+
+
+def test_symbolic_run_loads_no_scipy(tmp_path):
+    assert _golden_run(tmp_path, "cnot_dualrail", "symbolic") == (0, [])
 
 
 @pytest.mark.parametrize("backend", ["numeric", "both"])
 @pytest.mark.parametrize("name", ["cnot_dualrail", "mesh_m6"])
 def test_numeric_run_loads_no_scipy(tmp_path, name, backend):
     # the block exponentials are numpy's; only the box matrices need scipy
-    if name == "mesh_m6":
-        path = tmp_path / "mesh_m6.fck"
-        path.write_text(mesh_program(*MESH_GOLDENS[name]))
-    else:
-        path = ROOT / "circuits" / f"{name}.fck"
-    code, stdout, loaded = _fresh_scipy_modules(
-        RUN_CLI, "run", str(path), "--backend", backend, "--format", "json"
-    )
-    assert (code, loaded) == (0, [])
-    golden = ROOT / "tests" / "golden" / f"{name}.{backend}.json"
-    assert stdout.encode() == golden.read_bytes()
+    assert _golden_run(tmp_path, name, backend) == (0, [])
 
 
 def test_check_passes(runner):

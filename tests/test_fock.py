@@ -776,9 +776,10 @@ def test_box_matrices_refuse_an_oversized_box_before_enumerating_it(build):
         (lambda system: number_op(system, 0), "basis size 1000000001**1000000 * 2**0 exceeds"),
         (lambda system: polynomial_matrix(creation(0), system), "exceeds the memory cap"),
         (lambda system: FockVector.from_dense(system, np.zeros(3)), "expected 1000000001**"),
+        (lambda system: FockVector(system, {}).to_dense(), "exceeds the memory cap"),
         (lambda system: heisenberg_residual(BeamSplitter(0, 1), system), "too large"),
     ],
-    ids=["number_op", "polynomial_matrix", "from_dense", "heisenberg_residual"],
+    ids=["number_op", "polynomial_matrix", "from_dense", "to_dense", "heisenberg_residual"],
 )
 def test_a_box_of_nine_million_digits_is_refused_without_computing_its_size(refuse, message):
     # (10**9 + 1)**(10**6) took about 7 s to compute, and its text as long again

@@ -14,8 +14,8 @@ no invocation.  The cases, in listing order:
 
 * ``element/<keyword>/<backend>/<format>``: one circuit per row of
   :data:`fockbench.dsl.ELEMENT_SYNTAX`, on every backend in both formats;
-* ``golden/<name>/<backend>/<format>``: the 18 goldens'
-  programs (``tools/golden_error.py``) in both formats;
+* ``golden/<name>/<backend>/<format>``: the programs of the golden rows
+  of ``tools/golden_error.py``'s table, in both formats;
 * ``workload/<name>/<i>``: the first runs of each benchmark workload at
   seed 1, built from ``perfbench/workloads.py`` (loaded by path, read only);
 * ``cutoff/...``: ``--cutoff`` overrides;
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from call_count import load_workloads
-from golden_error import BACKENDS, golden_programs
+from golden_error import BACKENDS, GOLDENS, JUDGED
 
 #: Stands for the file that holds the case's ``program`` in its arguments.
 PROGRAM = "<program>"
@@ -132,12 +132,12 @@ def cases(workload_dir: Path) -> list[Case]:
                     f"element/{syntax.keyword}/{backend}/{fmt}",
                     **_run(PROGRAM, program=program, backend=backend, fmt=fmt),
                 ))
-    for name, program in golden_programs().items():
+    for name in GOLDENS:
         for backend in BACKENDS:
             for fmt in FORMATS:
                 out.append(Case(
                     f"golden/{name}/{backend}/{fmt}",
-                    **_run(PROGRAM, program=program, backend=backend, fmt=fmt),
+                    **_run(PROGRAM, program=JUDGED[name].program, backend=backend, fmt=fmt),
                 ))
     workloads = load_workloads()
     for workload in workloads.WORKLOADS:
@@ -145,7 +145,7 @@ def cases(workload_dir: Path) -> list[Case]:
         manifest = workloads.generate(workload, 1, workload_dir / workload)
         for i, run in enumerate(manifest["runs"][:WORKLOAD_RUNS]):
             out.append(Case(f"workload/{workload}/{i}", tuple(run["args"])))
-    mesh = golden_programs()["mesh_m6"]
+    mesh = JUDGED["mesh_m6"].program
     out += [
         Case("cutoff/cnot_dualrail-2/both/table",
              **_run("--experiment", "cnot_dualrail", "--all-inputs", "--cutoff", "2")),

@@ -43,12 +43,22 @@ benchmark's oracle.
 
 Every angle, phase, strength and amplitude is the exact binary value of
 the float written in the text (``kerr`` without ``strength=`` takes the
-double nearest pi), and the input is normalized at 40 digits.  The
-programs of the example goldens are ``circuits/<name>.fck``; those of the
-mesh goldens are :func:`mesh_program` at the shapes of
-:data:`MESH_GOLDENS`.  Each printed number is taken as a JSON reader gets
-it, the double nearest its text; a row the report leaves out counts as
-printed 0, and a printed row the reference does not have as reference 0.
+double nearest pi), and the input is normalized at 40 digits.  Each
+printed number is taken as a JSON reader gets it, the double nearest its
+text; a row the report leaves out counts as printed 0, and a printed row
+the reference does not have as reference 0.
+
+:data:`JUDGED` is the one table of the circuits the tests judge: name,
+program text, the backends it runs on, and whether it is a golden.
+``tests/test_golden_reference.py`` runs each row on each of its backends
+and judges every printed number; a golden row's reports are also frozen
+byte for byte in ``tests/golden/<name>.<backend>.json``, one file per
+backend of :data:`BACKENDS`.  Every file in ``circuits/`` is a golden row.
+Adding a judged circuit is one row (or one circuit file); a golden row
+also needs its three files, written by the CLI::
+
+    fockbench run <file> --backend <backend> --format json > tests/golden/<name>.<backend>.json
+
 Prints, per golden file, the count of numbers, the worst absolute error
 and the worst error in units of the 15th significant digit that
 ``fockbench run`` prints::
@@ -61,8 +71,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import random
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import mpmath
 
@@ -71,14 +83,6 @@ GOLDEN_DIR = ROOT / "tests" / "golden"
 CIRCUIT_DIR = ROOT / "circuits"
 DIGITS = 40
 BACKENDS = ("numeric", "symbolic", "both")
-
-
-#: Mesh goldens: name -> (modes, photons, cutoff).  Several photons meet
-#: on one splitter, which the example circuits never do.
-MESH_GOLDENS = {
-    "mesh_m6": (6, 3, 3),
-    "mesh_m8": (8, 4, 4),
-}
 
 
 def mesh_program(modes: int, photons: int, cutoff: int) -> str:
@@ -94,14 +98,102 @@ def mesh_program(modes: int, photons: int, cutoff: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def golden_programs() -> dict[str, str]:
-    """Program text of each golden, which has one file per backend of
-    :data:`BACKENDS`: the example circuits in ``circuits/``, then the
-    meshes of :data:`MESH_GOLDENS`."""
-    programs = {path.stem: path.read_text() for path in sorted(CIRCUIT_DIR.glob("*.fck"))}
-    for name, shape in MESH_GOLDENS.items():
-        programs[name] = mesh_program(*shape)
-    return programs
+def _brick(seed: str, modes: int) -> list[str]:
+    """``modes`` layers of ``bs angle=`` at seeded random angles, each
+    followed by a phase on its first mode."""
+    rng, lines = random.Random(f"witness:{seed}"), []
+    for layer in range(modes):
+        for a in range(layer % 2 + 1, modes, 2):
+            lines.append(f"bs {a} {a + 1} angle={rng.uniform(0.0, 2.0 * math.pi)!r}")
+            lines.append(f"phase {a} {rng.uniform(0.0, 2.0 * math.pi)!r}")
+    return lines
+
+
+def _program(system: str, inputs: str, lines: list[str]) -> str:
+    return "\n".join([f"system {system}", f"input create {inputs}", *lines, "measure all"]) + "\n"
+
+
+class Judged(NamedTuple):
+    """One row of :data:`JUDGED`."""
+
+    program: str
+    backends: tuple[str, ...] = BACKENDS
+    #: whether ``tests/golden/<name>.<backend>.json`` freezes the report
+    #: of each backend of :data:`BACKENDS`
+    golden: bool = False
+
+
+ROUTES = ("numeric", "symbolic")
+
+# splitters on 1-2, 2-3 and 1-3 close a cycle of odd length: on a
+# nearest-neighbour brick a consistent sign error in the splitter is a
+# conjugation by diag((-1)^m), which no detector statistic shows
+ODD_CYCLE = ["bs 1 2 angle=0.4", "bs 2 3 angle=1.1", "phase 2 0.7", "bs 1 3 angle=-0.8"]
+# hops past occupied modes: without them a missing Jordan-Wigner sign is
+# invisible to the statistics of up to 2 fermions in up to 4 modes
+HOPS = ["bs 1 4 angle=0.7", "bs 2 6 angle=1.3", "bs 1 3 angle=-0.9"]
+FERMIONS = "bosons=0 fermions={} cutoff=1"
+
+#: Every circuit the tests judge against :func:`reference`: name -> row.
+JUDGED = {
+    # the files of ``circuits/`` and the meshes, where several photons meet
+    # on one splitter, which the files never do
+    **{p.stem: Judged(p.read_text(), golden=True) for p in sorted(CIRCUIT_DIR.glob("*.fck"))},
+    "mesh_m6": Judged(mesh_program(6, 3, 3), golden=True),
+    "mesh_m8": Judged(mesh_program(8, 4, 4), golden=True),
+    # runs whose statistics change when the sign of the Kerr strength or of
+    # the vertex angle flips, which the goldens cannot show (the CNOT's Kerr
+    # strength is pi and the vertex golden starts from one pattern);
+    # P(0,1,1) and P(1,0,0) swap under a flipped vertex angle
+    "vertex_superpose": Judged(
+        "system bosons=1 fermions=2 cutoff=6\n"
+        "input superpose 1:2,3 ; 1:1\n"
+        "vertex 1 2 3 theta=0.6\n"
+        "measure all\n",
+        ROUTES,
+    ),
+    # a Mach-Zehnder on modes 2, 3 whose arm phase is the Kerr phase plus pi/2
+    "kerr_interferometer": Judged(
+        "system bosons=3 cutoff=3\n"
+        "input create 1 2\n"
+        "bs 2 3 sym\n"
+        "kerr 1 2 strength=0.9\n"
+        "phase 2 1.5707963267948966\n"
+        "bs 2 3 sym\n"
+        "measure all\n",
+        ROUTES,
+    ),
+    # a phase scan of one Mach-Zehnder: N1 = (1 + sin 0.7) / 2, which a
+    # flipped phase or a conjugated ``sym`` splitter turns into (1 - sin 0.7) / 2
+    "phase_scan": Judged(
+        "system bosons=2 cutoff=1\n"
+        "input create 1\n"
+        "bs 1 2 sym\n"
+        "phase 2 0.7\n"
+        "bs 1 2 asym\n"
+        "measure all\n",
+        ROUTES,
+    ),
+    # witnesses: seeded random bricks, bosons by permanents and fermions by
+    # determinants, on every backend (``both`` prints the numeric route's
+    # numbers only)
+    "mesh_m6_seed1": Judged(_program("bosons=6 cutoff=3", "1 2 3", _brick("1", 6))),
+    "mesh_m6_seed2": Judged(_program("bosons=6 cutoff=3", "1 2 3", _brick("2", 6))),
+    "mesh_m8_seed1": Judged(_program("bosons=8 cutoff=4", "1 2 3 4", _brick("1", 8))),
+    "odd_cycle": Judged(_program("bosons=3 cutoff=2", "1 2", ODD_CYCLE)),
+    # two photons in mode 1 and one in mode 2; the long hop breaks the brick
+    "bunched": Judged(
+        _program("bosons=6 cutoff=3", "1 1 2", [*_brick("bunched", 6), "bs 1 4 angle=0.9"])
+    ),
+    "fermion_m4_seed1": Judged(_program(FERMIONS.format(4), "1 2", _brick("fermion:1", 4))),
+    "fermion_m6_seed1": Judged(_program(FERMIONS.format(6), "1 2 3", _brick("fermion:1", 6))),
+    "fermion_m6_hops": Judged(
+        _program(FERMIONS.format(6), "1 2 3", [*_brick("fermion:2", 6), *HOPS])
+    ),
+    "fermion_odd_cycle": Judged(_program(FERMIONS.format(3), "1 2", ODD_CYCLE)),
+}
+#: The names of the golden rows.
+GOLDENS = [name for name, row in JUDGED.items() if row.golden]
 
 
 def _permanent(rows: list[list]) -> mpmath.mpc:
@@ -340,8 +432,8 @@ def errors(report_text: str, expected: dict) -> dict[str, tuple[mpmath.mpf, mpma
 
 def main() -> int:
     print(f"{'golden':36s} {'numbers':>7s} {'worst abs':>10s} {'worst 15th-digit units':>22s}")
-    for name, program in golden_programs().items():
-        expected = reference(program)
+    for name in GOLDENS:
+        expected = reference(JUDGED[name].program)
         for backend in BACKENDS:
             golden = GOLDEN_DIR / f"{name}.{backend}.json"
             found = errors(golden.read_text(), expected).values()
