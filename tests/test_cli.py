@@ -15,6 +15,7 @@ import click.testing
 import pytest
 from click.testing import CliRunner
 from golden_error import GOLDEN_DIR, GOLDENS, JUDGED
+from test_golden_reference import EXAMPLES, MESHES, pairs, run
 
 import fockbench.backends
 import fockbench.checks
@@ -328,6 +329,24 @@ def test_both_backends_evolve_numeric_once_per_circuit(runner, monkeypatch, args
     assert result.exit_code == 0
     assert len(calls) == circuits
     assert result.output.count('"verdict": "pass"') == circuits
+
+
+@pytest.mark.parametrize("name, backend", pairs(EXAMPLES))
+def test_example_circuits_match_golden_bytes(name, backend):
+    # the example circuits' JSON reports are frozen byte for byte
+    assert run(name, backend).stdout_bytes == (GOLDEN_DIR / f"{name}.{backend}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name, backend", pairs(MESHES))
+def test_mesh_circuits_match_golden_bytes(name, backend):
+    # the meshes' JSON reports are frozen byte for byte, like the examples'
+    assert run(name, backend).stdout_bytes == (GOLDEN_DIR / f"{name}.{backend}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", [*EXAMPLES, pytest.param("mesh_m6", id="mesh6")])
+def test_both_backends_write_nothing_to_stderr(name):
+    # ``run`` requires it of every judged run; the two-route run also compares
+    assert '"verdict": "pass"' in run(name, "both").stdout
 
 
 @pytest.mark.parametrize("name", GOLDENS)
