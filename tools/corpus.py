@@ -4,13 +4,13 @@ the cases it moved.
 
 A case is a ``fockbench`` invocation, run in-process.  Its digest is the
 SHA-256 of the exit code, the stdout and the stderr bytes, and, for each
-circuit the invocation runs, the hex bits of every numeric amplitude and
-every symbolic coefficient, in the order the routes hold them, as
-:func:`fockbench.fock.evolve_numeric` and
-:func:`fockbench.algebra.evolve_symbolic` return them for the backends the
-invocation names (a refusal counts by its message, and so does each
-warning).  A few cases are random circuits drawn in-process, with bits and
-no invocation.  The cases, in listing order:
+circuit the invocation runs, the hex bits of every numeric amplitude, in
+the order :func:`fockbench.fock.evolve_numeric` holds them, and of every
+symbolic coefficient, one ``occupation real-hex imag-hex`` line each,
+sorted by occupation, as :func:`fockbench.algebra.evolve_symbolic` returns
+them, for the backends the invocation names (a refusal counts by its
+message, and so does each warning).  A few cases are random circuits
+drawn in-process, with bits and no invocation.  The cases, in listing order:
 
 * ``element/<keyword>/<backend>/<format>``: one circuit per row of
   :data:`fockbench.dsl.ELEMENT_SYNTAX`, on every backend in both formats;
@@ -258,7 +258,14 @@ def _route_bits(route: str, circuit) -> bytes:
             if route == "numeric":
                 values = evolve_numeric(circuit).amplitudes.items()
             else:
-                values = evolve_symbolic(circuit).poly.terms.items()
+                ket = evolve_symbolic(circuit)
+                values = []
+                for factors, v in ket.poly.terms.items():
+                    occupation = [0] * ket.system.total_modes
+                    for symbol in factors:
+                        occupation[symbol.mode] += 1
+                    values.append((tuple(occupation), v))
+                values.sort(key=lambda item: item[0])
             lines = [f"{key!r} {v.real.hex()} {v.imag.hex()}" for key, v in values]
         except (ValueError, RuntimeError) as exc:
             lines = [f"{type(exc).__name__}: {exc}"]
