@@ -465,8 +465,9 @@ class KetExpression:
         largest real or imaginary part in [0.5, 1), so squaring them for the
         norm neither overflows nor underflows.  The scaling is exact: in the
         normal range the result is bit for bit that of the plain division.
-        :func:`basis_ket` writes the coefficient this gives one canonical
-        monomial of coefficient 1 directly, as ``1 / sqrt(gram weight)``;
+        :meth:`from_amplitudes` (so :func:`basis_ket`) writes the coefficient
+        this gives one canonical monomial of coefficient 1 directly, as
+        ``1 / sqrt(gram weight)``;
         ``test_basis_ket_coefficient_is_the_normalized_monomial_bit_for_bit``
         pins the two together, so a change here must change both.
         """
@@ -483,7 +484,54 @@ class KetExpression:
         norm = KetExpression(self.system, scaled).norm()
         return KetExpression(self.system, scaled * (1.0 / norm))
 
-    def occupation_amplitudes(self) -> dict[tuple[int, ...], complex]:
+    @classmethod
+    def from_amplitudes(cls, system: ModeSystem, amplitudes: Mapping) -> "KetExpression":
+        """The ket with ``amplitudes[occupation]`` on each occupation's unit ket.
+
+        Each occupation becomes its canonical creation monomial M, with
+        coefficient ``complex(1 / sqrt(<0|M^dag M|0>)) * complex(amplitude)``
+        merged by :class:`LadderPolynomial` (zeros dropped), in the
+        mapping's order: bit for bit ``basis_ket(system, occ).poly *
+        amplitude + ...``.  No cutoff is read and nothing is normalized.
+        An occupation of the wrong length, with a negative count or with a
+        fermionic count above 1 is refused.
+        """
+        terms = {}
+        for occupation, amplitude in amplitudes.items():
+            if (
+                len(occupation) != system.total_modes
+                or min(occupation) < 0
+                or max(occupation[system.boson_modes :], default=0) > 1
+            ):
+                raise ValueError(
+                    f"occupation {tuple(occupation)} is not one count per mode of "
+                    f"{system.total_modes}, each fermionic count 0 or 1"
+                )
+            factors = []
+            for mode, count in enumerate(occupation):
+                if count:
+                    factors += [LadderSymbol(mode, system.species(mode), True)] * count
+            factors = tuple(factors)
+            weight = complex(1.0 / math.sqrt(_gram_weight(factors)))
+            terms[factors] = weight * complex(amplitude)
+        return cls(system, LadderPolynomial(terms))
+
+    @property
+    def coefficients(self) -> dict[tuple[int, ...], complex]:
+        """Occupation -> coefficient of its canonical creation monomial,
+        exact, in term order.  A canonical monomial holds each mode's
+        creators in one run, so its occupation names it."""
+        total_modes = self.system.total_modes
+        out = {}
+        for factors, coeff in self.poly._terms.items():
+            occupation = [0] * total_modes
+            for s in factors:
+                occupation[s.mode] += 1
+            out[tuple(occupation)] = coeff
+        return out
+
+    @property
+    def amplitudes(self) -> dict[tuple[int, ...], complex]:
         """Coefficient of each occupation pattern, weighted to unit kets.
 
         Canonical creation monomials with different occupations are
@@ -521,23 +569,16 @@ def reduce_to_ket(poly: LadderPolynomial, system: ModeSystem) -> KetExpression:
 
 
 def vacuum_ket(system: ModeSystem) -> KetExpression:
-    return KetExpression(system, LadderPolynomial.constant(1.0))
+    return KetExpression.from_amplitudes(system, {system.vacuum_occupation(): 1.0})
 
 
 def basis_ket(system: ModeSystem, occupation) -> KetExpression:
-    """Normalized ket for one occupation pattern: its canonical creation
-    monomial M times 1 / sqrt(<0|M^dag M|0>), the coefficient that
+    """Normalized ket for one occupation pattern in the box: its canonical
+    creation monomial M times 1 / sqrt(<0|M^dag M|0>), the coefficient that
     :meth:`KetExpression.normalized` gives M, bit for bit."""
     occupation = tuple(int(n) for n in occupation)
     system.validate_occupation(occupation)
-    factors = []
-    for mode, count in enumerate(occupation):
-        factors.extend([LadderSymbol(mode, system.species(mode), True)] * count)
-    factors = tuple(factors)
-    coefficient = complex(1.0 / math.sqrt(_gram_weight(factors)))
-    # an overflowing weight gives 0, which the polynomial does not store
-    terms = {factors: coefficient} if coefficient else {}
-    return KetExpression(system, LadderPolynomial._from_merged(terms))
+    return KetExpression.from_amplitudes(system, {occupation: 1.0})
 
 
 def ket_from_creations(system: ModeSystem, modes) -> KetExpression:

@@ -297,10 +297,10 @@ def check_number_conservation() -> tuple[float, float]:
 
 def check_entropy() -> tuple[float, float]:
     system = ModeSystem(2, 0, 3)
-    bell_poly = (
-        basis_ket(system, (1, 0)).poly + basis_ket(system, (0, 1)).poly
-    ) * (1 / math.sqrt(2))
-    bell = ket_to_fock(algebra.KetExpression(system, bell_poly))
+    amplitude = 1 / math.sqrt(2)
+    bell = ket_to_fock(
+        algebra.KetExpression.from_amplitudes(system, {(1, 0): amplitude, (0, 1): amplitude})
+    )
     product = ket_to_fock(basis_ket(system, (1, 0)))
     worst = abs(mode_bipartition_entropy(bell, [0]) - math.log(2))
     worst = max(worst, mode_bipartition_entropy(product, [0]))

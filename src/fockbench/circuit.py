@@ -26,7 +26,7 @@ Conventions frozen here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -310,7 +310,7 @@ def with_cutoff(circuit: Circuit, cutoff: int) -> Circuit:
     system = ModeSystem(
         circuit.system.boson_modes, circuit.system.fermion_modes, cutoff
     )
-    input_state = KetExpression(system, circuit.input_state.poly)
+    input_state = replace(circuit.input_state, system=system)
     return Circuit(system, circuit.elements, input_state, circuit.measured_modes)
 
 

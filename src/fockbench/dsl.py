@@ -357,7 +357,7 @@ class _Parser:
             ket = vacuum_ket(self.system)
         else:
             ket = reduce_to_ket(self.input_poly, self.system)
-            if ket.poly.is_zero:
+            if not ket.coefficients:
                 raise CircuitParseError(
                     "input state vanishes (Pauli exclusion or cancelling terms)",
                     self.input_line,
@@ -383,7 +383,7 @@ def parse_circuit(text: str) -> Circuit:
 
 
 def _render_input(circuit: Circuit) -> str | None:
-    amplitudes = circuit.input_state.occupation_amplitudes()
+    amplitudes = circuit.input_state.amplitudes
     if len(amplitudes) == 1:
         ((occ, amplitude),) = amplitudes.items()
         if abs(amplitude - 1.0) < 1e-12:
@@ -392,14 +392,14 @@ def _render_input(circuit: Circuit) -> str | None:
             modes = " ".join(str(m + 1) for m, n in enumerate(occ) for _ in range(n))
             return f"input create {modes}"
     parts = []
-    for factors, coeff in sorted(
-        circuit.input_state.poly.terms.items(),
-        key=lambda item: tuple(s.mode for s in item[0]),
-    ):
-        if not factors:
+    branches = [
+        ([m for m, n in enumerate(occ) for _ in range(n)], coeff)
+        for occ, coeff in circuit.input_state.coefficients.items()
+    ]
+    for modes, coeff in sorted(branches, key=lambda branch: branch[0]):
+        if not modes:
             raise ValueError("a superposition with a vacuum branch has no text form")
-        modes = ",".join(str(s.mode + 1) for s in factors)
-        parts.append(f"{coeff!r}:{modes}")
+        parts.append(f"{coeff!r}:{','.join(str(m + 1) for m in modes)}")
     return "input superpose " + " ; ".join(parts)
 
 

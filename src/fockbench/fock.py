@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .algebra import KetExpression, LadderPolynomial, creation
+from .algebra import KetExpression, LadderPolynomial, LadderSymbol, creation
 from .circuit import Circuit, CircuitElement, element_generator
 from .modes import ModeSystem
 
@@ -391,11 +391,16 @@ def polynomial_matrix(poly: LadderPolynomial, system: ModeSystem) -> sparse.csr_
 def _ket_amplitudes(ket: KetExpression) -> tuple[dict, bool]:
     """Amplitudes of a creation-monomial ket, and whether any monomial was
     dropped for exceeding the cutoff.
+
+    Each occupation's canonical creator word, modes ascending, is applied
+    to the vacuum by the ladder kernel.
     """
     vacuum = ket.system.vacuum_occupation()
     amps: dict[tuple[int, ...], complex] = {}
     cut = False
-    for factors, coeff in ket.poly.terms.items():
+    for occupation, coeff in ket.coefficients.items():
+        modes = [m for m, n in enumerate(occupation) for _ in range(n)]
+        factors = [LadderSymbol(m, ket.system.species(m), True) for m in modes]
         image = _monomial_image(ket.system, factors, vacuum)
         if image is _CUT_AT_CUTOFF:
             cut = True

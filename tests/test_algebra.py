@@ -27,7 +27,6 @@ from fockbench.algebra import (
     ket_from_creations,
     ket_inner,
     commutator,
-    monomial_occupations,
     multiply,
     normal_order,
     number_expectation,
@@ -39,7 +38,7 @@ from fockbench.algebra import (
     vacuum_ket,
 )
 from fockbench.circuit import AnnihilationVertex, element_generator
-from fockbench.fock import inner_product, ket_to_fock, polynomial_matrix
+from fockbench.fock import PRUNE_THRESHOLD, inner_product, ket_to_fock, polynomial_matrix
 from fockbench.modes import BOSON, FERMION, ModeSystem
 
 
@@ -109,6 +108,21 @@ _REFUSAL_KET = basis_ket(_REFUSAL_SYSTEM, (1, 0, 1))
             "ket expressions may only contain creation symbols; "
             "use reduce_to_ket to build one",
             id="ket-with-annihilator",
+        ),
+        pytest.param(
+            lambda: KetExpression.from_amplitudes(_REFUSAL_SYSTEM, {(1, 0): 1.0}),
+            "occupation (1, 0) is not one count per mode of 3, each fermionic count 0 or 1",
+            id="amplitudes-short-occupation",
+        ),
+        pytest.param(
+            lambda: KetExpression.from_amplitudes(_REFUSAL_SYSTEM, {(1, -1, 0): 1.0}),
+            "occupation (1, -1, 0) is not one count per mode of 3, each fermionic count 0 or 1",
+            id="amplitudes-negative-count",
+        ),
+        pytest.param(
+            lambda: KetExpression.from_amplitudes(_REFUSAL_SYSTEM, {(1, 0, 2): 1.0}),
+            "occupation (1, 0, 2) is not one count per mode of 3, each fermionic count 0 or 1",
+            id="amplitudes-two-fermions-on-one-mode",
         ),
         pytest.param(
             lambda: substitute_modes(_REFUSAL_KET, np.ones((2, 3)), (0, 1)),
@@ -391,17 +405,24 @@ def test_basis_ket_normalized():
     system = ModeSystem(2, 1, 4)
     ket = basis_ket(system, (2, 1, 1))
     assert ket.norm() == pytest.approx(1.0)
-    amps = ket.occupation_amplitudes()
+    amps = ket.amplitudes
     assert amps[(2, 1, 1)] == pytest.approx(1.0)
+
+
+def _modes(occupation):
+    """Each mode once per quantum it holds, modes ascending."""
+    return [m for m, n in enumerate(occupation) for _ in range(n)]
+
+
+def _word(system, occupation):
+    """The canonical creation monomial of ``occupation``."""
+    return tuple(sym(m, system.species(m), True) for m in _modes(occupation))
 
 
 def _normalized_monomial(system, occupation):
     """What ``basis_ket`` gave before it wrote its coefficient directly: the
     unit monomial of ``occupation``, normalized by ``KetExpression``."""
-    factors = [
-        sym(m, system.species(m), True) for m, n in enumerate(occupation) for _ in range(n)
-    ]
-    return KetExpression(system, LadderPolynomial.monomial(1.0, factors)).normalized()
+    return ket_from_creations(system, _modes(occupation))
 
 
 @pytest.mark.parametrize(
@@ -416,8 +437,8 @@ def _normalized_monomial(system, occupation):
 )
 def test_basis_ket_coefficient_is_the_normalized_monomial_bit_for_bit(system, occupations):
     for occupation in occupations:
-        want = _normalized_monomial(system, occupation).poly.terms
-        got = basis_ket(system, occupation).poly.terms
+        want = _normalized_monomial(system, occupation).coefficients
+        got = basis_ket(system, occupation).coefficients
         assert list(got) == list(want)
         assert [c.real.hex() + c.imag.hex() for c in got.values()] == [
             c.real.hex() + c.imag.hex() for c in want.values()
@@ -431,6 +452,72 @@ def test_basis_ket_refuses_a_gram_weight_beyond_the_floats_like_normalization():
     with pytest.raises(OverflowError) as got:
         basis_ket(system, (171,))
     assert str(got.value) == str(want.value)
+
+
+@st.composite
+def occupation_amplitudes(draw):
+    """A system of cutoff 2 and amplitudes on up to 6 occupations, bosonic
+    ones up to 4 (above the cutoff), parts in [-1, 1] with signed zeros."""
+    bosons, fermions = draw(st.sampled_from(_SUBSTITUTION_SYSTEMS))
+    system = ModeSystem(bosons, fermions, 2)
+    occupation = st.tuples(
+        *(st.integers(0, 4) for _ in range(bosons)),
+        *(st.integers(0, 1) for _ in range(fermions)),
+    )
+    parts = st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0])
+    occupations = draw(st.lists(occupation, min_size=1, max_size=6, unique=True))
+    return system, {occ: complex(draw(parts), draw(parts)) for occ in occupations}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(occupation_amplitudes())
+def test_from_amplitudes_is_the_basis_ket_idiom_bit_for_bit(data):
+    system, amplitudes = data
+    # basis_ket refuses an occupation above the cutoff; a ket has none
+    wide = ModeSystem(system.boson_modes, system.fermion_modes, 4)
+    idiom = LadderPolynomial.zero()
+    for occ, amplitude in amplitudes.items():
+        idiom = idiom + basis_ket(wide, occ).poly * amplitude
+    got = KetExpression.from_amplitudes(system, amplitudes)
+    assert got.system is system
+    assert [(f, c.real.hex(), c.imag.hex()) for f, c in got.poly.terms.items()] == [
+        (f, c.real.hex(), c.imag.hex()) for f, c in idiom.terms.items()
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(occupation_amplitudes())
+def test_from_amplitudes_reads_a_ket_back_from_its_amplitudes(data):
+    system, coefficients = data
+    # a ket built by the operator calculus, with the drawn coefficients
+    poly = LadderPolynomial.zero()
+    for occ, coeff in coefficients.items():
+        poly = poly + creation_product(system, _modes(occ), coeff)
+    ket = reduce_to_ket(poly, system)
+    assert KetExpression.from_amplitudes(system, ket.amplitudes).allclose(ket, 1e-15)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(occupation_amplitudes())
+def test_both_routes_read_the_amplitudes_a_ket_is_built_from(data):
+    system, amplitudes = data
+    ket = KetExpression.from_amplitudes(system, amplitudes)
+    # a coefficient may underflow to zero and go: 5e-324 / sqrt(6) does
+    symbolic = ket.amplitudes
+    assert set(symbolic) <= set(amplitudes)
+    for occ, a in amplitudes.items():
+        assert abs(symbolic.get(occ, 0.0) - a) <= 1e-15
+    # the numeric route drops what lies above the cutoff or below its pruning
+    numeric = ket_to_fock(ket).amplitudes
+    kept = {
+        occ: a
+        for occ, a in amplitudes.items()
+        if max(occ[: system.boson_modes], default=0) <= system.cutoff
+        and abs(a) >= PRUNE_THRESHOLD
+    }
+    assert set(numeric) == set(kept)
+    for occ, a in kept.items():
+        assert abs(numeric[occ] - a) <= 1e-15
 
 
 def test_ket_from_creations_pauli_exclusion():
@@ -568,7 +655,7 @@ def test_substitute_symmetric_bs():
     system = ModeSystem(2, 0, 4)
     b1 = np.array([[1, 1j], [1j, 1]]) / math.sqrt(2)
     out = substitute_modes(basis_ket(system, (1, 0)), b1, (0, 1))
-    amps = out.occupation_amplitudes()
+    amps = out.amplitudes
     assert amps[(1, 0)] == pytest.approx(1 / math.sqrt(2))
     assert amps[(0, 1)] == pytest.approx(1j / math.sqrt(2))
 
@@ -577,7 +664,7 @@ def test_substitute_antisymmetric_bs():
     system = ModeSystem(2, 0, 4)
     b2 = np.array([[1, -1], [1, 1]]) / math.sqrt(2)
     out = substitute_modes(basis_ket(system, (1, 0)), b2, (0, 1))
-    amps = out.occupation_amplitudes()
+    amps = out.amplitudes
     assert amps[(1, 0)] == pytest.approx(1 / math.sqrt(2))
     assert amps[(0, 1)] == pytest.approx(1 / math.sqrt(2))
 
@@ -593,7 +680,7 @@ def test_substitute_accepts_a_matrix_within_the_unitarity_bound():
     system = ModeSystem(2, 0, 4)
     scale = (1 + 1e-13) ** 0.5
     out = substitute_modes(basis_ket(system, (0, 1)), np.diag([1.0, scale]), (0, 1))
-    assert out.poly.terms == {(sym(1, dagger=True),): complex(scale)}
+    assert out.coefficients == {(0, 1): complex(scale)}
 
 
 def test_substitute_preserves_norm():
@@ -615,7 +702,7 @@ def test_substitute_fermionic_pauli_suppression():
     b2 = np.array([[1, -1], [1, 1]]) / math.sqrt(2)
     ket = basis_ket(system, (1, 1))
     out = substitute_modes(ket, b2, (0, 1))
-    amps = out.occupation_amplitudes()
+    amps = out.amplitudes
     assert set(amps) == {(1, 1)}
     assert abs(amps[(1, 1)]) == pytest.approx(1.0)
 
@@ -650,9 +737,9 @@ def _substitute_by_normal_ordering(ket, matrix, modes):
         for mode in modes
     }
     out = {}
-    for factors, coeff in ket.poly.terms.items():
+    for occupation, coeff in ket.coefficients.items():
         partial = {(): coeff}
-        for s in factors:
+        for s in _word(ket.system, occupation):
             choices = replacements.get(s.mode, [(s, 1.0 + 0.0j)])
             grown = {}
             for prefix, c in partial.items():
@@ -666,8 +753,8 @@ def _substitute_by_normal_ordering(ket, matrix, modes):
 
 
 def _hex_terms(ket):
-    # monomials in dict order with their coefficients bit for bit
-    return [(f, c.real.hex(), c.imag.hex()) for f, c in ket.poly.terms.items()]
+    # occupations in term order with their coefficients bit for bit
+    return [(occ, c.real.hex(), c.imag.hex()) for occ, c in ket.coefficients.items()]
 
 
 #: (bosons, fermions): mixed systems, and one of each species alone.
@@ -675,19 +762,18 @@ _SUBSTITUTION_SYSTEMS = [(3, 2), (2, 3), (1, 3), (4, 0), (0, 4)]
 
 
 def _draw_ket(draw, system):
-    """A random ket of up to 8 canonical monomials; bosonic modes repeat."""
+    """A random ket of up to 8 occupations; bosonic modes repeat."""
     parts = st.floats(-2.0, 2.0, allow_subnormal=False) | st.sampled_from([0.0, 1.0])
-    terms = {}
+    amplitudes = {}
     for _ in range(draw(st.integers(1, 8))):
         # at most 5 creators: the expansion grows as (modes substituted)^creators
-        modes = sorted(draw(st.lists(st.integers(0, system.total_modes - 1), max_size=5)))
-        factors = tuple(
-            LadderSymbol(m, system.species(m), True)
-            for i, m in enumerate(modes)
-            if system.is_boson(m) or modes[i - 1 : i] != [m]
+        modes = draw(st.lists(st.integers(0, system.total_modes - 1), max_size=5))
+        occupation = tuple(
+            modes.count(m) if system.is_boson(m) else int(m in modes)
+            for m in range(system.total_modes)
         )
-        terms[factors] = complex(draw(parts), draw(parts))
-    return KetExpression(system, LadderPolynomial(terms))
+        amplitudes[occupation] = complex(draw(parts), draw(parts))
+    return KetExpression.from_amplitudes(system, amplitudes)
 
 
 @st.composite
@@ -719,15 +805,7 @@ def substitutions(draw):
     # both fermions of a fermionic splitter's modes: the products that put
     # both on one mode repeat a fermion and must drop out
     (
-        KetExpression(
-            ModeSystem(1, 2, 3),
-            LadderPolynomial(
-                {
-                    (sym(0, BOSON, True), sym(1, FERMION, True), sym(2, FERMION, True)): 0.6,
-                    (sym(1, FERMION, True), sym(2, FERMION, True)): 0.8j,
-                }
-            ),
-        ),
+        KetExpression.from_amplitudes(ModeSystem(1, 2, 3), {(1, 1, 1): 0.6, (0, 1, 1): 0.8j}),
         np.array([[0.6, -0.8j], [-0.8j, 0.6]]),
         (2, 1),
     )
@@ -766,11 +844,12 @@ def splitter_substitutions(draw):
 
 def _splitter_example(bosons, fermions, monomials, modes):
     system = ModeSystem(bosons, fermions, 3)
-    terms = {
-        tuple(LadderSymbol(m, system.species(m), True) for m in monomial): complex(0.6, 0.1 * k)
+    amplitudes = {
+        tuple(map(monomial.count, range(system.total_modes))): complex(0.6, 0.1 * k)
         for k, monomial in enumerate(monomials)
     }
-    return KetExpression(system, LadderPolynomial(terms)), np.array([[0.6, -0.8j], [-0.8j, 0.6]]), modes
+    ket = KetExpression.from_amplitudes(system, amplitudes)
+    return ket, np.array([[0.6, -0.8j], [-0.8j, 0.6]]), modes
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -795,11 +874,10 @@ def test_substitute_drops_repeated_fermions():
     # products with one fermion twice vanish, and the determinant remains
     system = ModeSystem(0, 2, 1)
     b = np.array([[0.6, -0.8j], [-0.8j, 0.6]])
-    pair = (sym(0, FERMION, True), sym(1, FERMION, True))
-    ket = KetExpression(system, LadderPolynomial({pair: 1.0}))
+    ket = KetExpression.from_amplitudes(system, {(1, 1): 1.0})
     out = substitute_modes(ket, b, (0, 1))
-    assert list(out.poly.terms) == [pair]
-    assert out.poly.terms[pair] == pytest.approx(np.linalg.det(b), abs=1e-15)
+    assert list(out.coefficients) == [(1, 1)]
+    assert out.coefficients[(1, 1)] == pytest.approx(np.linalg.det(b), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -837,22 +915,18 @@ def test_number_diagonal_scales_with_occupation():
 def _number_diagonal_per_monomial(phases, ket):
     # apply_number_diagonal as it was before phases were shared: one
     # cmath.exp per monomial, from the same products and sums
-    terms = [
-        ([LadderSymbol(m, ket.system.species(m), True) for m in key], float(value))
-        for key, value in phases.items()
-    ]
     out = {}
-    for factors, coeff in ket.poly.terms.items():
+    for occupation, coeff in ket.coefficients.items():
         angle = 0.0
-        for symbols, value in terms:
-            contribution = value
-            for s in symbols:
-                contribution *= factors.count(s)
+        for key, value in phases.items():
+            contribution = float(value)
+            for m in key:
+                contribution *= occupation[m]
             angle += contribution
         c = coeff * cmath.exp(1j * angle)
         if c:
-            out[factors] = c
-    return [(f, c.real.hex(), c.imag.hex()) for f, c in out.items()]
+            out[occupation] = c
+    return [(occ, c.real.hex(), c.imag.hex()) for occ, c in out.items()]
 
 
 @st.composite
@@ -905,7 +979,7 @@ def test_series_hardy_certain_annihilation():
     system = ModeSystem(1, 2, 4)
     ket = basis_ket(system, (0, 1, 1))
     out = apply_exponential_series(hardy_generator(math.pi / 2, system), ket)
-    amps = out.occupation_amplitudes()
+    amps = out.amplitudes
     assert set(amps) == {(1, 0, 0)}
     assert abs(amps[(1, 0, 0)]) == pytest.approx(1.0, abs=1e-12)
 
@@ -914,7 +988,7 @@ def test_series_hardy_half_angle():
     system = ModeSystem(1, 2, 4)
     ket = basis_ket(system, (0, 1, 1))
     out = apply_exponential_series(hardy_generator(math.pi / 4, system), ket)
-    amps = out.occupation_amplitudes()
+    amps = out.amplitudes
     assert abs(amps[(0, 1, 1)]) ** 2 == pytest.approx(0.5, abs=1e-12)
     assert abs(amps[(1, 0, 0)]) ** 2 == pytest.approx(0.5, abs=1e-12)
     assert out.norm() == pytest.approx(1.0, abs=1e-12)
@@ -959,10 +1033,9 @@ def vertex_generator(theta):
     return element_generator(AnnihilationVertex(*VERTEX_MODES, theta), VERTEX_SYSTEM)
 
 
-def vertex_monomial(photons, electron, positron):
+def vertex_occupation(photons, electron, positron):
     # occupations of modes 0..4, spectators occupied
-    occ = (photons, 1, positron, 1, electron)
-    return basis_ket(VERTEX_SYSTEM, occ).poly
+    return (photons, 1, positron, 1, electron)
 
 
 @pytest.mark.parametrize("photons", range(4))
@@ -976,7 +1049,7 @@ def test_vertex_generator_squares_to_minus_pair_count(photons, electron, positro
         m = photons
     else:
         m = 0
-    monomial = vertex_monomial(photons, electron, positron)
+    monomial = basis_ket(VERTEX_SYSTEM, vertex_occupation(photons, electron, positron)).poly
     squared = reduce_to_ket(multiply(k, multiply(k, monomial)), VERTEX_SYSTEM)
     expected = KetExpression(VERTEX_SYSTEM, monomial * (-(theta**2) * m))
     assert squared.allclose(expected, 1e-12)
@@ -985,13 +1058,13 @@ def test_vertex_generator_squares_to_minus_pair_count(photons, electron, positro
 @pytest.mark.parametrize("seed,theta", enumerate([0.0, 0.3, -0.9, 1.4, 2.0, -2.0]))
 def test_vertex_exponential_matches_series_for_small_theta(seed, theta):
     rng = np.random.default_rng(seed)
-    poly = LadderPolynomial.zero()
+    amplitudes = {}
     for _ in range(8):
-        monomial = vertex_monomial(
+        occ = vertex_occupation(
             int(rng.integers(0, 4)), int(rng.integers(0, 2)), int(rng.integers(0, 2))
         )
-        poly = poly + monomial * complex(*rng.normal(size=2))
-    ket = KetExpression(VERTEX_SYSTEM, poly).normalized()
+        amplitudes[occ] = amplitudes.get(occ, 0.0) + complex(*rng.normal(size=2))
+    ket = KetExpression.from_amplitudes(VERTEX_SYSTEM, amplitudes).normalized()
     k = vertex_generator(theta)
     closed = apply_vertex_exponential(k, ket, *VERTEX_MODES)
     assert closed.allclose(apply_exponential_series(k, ket), 1e-12)
@@ -1009,7 +1082,7 @@ def test_vertex_exponential_matches_series_for_small_theta(seed, theta):
     ],
 )
 def test_vertex_exponential_rejects_other_generators(generator):
-    ket = KetExpression(VERTEX_SYSTEM, vertex_monomial(0, 1, 1))
+    ket = basis_ket(VERTEX_SYSTEM, vertex_occupation(0, 1, 1))
     with pytest.raises(ValueError, match="theta"):
         apply_vertex_exponential(generator, ket, *VERTEX_MODES)
 
@@ -1029,10 +1102,9 @@ def test_number_expectation_basis_ket():
 
 def test_joint_distribution_superposition():
     system = ModeSystem(2, 0, 4)
-    poly = basis_ket(system, (1, 0)).poly * math.sqrt(1 / 3) + basis_ket(
-        system, (0, 2)
-    ).poly * math.sqrt(2 / 3)
-    ket = KetExpression(system, poly)
+    ket = KetExpression.from_amplitudes(
+        system, {(1, 0): math.sqrt(1 / 3), (0, 2): math.sqrt(2 / 3)}
+    )
     dist = joint_number_distribution(ket, (0, 1))
     assert dist[(1, 0)] == pytest.approx(1 / 3, abs=1e-12)
     assert dist[(0, 2)] == pytest.approx(2 / 3, abs=1e-12)
@@ -1041,8 +1113,7 @@ def test_joint_distribution_superposition():
 def test_joint_distribution_marginalizes():
     system = ModeSystem(2, 0, 4)
     s = 1 / math.sqrt(2)
-    poly = basis_ket(system, (1, 0)).poly * s + basis_ket(system, (1, 1)).poly * s
-    ket = KetExpression(system, poly)
+    ket = KetExpression.from_amplitudes(system, {(1, 0): s, (1, 1): s})
     dist = joint_number_distribution(ket, (0,))
     assert dist == {(1,): pytest.approx(1.0)}
 
@@ -1051,10 +1122,10 @@ def _joint_distribution_by_projectors(ket, modes):
     # the pattern-by-pattern projector sum that the one-pass code replaces
     per_monomial = []
     patterns = set()
-    for factors, coeff in ket.poly.terms.items():
-        occ = monomial_occupations(factors, ket.system.total_modes)
+    for occ, coeff in ket.coefficients.items():
         restricted = tuple(occ[m] for m in modes)
-        per_monomial.append((restricted, abs(coeff) ** 2 * _gram_weight(factors)))
+        weight = abs(coeff) ** 2 * _gram_weight(_word(ket.system, occ))
+        per_monomial.append((restricted, weight))
         patterns.add(restricted)
     distribution = {}
     for pattern in sorted(patterns):
@@ -1075,12 +1146,12 @@ def test_joint_distribution_bitwise_equals_projector_sums():
     rng = np.random.default_rng(2024)
     system = ModeSystem(3, 2, 6)
     for _ in range(200):
-        poly = LadderPolynomial.zero()
+        amplitudes = {}
         for _ in range(int(rng.integers(1, 16))):
-            occ = (*rng.integers(0, 5, size=3), *rng.integers(0, 2, size=2))
+            occ = tuple(map(int, (*rng.integers(0, 5, size=3), *rng.integers(0, 2, size=2))))
             coeff = complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-6, 1)
-            poly = poly + basis_ket(system, occ).poly * coeff
-        ket = KetExpression(system, poly)
+            amplitudes[occ] = amplitudes.get(occ, 0.0) + coeff
+        ket = KetExpression.from_amplitudes(system, amplitudes)
         modes = tuple(
             sorted(rng.choice(5, size=int(rng.integers(1, 6)), replace=False))
         )

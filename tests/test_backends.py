@@ -24,6 +24,7 @@ from fockbench.algebra import (
     annihilation,
     basis_ket,
     creation,
+    creation_product,
     evolve_symbolic,
     joint_number_distribution,
     ket_inner,
@@ -149,7 +150,7 @@ def test_ket_to_fock_matches_matrix_route():
     direct = ket_to_fock(ket)
     via_matrix = FockVector.from_dense(
         system,
-        polynomial_matrix(ket.poly, system) @ vacuum_state(system).to_dense(),
+        polynomial_matrix(poly, system) @ vacuum_state(system).to_dense(),
     )
     assert direct.allclose(via_matrix, 1e-13)
     assert inner_product(direct, direct) == pytest.approx(
@@ -159,7 +160,7 @@ def test_ket_to_fock_matches_matrix_route():
 
 def test_ket_to_fock_drops_beyond_cutoff():
     system = ModeSystem(1, 0, 2)
-    ket = KetExpression(system, basis_ket(ModeSystem(1, 0, 4), (3,)).poly)
+    ket = KetExpression.from_amplitudes(system, {(3,): 1.0})
     assert ket_to_fock(ket).amplitudes == {}
 
 
@@ -204,7 +205,7 @@ def test_numeric_truncation_warning():
 
 def test_numeric_truncation_warning_for_input_above_cutoff():
     system = ModeSystem(1, 0, 2)
-    ket = KetExpression(system, basis_ket(ModeSystem(1, 0, 4), (3,)).poly)
+    ket = KetExpression.from_amplitudes(system, {(3,): 1.0})
     circuit = Circuit(system, (PhaseShifter(0, 0.3),), ket, (0,))
     with pytest.warns(TruncationWarning):
         assert evolve_numeric(circuit).amplitudes == {}
@@ -249,12 +250,14 @@ def test_numeric_no_truncation_warning_when_cutoff_suffices():
 
 
 def _full_box_reference(circuit: Circuit) -> FockVector:
-    """Dense evolution on the whole cutoff box, one expm per element."""
+    """Dense evolution on the whole cutoff box, one expm per element, from
+    the input's creators applied to the vacuum as a box matrix."""
     system = circuit.system
-    vec = (
-        polynomial_matrix(circuit.input_state.poly, system)
-        @ vacuum_state(system).to_dense()
-    )
+    creators = LadderPolynomial.zero()
+    for occ, coeff in circuit.input_state.coefficients.items():
+        modes = [m for m, n in enumerate(occ) for _ in range(n)]
+        creators = creators + creation_product(system, modes, coeff)
+    vec = polynomial_matrix(creators, system) @ vacuum_state(system).to_dense()
     for element in circuit.elements:
         gen = polynomial_matrix(element_generator(element, system), system)
         vec = expm(gen.toarray()) @ vec
@@ -266,11 +269,7 @@ def _mixed_species_circuit() -> Circuit:
     system = ModeSystem(2, 3, 3)
     c_boson = generator_from_unitary(unitary_group.rvs(2, random_state=5))
     c_fermion = generator_from_unitary(unitary_group.rvs(2, random_state=6))
-    poly = (
-        basis_ket(system, (2, 0, 1, 1, 0)).poly * (0.6 - 0.2j)
-        + basis_ket(system, (1, 1, 0, 1, 1)).poly * 0.5
-        + basis_ket(system, (0, 1, 1, 0, 1)).poly * 0.4j
-    )
+    amplitudes = {(2, 0, 1, 1, 0): 0.6 - 0.2j, (1, 1, 0, 1, 1): 0.5, (0, 1, 1, 0, 1): 0.4j}
     return Circuit(
         system,
         (
@@ -283,17 +282,14 @@ def _mixed_species_circuit() -> Circuit:
             QuadraticCustom((0, 1), c_boson),
             KerrMedium(2, 3, 0.5),
         ),
-        KetExpression(system, poly).normalized(),
+        KetExpression.from_amplitudes(system, amplitudes).normalized(),
         (0, 1, 2, 3, 4),
     )
 
 
 def _vertex_circuit() -> Circuit:
     system = ModeSystem(2, 2, 3)
-    poly = (
-        basis_ket(system, (0, 1, 1, 1)).poly
-        + basis_ket(system, (2, 0, 0, 0)).poly * (0.3 + 0.5j)
-    )
+    amplitudes = {(0, 1, 1, 1): 1.0, (2, 0, 0, 0): 0.3 + 0.5j}
     return Circuit(
         system,
         (
@@ -303,7 +299,7 @@ def _vertex_circuit() -> Circuit:
             AnnihilationVertex(1, 2, 3, -1.3),
             KerrMedium(0, 1, 2.0),
         ),
-        KetExpression(system, poly).normalized(),
+        KetExpression.from_amplitudes(system, amplitudes).normalized(),
         (0, 1, 2, 3),
     )
 
@@ -321,11 +317,7 @@ def _three_mode_custom_two_photons() -> Circuit:
     system = ModeSystem(4, 0, 2)
     c = generator_from_unitary(unitary_group.rvs(3, random_state=9))
     assert np.abs(np.diag(c)).min() > 1e-3
-    poly = (
-        basis_ket(system, (1, 1, 0, 0)).poly * (0.5 + 0.1j)
-        + basis_ket(system, (0, 1, 0, 1)).poly * 0.7
-        + basis_ket(system, (0, 0, 2, 0)).poly * -0.3j
-    )
+    amplitudes = {(1, 1, 0, 0): 0.5 + 0.1j, (0, 1, 0, 1): 0.7, (0, 0, 2, 0): -0.3j}
     return Circuit(
         system,
         (
@@ -333,7 +325,7 @@ def _three_mode_custom_two_photons() -> Circuit:
             BeamSplitter(2, 3, ANGLE, 0.7),
             QuadraticCustom((0, 1, 2), c.conj()),
         ),
-        KetExpression(system, poly).normalized(),
+        KetExpression.from_amplitudes(system, amplitudes).normalized(),
         (0, 1, 2, 3),
     )
 
@@ -342,12 +334,12 @@ def _identical_blocks() -> Circuit:
     # one photon on modes 0 and 1 next to each occupation of modes 2 and 3:
     # the splitters' blocks are all the same 2x2 matrix
     system = ModeSystem(4, 0, 2)
-    poly = (
-        basis_ket(system, (1, 0, 0, 0)).poly * 0.6
-        + basis_ket(system, (0, 1, 1, 0)).poly * 0.4j
-        + basis_ket(system, (1, 0, 2, 0)).poly * (0.3 - 0.3j)
-        + basis_ket(system, (0, 1, 1, 1)).poly * -0.5
-    )
+    amplitudes = {
+        (1, 0, 0, 0): 0.6,
+        (0, 1, 1, 0): 0.4j,
+        (1, 0, 2, 0): 0.3 - 0.3j,
+        (0, 1, 1, 1): -0.5,
+    }
     return Circuit(
         system,
         (
@@ -355,7 +347,7 @@ def _identical_blocks() -> Circuit:
             PhaseShifter(0, 0.8),
             BeamSplitter(0, 1, SYMMETRIC),
         ),
-        KetExpression(system, poly).normalized(),
+        KetExpression.from_amplitudes(system, amplitudes).normalized(),
         (0, 1, 2, 3),
     )
 
@@ -429,12 +421,7 @@ def test_one_by_one_blocks_with_entries_evolve_to_their_phases(monkeypatch):
     # c n_0 on mode 0 of two modes: (1, 0) and (2, 1) are 1x1 blocks with the
     # entries c and 2c; (0, 2) is one without, and keeps its amplitude's bits
     system = ModeSystem(2, 0, 3)
-    amplitudes = {(1, 0): 0.6, (2, 1): -0.48j, (0, 2): 0.64}
-    poly = None
-    for occ, amp in amplitudes.items():
-        term = basis_ket(system, occ).poly * amp
-        poly = term if poly is None else poly + term
-    ket = KetExpression(system, poly)
+    ket = KetExpression.from_amplitudes(system, {(1, 0): 0.6, (2, 1): -0.48j, (0, 2): 0.64})
     element = QuadraticCustom((0,), [[0.7j]])
     stacks = _recording_expm_blocks(monkeypatch)
     state = evolve_numeric(Circuit(system, (element,), ket, (0, 1)))
@@ -592,7 +579,7 @@ def test_symbolic_cnot_truth_table():
         for target in (0, 1):
             circuit = build_experiment("cnot_dualrail", control=control, target=target)
             out = evolve_symbolic(circuit)
-            amps = out.occupation_amplitudes()
+            amps = out.amplitudes
             want = cnot_expected_output(control, target)
             assert abs(amps[want]) == pytest.approx(1.0, abs=1e-12)
 
@@ -600,7 +587,7 @@ def test_symbolic_cnot_truth_table():
 def test_symbolic_hardy_certain():
     circuit = build_experiment("hardy_vertex", theta=math.pi / 2)
     out = evolve_symbolic(circuit)
-    amps = out.occupation_amplitudes()
+    amps = out.amplitudes
     assert set(amps) == {(1, 0, 0)}
 
 
@@ -618,15 +605,11 @@ def test_symbolic_vertex_exact_at_any_angle(theta):
 def _two_vertex_pairs(theta: float) -> Circuit:
     # pairs with m = 1 and m = 2, the second with both members present
     system = ModeSystem(1, 2, 6)
-    poly = (
-        basis_ket(system, (0, 1, 1)).poly
-        + basis_ket(system, (1, 1, 1)).poly * 0.5j
-        + basis_ket(system, (2, 0, 0)).poly * (0.3 - 0.2j)
-    )
+    amplitudes = {(0, 1, 1): 1.0, (1, 1, 1): 0.5j, (2, 0, 0): 0.3 - 0.2j}
     return Circuit(
         system,
         (AnnihilationVertex(0, 1, 2, theta),),
-        KetExpression(system, poly).normalized(),
+        KetExpression.from_amplitudes(system, amplitudes).normalized(),
         (0, 1, 2),
     )
 
@@ -835,7 +818,7 @@ def _bits_and_truncation(evolve, circuit):
 def _jordan_wigner_blocks() -> Circuit:
     # the hop 1<->3 passes over fermion 2: its two blocks differ only in sign
     system = ModeSystem(0, 3, 1)
-    poly = basis_ket(system, (1, 0, 0)).poly * 0.6 + basis_ket(system, (1, 1, 0)).poly * 0.8j
+    amplitudes = {(1, 0, 0): 0.6, (1, 1, 0): 0.8j}
     return Circuit(
         system,
         (
@@ -843,7 +826,7 @@ def _jordan_wigner_blocks() -> Circuit:
             PhaseShifter(1, 0.3),
             BeamSplitter(0, 2, SYMMETRIC),
         ),
-        KetExpression(system, poly).normalized(),
+        KetExpression.from_amplitudes(system, amplitudes).normalized(),
         (0, 1, 2),
     )
 
@@ -895,16 +878,13 @@ def _numeric_circuits(draw):
                 x = (x[: width**2] + 1j * x[width**2 :]).reshape(width, width)
                 elements.append(QuadraticCustom(chosen, x - x.conj().T))
     # occupations up to one above the cutoff, so some inputs are truncated
-    wide = ModeSystem(bosons, fermions, system.cutoff + 1)
     occupation = st.tuples(
         *(st.integers(0, system.cutoff + 1) for _ in range(bosons)),
         *(st.integers(0, 1) for _ in range(fermions)),
     )
-    poly = None
-    for k, occ in enumerate(draw(st.lists(occupation, min_size=1, max_size=3, unique=True))):
-        term = basis_ket(wide, occ).poly * complex(1.0 + 0.5 * k, 0.3 * k)
-        poly = term if poly is None else poly + term
-    ket = KetExpression(system, poly).normalized()
+    occupations = draw(st.lists(occupation, min_size=1, max_size=3, unique=True))
+    amplitudes = {occ: complex(1.0 + 0.5 * k, 0.3 * k) for k, occ in enumerate(occupations)}
+    ket = KetExpression.from_amplitudes(system, amplitudes).normalized()
     return Circuit(system, tuple(elements), ket, tuple(modes))
 
 
@@ -1147,9 +1127,7 @@ def test_measure_single_particle_superposition_both_routes():
     system = ModeSystem(2, 0, 3)
     s = 1 / math.sqrt(2)
     fock = FockVector.from_amplitudes(system, {(1, 0): s, (0, 1): s})
-    ket = KetExpression(
-        system, (basis_ket(system, (1, 0)).poly + basis_ket(system, (0, 1)).poly) * s
-    )
+    ket = KetExpression.from_amplitudes(system, {(1, 0): s, (0, 1): s})
     for report in (measure(fock, (0, 1)), measure(ket, (0, 1))):
         assert report.expectations[0] == pytest.approx(0.5, abs=1e-12)
         assert report.expectations[1] == pytest.approx(0.5, abs=1e-12)
@@ -1170,9 +1148,7 @@ def test_measure_marginalizes_unmeasured_modes():
     fock = FockVector.from_amplitudes(system, {(1, 0): s, (1, 1): s})
     report = measure(fock, (0,))
     assert report.distribution == {(1,): pytest.approx(1.0)}
-    ket = KetExpression(
-        system, (basis_ket(system, (1, 0)).poly + basis_ket(system, (1, 1)).poly) * s
-    )
+    ket = KetExpression.from_amplitudes(system, {(1, 0): s, (1, 1): s})
     report = measure(ket, (0,))
     assert report.distribution[(1,)] == pytest.approx(1.0, abs=1e-12)
 
@@ -1182,7 +1158,7 @@ def test_measure_rejects_unnormalized():
     with pytest.raises(ValueError, match="normalized"):
         measure(FockVector.from_amplitudes(system, {(1,): 0.5}), (0,))
     with pytest.raises(ValueError, match="normalized"):
-        measure(KetExpression(system, basis_ket(system, (1,)).poly * 0.5), (0,))
+        measure(KetExpression.from_amplitudes(system, {(1,): 0.5}), (0,))
 
 
 def test_measure_rejects_nan_norm():
@@ -1190,7 +1166,7 @@ def test_measure_rejects_nan_norm():
     with pytest.raises(ValueError, match="norm nan"):
         measure(FockVector(system, {(1,): complex(math.nan)}), (0,))
     with pytest.raises(ValueError, match="norm nan"):
-        measure(KetExpression(system, basis_ket(system, (1,)).poly * math.nan), (0,))
+        measure(KetExpression.from_amplitudes(system, {(1,): math.nan}), (0,))
 
 
 _DETECTOR_SYSTEM = ModeSystem(2, 0, 3)

@@ -49,7 +49,7 @@ def test_smallest_valid_program():
     assert circuit.system == ModeSystem(2, 0, 4)
     assert circuit.elements == (BeamSplitter(0, 1, SYMMETRIC),)
     assert circuit.measured_modes == (0, 1)
-    assert circuit.input_state.occupation_amplitudes()[(1, 0)] == pytest.approx(1.0)
+    assert circuit.input_state.amplitudes[(1, 0)] == pytest.approx(1.0)
 
 
 def test_comments_and_blank_lines():
@@ -62,7 +62,7 @@ def test_comments_and_blank_lines():
 
 def test_default_input_is_vacuum_and_measure_all():
     circuit = parse_circuit("system bosons=2 cutoff=3\nbs 1 2 asym\n")
-    assert circuit.input_state.occupation_amplitudes() == {
+    assert circuit.input_state.amplitudes == {
         (0, 0): pytest.approx(1.0)
     }
     assert circuit.measured_modes == (0, 1)
@@ -70,7 +70,7 @@ def test_default_input_is_vacuum_and_measure_all():
 
 def test_create_repeated_mode_normalizes():
     circuit = parse_circuit("system bosons=1 cutoff=4\ninput create 1 1\n")
-    amps = circuit.input_state.occupation_amplitudes()
+    amps = circuit.input_state.amplitudes
     assert amps[(2,)] == pytest.approx(1.0)
 
 
@@ -81,7 +81,7 @@ def test_superpose_parses_complex_amplitudes():
         "measure all\n"
     )
     circuit = parse_circuit(text)
-    amps = circuit.input_state.occupation_amplitudes()
+    amps = circuit.input_state.amplitudes
     norm = math.sqrt(0.25 + 0.25 + 0.5)
     assert amps[(1, 0)] == pytest.approx(0.5 / norm)
     assert amps[(0, 1)] == pytest.approx(0.5j / norm)

@@ -3,7 +3,8 @@
 The symbolic route never reads the truncation (``cutoff`` and the box
 built from it), the numeric route reads the algebra only to build
 generators, and neither route module imports the other or the shared
-reports.
+reports.  Only ``algebra`` reads a ket's storage, its polynomial keyed by
+symbol tuples; everything else reads and builds a ket by occupation.
 """
 
 import ast
@@ -16,6 +17,7 @@ from golden_error import mesh_program
 
 import fockbench.algebra
 from fockbench.algebra import (
+    KetExpression,
     LadderPolynomial,
     LadderSymbol,
     evolve_symbolic,
@@ -78,13 +80,14 @@ def _code_objects(functions):
 
 #: What building a generator or reading an input ket runs in ``algebra``:
 #: generators are built with their terms already merged, from interned
-#: symbols and their adjoints.
+#: symbols and their adjoints, and an input ket is read by occupation.
 GENERATOR_CODE = _code_objects(
     [
         LadderSymbol.__new__,
         LadderSymbol.adjoint,
         LadderPolynomial._from_merged,
         LadderPolynomial.terms.fget,
+        KetExpression.coefficients.fget,
         quadratic_generator,
         vertex_generator,
     ]
@@ -148,3 +151,61 @@ def test_the_ladder_kernel_runs_in_two_loops():
         ("fock", "_ket_amplitudes"),
         ("fock", "_reachable_generators"),
     ]
+
+
+#: Tests of ``tests/test_algebra.py`` that reach under the ket's surface: the
+#: constructor refusals feed it bad monomials, the operator calculus compares
+#: a reduced ket with a ``LadderPolynomial``, and one parity test builds the
+#: ``basis_ket(...).poly * a + ...`` idiom that ``from_amplitudes`` replaced.
+KET_STORAGE_TESTS = frozenset(
+    {
+        "test_algebra_refusals",
+        "test_ket_rejects_fermions_out_of_mode_order",
+        "test_ket_rejects_bosons_out_of_mode_order",
+        "test_ket_rejects_symbols_outside_the_system_or_of_the_wrong_species",
+        "test_ket_rejects_repeated_fermionic_mode",
+        "test_remembered_ket_checks_still_refuse",
+        "test_reduce_drops_annihilators",
+        "test_reduce_applies_ccr_first",
+        "test_ket_inner_matches_general_reduction",
+        "test_vertex_generator_squares_to_minus_pair_count",
+        "test_from_amplitudes_is_the_basis_ket_idiom_bit_for_bit",
+    }
+)
+
+
+def _ket_storage_uses(path: Path) -> list[tuple[str, int]]:
+    """(top-level definition, line) of each ``.poly`` read and each direct
+    ``KetExpression(...)`` call in ``path``; decorators count as their
+    definition's."""
+    uses = []
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                node = node.func
+                called = getattr(node, "id", getattr(node, "attr", None))
+                if called != "KetExpression":
+                    continue
+            elif not (isinstance(node, ast.Attribute) and node.attr == "poly"):
+                continue
+            uses.append((getattr(top, "name", "<module>"), node.lineno))
+    return uses
+
+
+def test_only_algebra_reads_a_kets_symbol_tuples():
+    root = Path(__file__).resolve().parents[1]
+    algebra = root / "src" / "fockbench" / "algebra.py"
+    paths = [*(root / "src").rglob("*.py"), *(root / "tools").glob("*.py"), *(root / "tests").glob("*.py")]
+    assert algebra in paths and Path(__file__).resolve() in paths
+    found = {
+        (path.relative_to(root).as_posix(), name, line)
+        for path in paths
+        if path != algebra
+        for name, line in _ket_storage_uses(path)
+    }
+    exempt = {
+        use for use in found if use[0] == "tests/test_algebra.py" and use[1] in KET_STORAGE_TESTS
+    }
+    assert sorted(found - exempt) == []
+    # every exemption is still needed
+    assert {name for _, name, _ in exempt} == KET_STORAGE_TESTS

@@ -258,14 +258,7 @@ def _route_bits(route: str, circuit) -> bytes:
             if route == "numeric":
                 values = evolve_numeric(circuit).amplitudes.items()
             else:
-                ket = evolve_symbolic(circuit)
-                values = []
-                for factors, v in ket.poly.terms.items():
-                    occupation = [0] * ket.system.total_modes
-                    for symbol in factors:
-                        occupation[symbol.mode] += 1
-                    values.append((tuple(occupation), v))
-                values.sort(key=lambda item: item[0])
+                values = sorted(evolve_symbolic(circuit).coefficients.items())
             lines = [f"{key!r} {v.real.hex()} {v.imag.hex()}" for key, v in values]
         except (ValueError, RuntimeError) as exc:
             lines = [f"{type(exc).__name__}: {exc}"]
