@@ -195,7 +195,11 @@ def _ket_storage_uses(path: Path) -> list[tuple[str, int]]:
 def test_only_algebra_reads_a_kets_symbol_tuples():
     root = Path(__file__).resolve().parents[1]
     algebra = root / "src" / "fockbench" / "algebra.py"
-    paths = [*(root / "src").rglob("*.py"), *(root / "tools").glob("*.py"), *(root / "tests").glob("*.py")]
+    paths = [
+        *(root / "src").rglob("*.py"),
+        *(root / "tools").glob("*.py"),
+        *(root / "tests").glob("*.py"),
+    ]
     assert algebra in paths and Path(__file__).resolve() in paths
     found = {
         (path.relative_to(root).as_posix(), name, line)
