@@ -406,7 +406,9 @@ class KetExpression:
     containing an annihilator removed because it annihilates the vacuum.
     The constructor refuses any other; :func:`reduce_to_ket` reduces one.
     The attached mode system supplies mode count and species; its cutoff is
-    irrelevant here and never used.
+    irrelevant here and never used.  Outside this module a ket is read and
+    built by occupation only (:attr:`coefficients`, :attr:`amplitudes`,
+    :meth:`from_amplitudes`); ``poly`` is its storage.
 
     Every monomial that passes the check is remembered in the system's
     instance dict, so a later ket on the same system skips the monomials
