@@ -44,6 +44,7 @@ from .circuit import (
     QuadraticCustom,
     build_experiment,
     element_generator,
+    experiment_runs,
     generator_from_unitary,
     with_cutoff,
 )

@@ -29,6 +29,7 @@ from .circuit import (
     PhaseShifter,
     SYMMETRIC,
     build_experiment,
+    experiment_runs,
     with_cutoff,
 )
 from .fock import (
@@ -142,24 +143,15 @@ def random_polynomial(rng, system: ModeSystem) -> LadderPolynomial:
 
 
 def builtin_equivalence_cases() -> list[tuple[str, Circuit]]:
-    """Every built-in experiment, each parameter choice spelled out."""
-    cases = [
-        ("single_photon_bs_sym", build_experiment("single_photon_bs_sym")),
-        ("single_photon_bs_asym", build_experiment("single_photon_bs_asym")),
+    """Every built-in experiment at each parameter choice, labelled by its
+    ``--experiment`` value."""
+    specs = ["single_photon_bs_sym", "single_photon_bs_asym"]
+    specs += [f"cnot_dualrail:{c},{t}" for c in (0, 1) for t in (0, 1)]
+    specs += [
+        f"hardy_vertex:{theta!r}"
+        for theta in (math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
     ]
-    for control in (0, 1):
-        for target in (0, 1):
-            cases.append(
-                (
-                    f"cnot_dualrail({control},{target})",
-                    build_experiment("cnot_dualrail", control=control, target=target),
-                )
-            )
-    for theta in (math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2):
-        cases.append(
-            (f"hardy_vertex({theta:.4f})", build_experiment("hardy_vertex", theta=theta))
-        )
-    return cases
+    return [(spec, circuit) for spec in specs for _, circuit in experiment_runs(spec)]
 
 
 # ---------------------------------------------------------------------------

@@ -403,3 +403,45 @@ def build_experiment(
     if name == "hardy_vertex":
         return _hardy_circuit(theta)
     raise ValueError(f"unknown experiment {name!r}")
+
+
+def experiment_runs(spec: str, all_inputs: bool = False) -> list[tuple[str | None, Circuit]]:
+    """The ``(label, circuit)`` runs of ``fockbench run --experiment spec``,
+    with ``--all-inputs`` when ``all_inputs``; the label is the CNOT input
+    ``"<control><target>"``, None for the other experiments.
+
+    Parameters ride after a colon: ``cnot_dualrail:1,0`` selects the
+    control/target input and ``hardy_vertex:0.785`` the vertex angle.  A
+    spec that names no experiment, or parameters it does not take, raises
+    ``ValueError``.
+    """
+    name, _, params = spec.partition(":")
+    if name not in EXPERIMENTS:
+        known = ", ".join(EXPERIMENTS)
+        raise ValueError(f"unknown experiment {name!r} (known: {known})")
+    if all_inputs and name != "cnot_dualrail":
+        raise ValueError("--all-inputs applies only to cnot_dualrail")
+    if name == "cnot_dualrail":
+        if all_inputs and params:
+            raise ValueError(
+                "--all-inputs runs every cnot_dualrail input and takes no parameters"
+            )
+        inputs = [(0, 0), (0, 1), (1, 0), (1, 1)] if all_inputs else [(0, 0)]
+        if params:
+            try:
+                control, target = (int(x) for x in params.split(","))
+            except ValueError:
+                raise ValueError("cnot_dualrail parameters must look like 1,0") from None
+            inputs = [(control, target)]
+        return [(f"{c}{t}", build_experiment(name, control=c, target=t)) for c, t in inputs]
+    if name == "hardy_vertex" and params:
+        try:
+            theta = float(params)
+        except ValueError:
+            raise ValueError("hardy_vertex parameter must be a number") from None
+        if not math.isfinite(theta):
+            raise ValueError(f"hardy_vertex parameter must be finite, got {params!r}")
+        return [(None, build_experiment(name, theta=theta))]
+    if params:
+        raise ValueError(f"experiment {name!r} takes no parameters")
+    return [(None, build_experiment(name))]

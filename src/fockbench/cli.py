@@ -4,9 +4,13 @@ Exit codes: 0 success, 1 evaluation error, 2 parse error, 3 backend
 comparison failure.  The default cutoff can be overridden by the
 FOCKBENCH_CUTOFF environment variable; an explicit --cutoff flag wins.  The
 override reaches every run, circuit file or experiment, through
-:func:`~fockbench.circuit.with_cutoff`.  A warning raised while ``run``
-reads or evaluates its circuits, such as the numeric route's
-``TruncationWarning``, prints as one ``warning: <message>`` line on stderr.
+:func:`~fockbench.circuit.with_cutoff`.  ``run`` reads a circuit file as
+UTF-8, a leading byte-order mark skipped, and learns the runs of an
+``--experiment`` value (with ``--all-inputs``) from
+:func:`~fockbench.circuit.experiment_runs`, whose ``ValueError`` prints as
+one ``error: <message>`` line.  A warning raised while ``run`` reads or
+evaluates its circuits, such as the numeric route's ``TruncationWarning``,
+prints as one ``warning: <message>`` line on stderr.
 ``run --backend both`` is one :func:`~fockbench.backends.compare_backends`
 call per circuit, which refuses a bad ``--tol`` before either route runs,
 so that refusal is the only line a run prints; the table or JSON shows the
@@ -20,7 +24,6 @@ its output buffers alive for the life of the process.
 
 from __future__ import annotations
 
-import math
 import os
 import sys
 import warnings
@@ -35,7 +38,7 @@ from .backends import (
     compare_backends,
     measure,
 )
-from .circuit import Circuit, EXPERIMENTS, build_experiment, with_cutoff
+from .circuit import Circuit, EXPERIMENTS, experiment_runs, with_cutoff
 from .dsl import CircuitParseError, parse_circuit
 from .fock import evolve_numeric
 
@@ -64,56 +67,9 @@ def _resolve_cutoff(flag_value: int | None) -> int | None:
         raise click.ClickException(f"invalid FOCKBENCH_CUTOFF value {raw!r}")
 
 
-def _parse_experiment_spec(spec: str, all_inputs: bool):
-    """Return a list of (label, circuit) runs for an --experiment value.
-
-    Parameters ride after a colon: ``cnot_dualrail:1,0`` selects the
-    control/target input and ``hardy_vertex:0.785`` the vertex angle.
-    """
-    name, _, params = spec.partition(":")
-    if name not in EXPERIMENTS:
-        known = ", ".join(EXPERIMENTS)
-        raise click.ClickException(f"unknown experiment {name!r} (known: {known})")
-    if all_inputs and name != "cnot_dualrail":
-        raise click.ClickException("--all-inputs applies only to cnot_dualrail")
-    if name == "cnot_dualrail":
-        inputs = [(0, 0)]
-        if all_inputs and params:
-            raise click.ClickException(
-                "--all-inputs runs every cnot_dualrail input and takes no parameters"
-            )
-        if all_inputs:
-            inputs = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        elif params:
-            try:
-                control, target = (int(x) for x in params.split(","))
-            except ValueError:
-                raise click.ClickException(
-                    "cnot_dualrail parameters must look like 1,0"
-                )
-            inputs = [(control, target)]
-        return [
-            (f"{c}{t}", build_experiment(name, control=c, target=t))
-            for c, t in inputs
-        ]
-    if name == "hardy_vertex" and params:
-        try:
-            theta = float(params)
-        except ValueError:
-            raise click.ClickException("hardy_vertex parameter must be a number")
-        if not math.isfinite(theta):
-            raise click.ClickException(
-                f"hardy_vertex parameter must be finite, got {params!r}"
-            )
-        return [(None, build_experiment(name, theta=theta))]
-    if params:
-        raise click.ClickException(f"experiment {name!r} takes no parameters")
-    return [(None, build_experiment(name))]
-
-
 def _load_circuit_file(path: str) -> Circuit:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         raise click.ClickException(f"cannot read {path}: {exc.strerror}")
@@ -219,7 +175,7 @@ def cmd_run(circuit_file, experiment, backend, cutoff, tol, fmt, all_inputs):
         try:
             cutoff = _resolve_cutoff(cutoff)
             if experiment is not None:
-                runs = _parse_experiment_spec(experiment, all_inputs)
+                runs = experiment_runs(experiment, all_inputs)
             elif all_inputs:
                 raise click.ClickException("--all-inputs applies only to --experiment cnot_dualrail")
             else:

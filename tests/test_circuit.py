@@ -34,6 +34,7 @@ from fockbench.circuit import (
     cnot_expected_output,
     cnot_input_occupation,
     element_generator,
+    experiment_runs,
     generator_from_unitary,
     with_cutoff,
 )
@@ -480,6 +481,66 @@ def test_hardy_wiring():
 def test_unknown_experiment():
     with pytest.raises(ValueError):
         build_experiment("teleporter")
+
+
+@pytest.mark.parametrize(
+    "spec, all_inputs, runs",
+    [
+        ("single_photon_bs_sym", False, [(None, {})]),
+        ("single_photon_bs_asym", False, [(None, {})]),
+        ("cnot_dualrail", False, [("00", {})]),
+        (
+            "cnot_dualrail",
+            True,
+            [(f"{c}{t}", {"control": c, "target": t}) for c in (0, 1) for t in (0, 1)],
+        ),
+        ("cnot_dualrail:1,0", False, [("10", {"control": 1, "target": 0})]),
+        ("hardy_vertex", False, [(None, {})]),
+        ("hardy_vertex:0.785", False, [(None, {"theta": 0.785})]),
+    ],
+)
+def test_experiment_runs_are_the_built_experiments(spec, all_inputs, runs):
+    # each label is the one ``run`` prints as ``input <label>:``
+    name = spec.partition(":")[0]
+    expected = [(label, build_experiment(name, **kwargs)) for label, kwargs in runs]
+    assert experiment_runs(spec, all_inputs) == expected
+
+
+@pytest.mark.parametrize(
+    "spec, all_inputs, message",
+    [
+        (
+            "warp_drive",
+            False,
+            "unknown experiment 'warp_drive' (known: single_photon_bs_sym, "
+            "single_photon_bs_asym, cnot_dualrail, hardy_vertex)",
+        ),
+        ("hardy_vertex", True, "--all-inputs applies only to cnot_dualrail"),
+        ("hardy_vertex:abc", False, "hardy_vertex parameter must be a number"),
+        ("hardy_vertex:nan", False, "hardy_vertex parameter must be finite, got 'nan'"),
+        ("cnot_dualrail:1", False, "cnot_dualrail parameters must look like 1,0"),
+        ("cnot_dualrail:2,0", False, "control and target must be 0 or 1"),
+        (
+            "single_photon_bs_sym:1",
+            False,
+            "experiment 'single_photon_bs_sym' takes no parameters",
+        ),
+        (
+            "cnot_dualrail:abc",
+            True,
+            "--all-inputs runs every cnot_dualrail input and takes no parameters",
+        ),
+        (
+            "cnot_dualrail:1,0",
+            True,
+            "--all-inputs runs every cnot_dualrail input and takes no parameters",
+        ),
+    ],
+)
+def test_experiment_runs_refusals(spec, all_inputs, message):
+    with pytest.raises(ValueError) as err:
+        experiment_runs(spec, all_inputs)
+    assert str(err.value) == message
 
 
 def test_experiment_registry_covers_builders():

@@ -233,6 +233,20 @@ def test_parse_error_exit_code_and_line(runner, tmp_path):
     assert "duplicate mode" in result.output
 
 
+def test_a_byte_order_mark_before_a_circuit_file_is_skipped(runner, tmp_path):
+    source = ROOT / "circuits" / "cnot_dualrail.fck"
+    path = tmp_path / "bom.fck"
+    path.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    plain = invoke(runner, ["run", str(source)])
+    marked = invoke(runner, ["run", str(path)])
+    assert plain.exit_code == 0
+    assert (marked.exit_code, marked.stdout, marked.stderr) == (
+        plain.exit_code,
+        plain.stdout,
+        plain.stderr,
+    )
+
+
 def test_missing_file_is_evaluation_error(runner, tmp_path):
     result = invoke(runner, ["run", str(tmp_path / "nope.fck")])
     assert result.exit_code == 1

@@ -504,6 +504,12 @@ _REFUSAL_SYSTEM = ModeSystem(2, 0, 3)
             "system too large for a dense Heisenberg check",
             id="heisenberg-too-large",
         ),
+        pytest.param(
+            # 46**2 = 2 116 states: dense box matrices would take seconds
+            lambda: heisenberg_residual(BeamSplitter(0, 1), ModeSystem(2, 0, 45)),
+            "system too large for a dense Heisenberg check",
+            id="heisenberg-above-2048-states",
+        ),
     ],
 )
 def test_explicit_representation_refusals(call, message):

@@ -228,22 +228,19 @@ def _random_cases() -> list[Case]:
 def _circuits(args: tuple[str, ...]) -> list:
     """The circuits ``fockbench run`` runs for ``args``, or none if it
     refuses them before evaluating."""
-    import click
-
-    from fockbench.cli import _parse_experiment_spec
-    from fockbench.circuit import with_cutoff
+    from fockbench.circuit import experiment_runs, with_cutoff
     from fockbench.dsl import CircuitParseError, parse_circuit
 
     try:
         if "--experiment" in args:
             spec = args[args.index("--experiment") + 1]
-            circuits = [c for _, c in _parse_experiment_spec(spec, "--all-inputs" in args)]
+            circuits = [c for _, c in experiment_runs(spec, "--all-inputs" in args)]
         else:
-            circuits = [parse_circuit(Path(args[1]).read_text(encoding="utf-8"))]
+            circuits = [parse_circuit(Path(args[1]).read_text(encoding="utf-8-sig"))]
         if "--cutoff" in args:
             cutoff = int(args[args.index("--cutoff") + 1])
             circuits = [with_cutoff(c, cutoff) for c in circuits]
-    except (CircuitParseError, click.ClickException, ValueError):
+    except (CircuitParseError, ValueError):
         return []
     return circuits
 

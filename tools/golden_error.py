@@ -431,7 +431,8 @@ def errors(report_text: str, expected: dict) -> dict[str, tuple[mpmath.mpf, mpma
 
 
 def main() -> int:
-    print(f"{'golden':36s} {'numbers':>7s} {'worst abs':>10s} {'worst 15th-digit units':>22s}")
+    width = max(len(f"{name}.{backend}.json") for name in GOLDENS for backend in BACKENDS)
+    print(f"{'golden':{width}s} {'numbers':>7s} {'worst abs':>10s} {'worst 15th-digit units':>22s}")
     for name in GOLDENS:
         expected = reference(JUDGED[name].program)
         for backend in BACKENDS:
@@ -440,7 +441,7 @@ def main() -> int:
             worst_abs = max(e for e, _ in found)
             worst_units = max(u for _, u in found)
             print(
-                f"{golden.name:36s} {len(found):7d} {float(worst_abs):10.2e} "
+                f"{golden.name:{width}s} {len(found):7d} {float(worst_abs):10.2e} "
                 f"{float(worst_units):22.1f}"
             )
     return 0
